@@ -156,6 +156,12 @@ def encode_matrix(a) -> dict:
     }
 
 
+def _number(v, what: str) -> float:
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise DecodeError(f"{what} is not a number")
+    return float(v)
+
+
 def _grid_of_floats(rows, n_rows, n_cols, where: str) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != n_rows:
         raise DecodeError(f"{where}: expected {n_rows} rows")
@@ -191,6 +197,17 @@ def _field(obj: dict, key: str, where: str):
     if not isinstance(obj, dict) or key not in obj:
         raise DecodeError(f"{where}: missing field {key!r}")
     return obj[key]
+
+
+def _number_field(obj: dict, key: str, where: str) -> float:
+    return _number(_field(obj, key, where), f"{where}.{key}")
+
+
+def _array_field(obj: dict, key: str, where: str) -> list:
+    value = _field(obj, key, where)
+    if not isinstance(value, list):
+        raise DecodeError(f"{where}.{key} is not an array")
+    return value
 
 
 def _expect_type(obj, tag: str, where: str) -> None:
@@ -339,11 +356,13 @@ def decode_bundle(obj, where: str) -> dict:
     meta = _field(obj, "metadata", where)
     for key in ("kind", "seed", "n", "N", "mode", "commuting"):
         _field(meta, key, f"{where}.metadata")
+    if not isinstance(meta["seed"], int) or isinstance(meta["seed"], bool):
+        raise DecodeError(f"{where}.metadata.seed is not an integer")
     x_mats = _decode_mats(_field(obj, "x", where), f"{where}.x")
     y_mats = _decode_mats(_field(obj, "y", where), f"{where}.y")
     if len(x_mats) != len(y_mats) or len(x_mats) != meta["N"]:
         raise DecodeError(f"{where}: tuple sizes disagree with metadata N")
-    stored = float(_field(obj, "delta", where))
+    stored = _number_field(obj, "delta", where)
     dmax = max(op_norm(xm - ym) for xm, ym in zip(x_mats, y_mats))
     if abs(dmax - stored) > 1e-12:
         raise DecodeError(
@@ -390,7 +409,7 @@ def _encode_segment(seg) -> dict:
 
 def _decode_segment(obj, where: str):
     kind = _field(obj, "kind", where)
-    duration = float(_field(obj, "duration", where))
+    duration = _number_field(obj, "duration", where)
     if kind == "flat":
         return Flat(
             decode_matrix(_field(obj, "a", where), f"{where}.a"),
@@ -400,8 +419,8 @@ def _decode_segment(obj, where: str):
     if kind in ("conj", "geo"):
         h = decode_matrix(_field(obj, "h", where), f"{where}.h")
         base = decode_matrix(_field(obj, "base", where), f"{where}.base")
-        theta0 = float(_field(obj, "theta0", where))
-        theta1 = float(_field(obj, "theta1", where))
+        theta0 = _number_field(obj, "theta0", where)
+        theta1 = _number_field(obj, "theta1", where)
         if kind == "conj":
             return Conj(h, base, theta0, theta1, duration)
         return Geo(base, h, theta0, theta1, duration)
@@ -431,7 +450,7 @@ def decode_links(obj, where: str) -> LinkBundle:
         raise DecodeError(f"{where}.links: expected a nonempty array")
     links = []
     for j, entry in enumerate(raw_links):
-        segs = _field(entry, "segments", f"{where}.links[{j}]")
+        segs = _array_field(entry, "segments", f"{where}.links[{j}]")
         links.append(
             MatrixPath(
                 [
@@ -440,15 +459,28 @@ def decode_links(obj, where: str) -> LinkBundle:
                 ]
             )
         )
+    x_mats = _decode_mats(_field(obj, "x", where), f"{where}.x")
+    y_mats = _decode_mats(_field(obj, "y", where), f"{where}.y")
+    n = links[0].n
+    if (
+        len(x_mats) != len(links)
+        or len(y_mats) != len(links)
+        or any(m.shape[0] != n for m in x_mats + y_mats)
+        or any(link.n != n for link in links)
+    ):
+        raise DecodeError(f"{where}: links, x and y disagree in count or dimension")
     conj = obj.get("conjugator")
     return LinkBundle(
         links=links,
-        x_mats=_decode_mats(_field(obj, "x", where), f"{where}.x"),
-        y_mats=_decode_mats(_field(obj, "y", where), f"{where}.y"),
-        epsilon_reported=float(_field(obj, "epsilon_reported", where)),
+        x_mats=x_mats,
+        y_mats=y_mats,
+        epsilon_reported=_number_field(obj, "epsilon_reported", where),
         mode=str(_field(obj, "mode", where)),
         conjugator=None if conj is None else decode_matrix(conj, f"{where}.conjugator"),
-        lengths=[float(v) for v in _field(obj, "lengths", where)],
+        lengths=[
+            _number(v, f"{where}.lengths[{i}]")
+            for i, v in enumerate(_array_field(obj, "lengths", where))
+        ],
     )
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from . import matcore
 from .jointspec import NormalTuple, joint_diagonalize
 from .matcore import (
-    BranchPointError,
     DiagnosticsError,
     PreconditionError,
     adjoint,
@@ -34,7 +33,7 @@ from .matcore import (
     op_norm,
     principal_log_unitary,
 )
-from .spectral_match import Approximant, isospectral_approximant
+from .spectral_match import isospectral_approximant
 
 __all__ = [
     "Flat",
@@ -362,6 +361,31 @@ def _report_epsilon(links, y_mats, samples=201):
     return float(eps)
 
 
+def _link_bundle(curved_parts, flat_parts, x_mats, y_mats, mode, conjugator) -> LinkBundle:
+    """Join each curved factor to its flat factor and measure the bundle.
+
+    Degenerate curved factors are dropped only all-or-none: a per-link drop
+    would desynchronize the shared conjugation schedule and lose pairwise
+    commutation mid-path for mixed scalar/non-scalar tuples.
+    """
+    if all(c.length == 0.0 for c in curved_parts):
+        links = [MatrixPath([f]) for f in flat_parts]
+    else:
+        links = [
+            concat(MatrixPath([c]), MatrixPath([f]))
+            for c, f in zip(curved_parts, flat_parts)
+        ]
+    return LinkBundle(
+        links=links,
+        x_mats=list(x_mats),
+        y_mats=list(y_mats),
+        epsilon_reported=_report_epsilon(links, y_mats),
+        mode=mode,
+        conjugator=conjugator,
+        lengths=[link.exact_length() for link in links],
+    )
+
+
 def _mode_defect(a: np.ndarray, mode: str) -> float:
     if mode == "hermitian":
         return op_norm(a - adjoint(a))
@@ -390,7 +414,6 @@ def toral_links(
     tol: float = 1e-9,
     cluster_tol: float = 1e-8,
     seed: int = 0,
-    objective: str = "bottleneck",
 ) -> LinkBundle:
     """Links x_j -> y_j: a shared conjugation factor then a flat factor.
 
@@ -415,26 +438,7 @@ def toral_links(
         else:
             flat_parts.append(Flat(pj, yj))
 
-    # Degenerate curved factors are dropped only all-or-none: a per-link drop
-    # would desynchronize the shared conjugation schedule and lose pairwise
-    # commutation mid-path for mixed scalar/non-scalar tuples.
-    if all(c.length == 0.0 for c in curved_parts):
-        links = [MatrixPath([f]) for f in flat_parts]
-    else:
-        links = [
-            concat(MatrixPath([c]), MatrixPath([f]))
-            for c, f in zip(curved_parts, flat_parts)
-        ]
-
-    return LinkBundle(
-        links=links,
-        x_mats=list(x.mats),
-        y_mats=list(y.mats),
-        epsilon_reported=_report_epsilon(links, y.mats),
-        mode=mode,
-        conjugator=h,
-        lengths=[link.exact_length() for link in links],
-    )
+    return _link_bundle(curved_parts, flat_parts, x.mats, y.mats, mode, h)
 
 
 def certify(

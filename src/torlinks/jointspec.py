@@ -15,7 +15,6 @@ import numpy as np
 
 from . import matcore
 from .matcore import (
-    DiagnosticsError,
     PreconditionError,
     adjoint,
     as_cmatrix,
@@ -55,16 +54,18 @@ class NormalTuple:
         for j, m in enumerate(mats):
             if m.shape[0] != n:
                 raise PreconditionError("all matrices must share one dimension")
-            rep = matcore.defect_report(m)
-            if rep.normality > self.normality_tol:
+            defect = op_norm(adjoint(m) @ m - m @ adjoint(m))
+            if defect > self.normality_tol:
                 raise PreconditionError(
-                    f"matrix {j} has normality defect {rep.normality:.3e} "
+                    f"matrix {j} has normality defect {defect:.3e} "
                     f"> {self.normality_tol:.3e}"
                 )
-            if self.contractions and rep.norm > 1.0 + CONTRACTION_SLACK:
-                raise PreconditionError(
-                    f"matrix {j} has norm {rep.norm!r} > 1 + {CONTRACTION_SLACK}"
-                )
+            if self.contractions:
+                nrm = op_norm(m)
+                if nrm > 1.0 + CONTRACTION_SLACK:
+                    raise PreconditionError(
+                        f"matrix {j} has norm {nrm!r} > 1 + {CONTRACTION_SLACK}"
+                    )
         for j in range(len(mats)):
             for k in range(j + 1, len(mats)):
                 d = op_norm(commutator(mats[j], mats[k]))
@@ -108,8 +109,7 @@ def partition(t: NormalTuple) -> NormalTuple:
     tuple's commutation tolerance is set from the measured defects (for a
     commuting normal tuple the parts commute up to the input tolerances).
     """
-    parts = [(m + adjoint(m)) / 2.0 for m in t.mats]
-    parts += [(m - adjoint(m)) / 2.0j for m in t.mats]
+    parts = matcore._hermitian_parts(t.mats)
     worst = 0.0
     for j in range(len(parts)):
         for k in range(j + 1, len(parts)):
@@ -120,10 +120,6 @@ def partition(t: NormalTuple) -> NormalTuple:
         normality_tol=1e-12,
         contractions=t.contractions,
     )
-
-
-def _offdiag_norm(m: np.ndarray) -> float:
-    return op_norm(m - np.diag(np.diag(m)))
 
 
 def joint_diagonalize(
@@ -148,32 +144,10 @@ def joint_diagonalize(
             f"tuple commutation tolerance {t.commutation_tol:.3e} exceeds "
             f"{1e-8 * n:.3e}; joint diagonalization is not meaningful"
         )
-    parts = partition(t).mats
-    rng = np.random.default_rng(seed)
-    target = max(1e-8, 100.0 * t.commutation_tol)
-    best_q = None
-    best_res = np.inf
-    for _ in range(6):
-        q = matcore._simdiag_hermitian(parts, rng, cluster_rtol=cluster_tol)
-        res = max(_offdiag_norm(adjoint(q) @ m @ q) for m in t.mats)
-        if res < best_res:
-            best_q, best_res = q, res
-        if res <= target:
-            break
-    if best_res > target:
-        raise DiagnosticsError(
-            "joint diagonalization residual exceeds the target",
-            worst_residual=best_res,
-        )
-    points = np.column_stack([np.diag(adjoint(best_q) @ m @ best_q) for m in t.mats])
-    keys = []
-    for j in reversed(range(t.N)):
-        keys.append(points[:, j].imag)
-        keys.append(points[:, j].real)
-    order = np.lexsort(tuple(keys))
-    q = matcore._canonical_column_phases(best_q[:, order])
-    points = np.column_stack([np.diag(adjoint(q) @ m @ q) for m in t.mats])
-    return JointSpectrum(q=q, points=points, residual=best_res)
+    q, points, residual = matcore._simdiag_normal(
+        t.mats, max(1e-8, 100.0 * t.commutation_tol), seed, cluster_rtol=cluster_tol
+    )
+    return JointSpectrum(q=q, points=points, residual=residual)
 
 
 def joint_spectrum(t: NormalTuple, cluster_tol: float = 1e-8, seed: int = 0) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .homotopy import Conj, Flat, LinkBundle, MatrixPath, _report_epsilon, concat
+from .homotopy import Conj, Flat, LinkBundle, _link_bundle
 from .jointspec import NormalTuple
 from .matcore import (
     PreconditionError,
@@ -22,6 +22,7 @@ from .matcore import (
     as_cmatrix,
     commutator,
     exp_i_herm,
+    herm_eig,
     op_norm,
 )
 from .spectral_match import isospectral_approximant
@@ -139,25 +140,9 @@ def lifted_links(
     bases = [iota2(pj) for pj in approx.psi]
     curved_parts = [Conj(h, base, -1.0, 0.0) for base in bases]
     flat_parts = [Flat(base, iota2(yj)) for base, yj in zip(bases, y.mats)]
-    if all(c.length == 0.0 for c in curved_parts):
-        links = [MatrixPath([f]) for f in flat_parts]
-    else:
-        links = [
-            concat(MatrixPath([c]), MatrixPath([f]))
-            for c, f in zip(curved_parts, flat_parts)
-        ]
-
     x_mats = [lift.apply(xj) for xj in x.mats]
     y_mats = [iota2(yj) for yj in y.mats]
-    bundle = LinkBundle(
-        links=links,
-        x_mats=x_mats,
-        y_mats=y_mats,
-        epsilon_reported=_report_epsilon(links, y_mats),
-        mode="normal",
-        conjugator=h,
-        lengths=[link.exact_length() for link in links],
-    )
+    bundle = _link_bundle(curved_parts, flat_parts, x_mats, y_mats, "normal", h)
 
     report = dict(lift.defects())
     report["kappa_identity_error"] = max(
@@ -183,7 +168,8 @@ def lifted_links(
     report["hom_unit_defect"] = op_norm(lift.apply(np.eye(n)) - eye2n)
 
     ts = np.linspace(0.0, 1.0, grid_points)
-    conjugators = [exp_i_herm(h, 1.0 - t) for t in ts]
+    q, w = herm_eig(h)
+    conjugators = [(q * np.exp(1j * (1.0 - t) * w)) @ adjoint(q) for t in ts]
     decay_err = 0.0
     for base in bases:
         ref = op_norm(commutator(lift.what_s, base))

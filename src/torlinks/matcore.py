@@ -220,6 +220,53 @@ def _simdiag_hermitian(parts, rng, cluster_rtol=CLUSTER_RTOL, max_depth=16):
     return _simdiag_recurse(parts, rng, cluster_rtol, max_depth)
 
 
+def _hermitian_parts(mats) -> list[np.ndarray]:
+    """Real parts (A + A*)/2 of all ``mats``, then imaginary parts (A - A*)/2i."""
+    parts = [(m + adjoint(m)) / 2.0 for m in mats]
+    parts += [(m - adjoint(m)) / 2.0j for m in mats]
+    return parts
+
+
+def _offdiag_norm(m: np.ndarray) -> float:
+    return op_norm(m - np.diag(np.diag(m)))
+
+
+def _simdiag_normal(mats, target, seed, cluster_rtol=CLUSTER_RTOL):
+    """Common eigenbasis (Q, points, residual) of commuting normal ``mats``.
+
+    Draws up to six bases from ``_simdiag_hermitian`` on the Hermitian parts
+    and keeps the one with the smallest off-diagonal residual, raising a
+    DiagnosticsError if it exceeds ``target``. Columns are sorted ascending
+    lexicographically by (Re, Im) of the first matrix's eigenvalues, ties
+    broken by later matrices, and carry canonical phases; ``points`` is the
+    n x N array of diagonal entries of Q* mats Q in that basis.
+    """
+    parts = _hermitian_parts(mats)
+    rng = np.random.default_rng(seed)
+    best_q = None
+    best_res = np.inf
+    for _ in range(6):
+        q = _simdiag_hermitian(parts, rng, cluster_rtol=cluster_rtol)
+        res = max(_offdiag_norm(adjoint(q) @ m @ q) for m in mats)
+        if res < best_res:
+            best_q, best_res = q, res
+        if res <= target:
+            break
+    if best_res > target:
+        raise DiagnosticsError(
+            "joint diagonalization residual exceeds the target",
+            worst_residual=best_res,
+        )
+    points = np.column_stack([np.diag(adjoint(best_q) @ m @ best_q) for m in mats])
+    keys = []
+    for j in reversed(range(len(mats))):
+        keys.append(points[:, j].imag)
+        keys.append(points[:, j].real)
+    q = _canonical_column_phases(best_q[:, np.lexsort(tuple(keys))])
+    points = np.column_stack([np.diag(adjoint(q) @ m @ q) for m in mats])
+    return q, points, best_res
+
+
 def normal_eig(a, tol: float = 1e-10, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a normal matrix.
 
@@ -231,29 +278,8 @@ def normal_eig(a, tol: float = 1e-10, seed: int = 0) -> tuple[np.ndarray, np.nda
     scale = op_norm(a)
     if op_norm(commutator(adjoint(a), a)) > tol * max(scale, 1e-300):
         raise PreconditionError("matrix is not normal within tolerance")
-    parts = [(a + adjoint(a)) / 2.0, (a - adjoint(a)) / 2.0j]
-    rng = np.random.default_rng(seed)
-    target = 10.0 * tol * max(scale, 1e-300)
-    best_q = None
-    best_res = np.inf
-    for _ in range(6):
-        q = _simdiag_hermitian(parts, rng)
-        m = adjoint(q) @ a @ q
-        res = op_norm(m - np.diag(np.diag(m)))
-        if res < best_res:
-            best_q, best_res = q, res
-        if res <= target:
-            break
-    if best_res > target:
-        raise DiagnosticsError(
-            "could not jointly diagonalize the real and imaginary parts",
-            worst_residual=best_res,
-        )
-    lam = np.diag(adjoint(best_q) @ a @ best_q)
-    order = np.lexsort((lam.imag, lam.real))
-    q = _canonical_column_phases(best_q[:, order])
-    lam = np.diag(adjoint(q) @ a @ q).copy()
-    return q, lam
+    q, points, _ = _simdiag_normal([a], 10.0 * tol * max(scale, 1e-300), seed)
+    return q, points[:, 0]
 
 
 def _check_unitary(u: np.ndarray, tol: float) -> None:

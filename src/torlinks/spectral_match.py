@@ -9,15 +9,14 @@ and sits within the matched bottleneck distance of Y.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from .jointspec import NormalTuple, clifford_norm, joint_diagonalize
+from .jointspec import NormalTuple, joint_diagonalize
 from .matcore import PreconditionError, adjoint, op_norm
 
 __all__ = [
@@ -27,8 +26,6 @@ __all__ = [
     "bottleneck_assign",
     "isospectral_approximant",
 ]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -48,7 +45,6 @@ class Approximant:
     psi: list[np.ndarray]
     bound: float
     matching: Matching
-    report: dict = field(default_factory=dict)
 
 
 def spectral_cost_matrix(points_x: np.ndarray, points_y: np.ndarray) -> np.ndarray:
@@ -136,34 +132,20 @@ def bottleneck_assign(cost) -> Matching:
 def isospectral_approximant(
     x: NormalTuple,
     y: NormalTuple,
-    objective: str = "bottleneck",
     cluster_tol: float = 1e-8,
     seed: int = 0,
 ) -> Approximant:
-    """Conjugate X onto Y's eigenbasis along a spectral matching.
+    """Conjugate X onto Y's eigenbasis along the bottleneck matching.
 
     V = Q_X P_tau Q_Y*, so psi_j = V* x_j V is diagonal in Y's basis with
     the joint spectrum of x_j rearranged to face its matched partner. The
     achieved bound equals the per-coordinate bottleneck of the matching.
-
-    objective: "bottleneck" (default) minimizes the max matched distance;
-    "sum" uses the Hungarian total-cost assignment instead.
     """
     if x.n != y.n or x.N != y.N:
         raise PreconditionError("tuples must have matching dimensions and lengths")
     jx = joint_diagonalize(x, cluster_tol=cluster_tol, seed=seed)
     jy = joint_diagonalize(y, cluster_tol=cluster_tol, seed=seed)
-    cost = spectral_cost_matrix(jx.points, jy.points)
-    if objective == "bottleneck":
-        matching = bottleneck_assign(cost)
-    elif objective == "sum":
-        rows, cols = linear_sum_assignment(cost)
-        tau = np.empty(x.n, dtype=int)
-        tau[rows] = cols
-        matched = cost[np.arange(x.n), tau]
-        matching = Matching(tau=tau, bottleneck=float(matched.max()), sum_cost=float(matched.sum()))
-    else:
-        raise PreconditionError(f"unknown objective {objective!r}")
+    matching = bottleneck_assign(spectral_cost_matrix(jx.points, jy.points))
 
     n = x.n
     p = np.zeros((n, n), dtype=np.complex128)
@@ -171,17 +153,4 @@ def isospectral_approximant(
     v = jx.q @ p @ adjoint(jy.q)
     psi = [adjoint(v) @ m @ v for m in x.mats]
     bound = max(op_norm(pj - yj) for pj, yj in zip(psi, y.mats))
-
-    delta = max(op_norm(a - b) for a, b in zip(x.mats, y.mats))
-    diffs = [a - b for a, b in zip(x.mats, y.mats)]
-    _, cliff = clifford_norm(diffs)
-    report = {
-        "bottleneck": matching.bottleneck,
-        "sum_cost": matching.sum_cost,
-        "input_delta": delta,
-        "clifford_norm_of_difference": cliff,
-        "ratio_vs_n_delta": matching.bottleneck / (x.N * delta) if delta > 0 else 0.0,
-        "ratio_vs_clifford": matching.bottleneck / cliff if cliff > 0 else 0.0,
-    }
-    log.debug("isospectral approximant: %s", report)
-    return Approximant(v=v, psi=psi, bound=bound, matching=matching, report=report)
+    return Approximant(v=v, psi=psi, bound=bound, matching=matching)

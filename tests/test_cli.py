@@ -166,6 +166,36 @@ def test_certify_saved_links_and_detect_tampering(tmp_path):
     assert json.loads(_read(recert))["passed"] is False
 
 
+_SMALL_MATRIX = {"n": 2, "re": [[0.1, 0.0], [0.0, 0.1]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+
+_MALFORMED_LINKS = {
+    "duration": lambda o: o["links"][0]["segments"][0].update(duration="x"),
+    "epsilon_reported": lambda o: o.update(epsilon_reported=None),
+    "segments": lambda o: o["links"][0].update(segments=3),
+    "lengths": lambda o: o.update(lengths="ab"),
+    "count": lambda o: o["x"].pop(),
+    "dimension": lambda o: o["y"].__setitem__(0, _SMALL_MATRIX),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_MALFORMED_LINKS))
+def test_malformed_links_artifact_exits_2(tmp_path, capsys, field):
+    bundle = _gen(tmp_path, n=3, N=2, delta=1e-3, seed=4)
+    links = tmp_path / "links.json"
+    cert = tmp_path / "cert.json"
+    argv = ["link", "--input", bundle, "--output", str(cert), "--links-output", str(links)]
+    assert main(argv) == 0
+    obj = json.loads(_read(links))
+    _MALFORMED_LINKS[field](obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json_text(obj), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["certify", "--input", str(bad), "--output", str(tmp_path / "re.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and field in err
+
+
 def test_links_and_certificate_decode_encode_identity(tmp_path):
     bundle = _gen(tmp_path, n=4, N=2, delta=1e-3, seed=9, mode="hermitian")
     links = tmp_path / "links.json"
@@ -192,6 +222,23 @@ def test_tampered_bundle_fails_delta_integrity(tmp_path, capsys):
     code = main(["link", "--input", str(bad), "--output", str(tmp_path / "c.json")])
     assert code == 2
     assert "delta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("delta", None), ("seed", "x")])
+def test_malformed_bundle_exits_2(tmp_path, capsys, field, value):
+    _gen(tmp_path, n=3, N=2, delta=1e-3, seed=0)
+    obj = json.loads(_read(tmp_path / "bundle.json"))
+    if field == "seed":
+        obj["metadata"]["seed"] = value
+    else:
+        obj[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json_text(obj), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["link", "--input", str(bad), "--output", str(tmp_path / "c.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and field in err
 
 
 def test_malformed_json_names_the_file(tmp_path, capsys):

@@ -339,6 +339,13 @@ def test_mode_validation_rejects_wrong_inputs():
         toral_links(x, x, mode="spherical")
 
 
+def test_toral_links_has_no_objective_knob():
+    # the construction always uses the bottleneck matching
+    x = NormalTuple([np.diag([0.5, -0.5])])
+    with pytest.raises(TypeError):
+        toral_links(x, x, objective="sum")
+
+
 # ---------------------------------------------------------------------------
 # certification
 # ---------------------------------------------------------------------------

@@ -103,8 +103,9 @@ def test_joint_diagonalize_single_matrix_matches_normal_eig():
     rng = np.random.default_rng(23)
     t = _commuting_tuple(7, 1, rng)
     js = joint_diagonalize(t)
-    _, lam = normal_eig(t.mats[0])
-    assert np.allclose(js.points[:, 0], lam, atol=1e-10)
+    q, lam = normal_eig(t.mats[0])
+    assert np.array_equal(js.q, q)
+    assert np.array_equal(js.points[:, 0], lam)
 
 
 def test_joint_diagonalize_degenerate_first_matrix():

@@ -13,6 +13,7 @@ membership, 2 precondition and decode errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -407,7 +408,9 @@ def _encode_segment(seg) -> dict:
     raise PreconditionError(f"cannot serialize segment {type(seg).__name__}")
 
 
-def _decode_segment(obj, where: str):
+def _decode_segment(obj, where: str, generators: list):
+    """Decode one segment; Conj segments whose H equals one in ``generators``
+    reuse its eigendecomposition, and new ones are appended to it."""
     kind = _field(obj, "kind", where)
     duration = _number_field(obj, "duration", where)
     if kind == "flat":
@@ -421,9 +424,13 @@ def _decode_segment(obj, where: str):
         base = decode_matrix(_field(obj, "base", where), f"{where}.base")
         theta0 = _number_field(obj, "theta0", where)
         theta1 = _number_field(obj, "theta1", where)
-        if kind == "conj":
-            return Conj(h, base, theta0, theta1, duration)
-        return Geo(base, h, theta0, theta1, duration)
+        if kind == "geo":
+            return Geo(base, h, theta0, theta1, duration)
+        for seen in generators:
+            if np.array_equal(seen.h, h):
+                return seen._same_generator(base, theta0, theta1, duration)
+        generators.append(Conj(h, base, theta0, theta1, duration))
+        return generators[-1]
     raise DecodeError(f"{where}: unknown segment kind {kind!r}")
 
 
@@ -449,12 +456,13 @@ def decode_links(obj, where: str) -> LinkBundle:
     if not isinstance(raw_links, list) or not raw_links:
         raise DecodeError(f"{where}.links: expected a nonempty array")
     links = []
+    generators: list = []
     for j, entry in enumerate(raw_links):
         segs = _array_field(entry, "segments", f"{where}.links[{j}]")
         links.append(
             MatrixPath(
                 [
-                    _decode_segment(s, f"{where}.links[{j}].segments[{i}]")
+                    _decode_segment(s, f"{where}.links[{j}].segments[{i}]", generators)
                     for i, s in enumerate(segs)
                 ]
             )
@@ -518,11 +526,43 @@ def encode_certificate(cert: Certificate) -> dict:
     }
 
 
+def _floats_field(obj: dict, key: str, where: str, size: int | None = None) -> np.ndarray:
+    value = _array_field(obj, key, where)
+    if size is not None and len(value) != size:
+        raise DecodeError(f"{where}.{key}: expected {size} numbers")
+    return _grid_of_floats([value], 1, len(value), f"{where}.{key}")[0]
+
+
+def _pair_index(obj: dict, count: int, where: str) -> list:
+    pairs = []
+    for i, p in enumerate(_array_field(obj, "pair_index", where)):
+        if (
+            not isinstance(p, list)
+            or len(p) != 2
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in p)
+            or not 0 <= p[0] < p[1] < count
+        ):
+            raise DecodeError(f"{where}.pair_index[{i}] is not a pair of link indices")
+        pairs.append(tuple(p))
+    return pairs
+
+
+def _tolerances(obj: dict, where: str) -> CertTolerances:
+    raw = _field(obj, "tolerances", where)
+    names = {f.name for f in dataclasses.fields(CertTolerances)}
+    if not isinstance(raw, dict) or set(raw) != names:
+        raise DecodeError(f"{where}.tolerances: expected the keys {sorted(names)}")
+    return CertTolerances(
+        **{k: _number(v, f"{where}.tolerances.{k}") for k, v in raw.items()}
+    )
+
+
 def decode_certificate(obj, where: str) -> Certificate:
     _expect_type(obj, "certificate", where)
-    grid = np.array([float(v) for v in _field(obj, "grid", where)])
+    grid = _floats_field(obj, "grid", where)
     m = grid.size
-    count = len(_field(obj, "lengths", where))
+    lengths = _floats_field(obj, "lengths", where)
+    count = lengths.size
 
     def table(key, rows, cols):
         raw = _field(obj, key, where)
@@ -530,9 +570,11 @@ def decode_certificate(obj, where: str) -> Certificate:
             return np.zeros((0, cols))
         return _grid_of_floats(raw, rows, cols, f"{where}.{key}")
 
-    pair_index = [tuple(p) for p in _field(obj, "pair_index", where)]
+    pair_index = _pair_index(obj, count, where)
     raw_mode = _field(obj, "mode_defects", where)
-    tols = _field(obj, "tolerances", where)
+    passed = _field(obj, "passed", where)
+    if not isinstance(passed, bool):
+        raise DecodeError(f"{where}.passed is not a boolean")
     return Certificate(
         grid=grid,
         endpoint_errors=table("endpoint_errors", count, 2),
@@ -541,14 +583,16 @@ def decode_certificate(obj, where: str) -> Certificate:
         distance_to_target=table("distance_to_target", count, m),
         commutation=table("commutation", len(pair_index), m),
         pair_index=pair_index,
-        mode_defects=None if raw_mode is None else _grid_of_floats(raw_mode, count, m, where),
-        lengths=np.array([float(v) for v in obj["lengths"]]),
-        lipschitz=np.array([float(v) for v in _field(obj, "lipschitz", where)]),
-        intergrid_bounds=np.array([float(v) for v in _field(obj, "intergrid_bounds", where)]),
-        epsilon=float(_field(obj, "epsilon", where)),
+        mode_defects=None
+        if raw_mode is None
+        else _grid_of_floats(raw_mode, count, m, f"{where}.mode_defects"),
+        lengths=lengths,
+        lipschitz=_floats_field(obj, "lipschitz", where, count),
+        intergrid_bounds=_floats_field(obj, "intergrid_bounds", where, count),
+        epsilon=_number_field(obj, "epsilon", where),
         mode=str(_field(obj, "mode", where)),
-        tolerances=CertTolerances(**{k: float(v) for k, v in tols.items()}),
-        passed=bool(_field(obj, "passed", where)),
+        tolerances=_tolerances(obj, where),
+        passed=passed,
     )
 
 

@@ -15,7 +15,9 @@ geodesics, circles and helices with exact constant speed |th1-th0|*||base H||.
 
 from __future__ import annotations
 
-import dataclasses
+import bisect
+import copy
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,15 +106,25 @@ class Conj:
 
     def __post_init__(self):
         self.h = as_cmatrix(self.h)
+        self._measure()
+        self._q, self._w = herm_eig(self.h)
+
+    def _measure(self) -> None:
         self.base = as_cmatrix(self.base)
         if self.h.shape != self.base.shape:
             raise PreconditionError("conjugation generator and base differ in shape")
         if not self.duration > 0:
             raise PreconditionError("segment duration must be positive")
-        self._q, self._w = herm_eig(self.h)
         self.length = abs(self.theta1 - self.theta0) * op_norm(
             commutator(self.h, self.base)
         )
+
+    def _same_generator(self, base, theta0, theta1, duration=1.0) -> Conj:
+        """A Conj around this one's H that reuses its eigendecomposition."""
+        seg = copy.copy(self)
+        seg.base, seg.theta0, seg.theta1, seg.duration = base, theta0, theta1, duration
+        seg._measure()
+        return seg
 
     def _unitary(self, theta: float) -> np.ndarray:
         return (self._q * np.exp(-1j * theta * self._w)) @ adjoint(self._q)
@@ -171,6 +183,19 @@ class Geo:
 Segment = Flat | Conj | Geo
 
 
+def _with_duration(seg, duration: float):
+    """The same segment on a rescaled clock; nothing is recomputed."""
+    out = copy.copy(seg)
+    out.duration = duration
+    return out
+
+
+def _conj_family(h, bases, theta0: float, theta1: float) -> list:
+    """One Conj per base around the shared generator H, decomposed once."""
+    first = Conj(h, bases[0], theta0, theta1)
+    return [first] + [first._same_generator(b, theta0, theta1) for b in bases[1:]]
+
+
 @dataclass
 class MatrixPath:
     """Continuous piecewise path on the normalized clock [0, 1]."""
@@ -181,9 +206,7 @@ class MatrixPath:
         if not self.segments:
             raise PreconditionError("path needs at least one segment")
         total = sum(s.duration for s in self.segments)
-        self.segments = [
-            dataclasses.replace(s, duration=s.duration / total) for s in self.segments
-        ]
+        self.segments = [_with_duration(s, s.duration / total) for s in self.segments]
         for a, b in zip(self.segments, self.segments[1:]):
             if op_norm(a.end - b.start) > JOIN_TOL:
                 raise PreconditionError(
@@ -241,8 +264,8 @@ def concat(x: MatrixPath, y: MatrixPath) -> MatrixPath:
     """Run x on [0, 1/2] and y on [1/2, 1] (both at double speed)."""
     if op_norm(x.end - y.start) > JOIN_TOL:
         raise PreconditionError("paths do not meet: endpoint mismatch exceeds 1e-9")
-    segs = [dataclasses.replace(s, duration=s.duration * 0.5) for s in x.segments]
-    segs += [dataclasses.replace(s, duration=s.duration * 0.5) for s in y.segments]
+    segs = [_with_duration(s, s.duration * 0.5) for s in x.segments]
+    segs += [_with_duration(s, s.duration * 0.5) for s in y.segments]
     return MatrixPath(segs)
 
 
@@ -320,7 +343,11 @@ class CertTolerances:
 
 @dataclass
 class Certificate:
-    """Grid evaluation of a link bundle with exact inter-grid bounds."""
+    """Per-segment certificate of a link bundle, tabulated on a uniform grid.
+
+    Each (links or pairs, grid) table entry is an upper bound on its quantity
+    at that grid time; ``passed`` was decided from per-segment suprema.
+    """
 
     grid: np.ndarray
     endpoint_errors: np.ndarray  # (N, 2)
@@ -351,14 +378,109 @@ class Certificate:
         return out
 
 
-def _report_epsilon(links, y_mats, samples=201):
-    """Upper bound on max_j sup_t ||link_j(t) - y_j|| (grid max + Lipschitz slack)."""
-    ts = np.linspace(0.0, 1.0, samples)
-    eps = 0.0
+#: Depth at which distance bisection stops: a leaf there is as fine as the
+#: bound gets (width 2^-10 of its segment).
+_MAX_DEPTH = 10
+#: epsilon_reported is refined until it is within this factor of a sampled
+#: distance.
+_EPS_RTOL = 1e-3
+#: Rounding allowance of one computed distance between matrices of norm about
+#: one: epsilon_reported adds it, and bisection stops at that resolution.
+_ROUNDOFF = 1e-12
+
+
+class _DistanceTree:
+    """Upper bounds on f(s) = ||seg.value(s) - y|| over s in [0, 1].
+
+    f is Lipschitz with constant L = seg.length (the segment's exact speed in
+    its local coordinate), so on a leaf [a, b] it stays below
+    (f(a) + f(b))/2 + L (b - a)/2. Leaves are bisected at their midpoints,
+    worst bound first, so the tree depends only on the segment, y and when
+    the caller stops splitting.
+    """
+
+    def __init__(self, seg, y: np.ndarray):
+        self._seg = seg
+        self._y = y
+        self._f: dict = {}
+        self.lower = 0.0  # largest sampled value
+        self._heap = [self._leaf(0.0, 1.0, 0)]
+
+    def _value(self, s: float) -> float:
+        if s not in self._f:
+            self._f[s] = op_norm(self._seg.value(s) - self._y)
+            self.lower = max(self.lower, self._f[s])
+        return self._f[s]
+
+    def _leaf(self, a: float, b: float, depth: int) -> tuple:
+        fa, fb = self._value(a), self._value(b)
+        bound = max((fa + fb) / 2.0 + self._seg.length * (b - a) / 2.0, fa, fb)
+        return (-bound, a, b, depth)
+
+    @property
+    def upper(self) -> float:
+        return -self._heap[0][0]
+
+    def split(self) -> bool:
+        """Bisect the worst leaf; False if it already sits at the depth cap."""
+        _, a, b, depth = self._heap[0]
+        if depth >= _MAX_DEPTH:
+            return False
+        heapq.heappop(self._heap)
+        mid = (a + b) / 2.0
+        heapq.heappush(self._heap, self._leaf(a, mid, depth + 1))
+        heapq.heappush(self._heap, self._leaf(mid, b, depth + 1))
+        return True
+
+    def prove(self, eps: float) -> bool:
+        """Split until every leaf is within eps; False once a sampled value
+        exceeds eps or a leaf above eps reaches the depth cap."""
+        while self.upper > eps:
+            if self.lower > eps or not self.split():
+                return False
+        return True
+
+    def at(self, s: np.ndarray) -> np.ndarray:
+        """Bound at each s from its leaf: min(f(a) + L(s - a), f(b) + L(b - s))."""
+        leaves = sorted((a, b) for _, a, b, _ in self._heap)
+        starts = [a for a, _ in leaves]
+        lip = self._seg.length
+        out = np.empty(len(s))
+        for i, si in enumerate(s):
+            a, b = leaves[bisect.bisect_right(starts, si) - 1]
+            out[i] = min(self._f[a] + lip * (si - a), self._f[b] + lip * (b - si))
+        return out
+
+
+def _distance(a: np.ndarray, y: np.ndarray) -> float:
+    return 0.0 if np.array_equal(a, y) else op_norm(a - y)
+
+
+def _sup_distance(links, y_mats) -> float:
+    """Upper bound on max_j sup_t ||link_j(t) - y_j||, tight to about 0.1%.
+
+    Along a Flat segment the distance is convex, so its endpoints give the
+    exact maximum. Every other segment gets a _DistanceTree; the worst leaf
+    of the whole bundle is split until the largest bound is within a factor
+    1 + 1e-3 of the largest sampled distance or reaches the depth cap. The
+    result includes the _ROUNDOFF allowance, so no computed sample exceeds it.
+    certify(bundle, epsilon_reported) repeats a subset of the same bisections,
+    so it always passes its distance check.
+    """
+    exact = 0.0
+    trees = []
     for link, y in zip(links, y_mats):
-        grid_max = max(op_norm(link.value(t) - y) for t in ts)
-        eps = max(eps, grid_max + link.max_speed() * (ts[1] - ts[0]) / 2.0)
-    return float(eps)
+        for seg in link.segments:
+            if isinstance(seg, Flat):
+                exact = max(exact, _distance(seg.a, y), _distance(seg.b, y))
+            else:
+                trees.append(_DistanceTree(seg, y))
+    while trees:
+        worst = max(trees, key=lambda tree: tree.upper)
+        lower = max([exact] + [tree.lower for tree in trees])
+        if worst.upper <= (1.0 + _EPS_RTOL) * lower + _ROUNDOFF or not worst.split():
+            break
+    return float(max([exact] + [tree.upper for tree in trees]) + _ROUNDOFF)
 
 
 def _link_bundle(curved_parts, flat_parts, x_mats, y_mats, mode, conjugator) -> LinkBundle:
@@ -379,7 +501,7 @@ def _link_bundle(curved_parts, flat_parts, x_mats, y_mats, mode, conjugator) -> 
         links=links,
         x_mats=list(x_mats),
         y_mats=list(y_mats),
-        epsilon_reported=_report_epsilon(links, y_mats),
+        epsilon_reported=_sup_distance(links, y_mats),
         mode=mode,
         conjugator=conjugator,
         lengths=[link.exact_length() for link in links],
@@ -430,7 +552,7 @@ def toral_links(
     approx = isospectral_approximant(x, y, cluster_tol=cluster_tol, seed=seed)
     h = gap_branch_log(approx.v)
 
-    curved_parts = [Conj(h, xj, 0.0, 1.0) for xj in x.mats]
+    curved_parts = _conj_family(h, x.mats, 0.0, 1.0)
     flat_parts: list[Flat | Geo] = []
     for pj, yj in zip(approx.psi, y.mats):
         if mode == "unitary":
@@ -441,20 +563,132 @@ def toral_links(
     return _link_bundle(curved_parts, flat_parts, x.mats, y.mats, mode, h)
 
 
+def _const_bound(c: float, s: np.ndarray) -> tuple:
+    return np.full(len(s), c), c
+
+
+def _convex_bound(c0: float, c1: float, s: np.ndarray) -> tuple:
+    """A quantity convex along the segment: its chord, and its endpoint max."""
+    top = max(c0, c1)
+    return np.minimum((1.0 - s) * c0 + s * c1, top), top
+
+
+def _quadratic_bound(c0: float, c01: float, c1: float, s: np.ndarray) -> tuple:
+    """||(1-s)^2 C0 + s(1-s) C01 + s^2 C1|| <= p(s) = (1-s)^2 c0 + s(1-s) c01 + s^2 c1
+    for the norms c of the C; returns p on s and its exact max on [0, 1]."""
+    top = max(c0, c1)
+    curv = c0 - c01 + c1
+    if curv < 0.0:
+        peak = (2.0 * c0 - c01) / (2.0 * curv)
+        if 0.0 < peak < 1.0:
+            top = max(top, c0 - (c01 - 2.0 * c0) ** 2 / (4.0 * curv))
+    p = (1.0 - s) ** 2 * c0 + s * (1.0 - s) * c01 + s**2 * c1
+    return np.minimum(p, top), top
+
+
+def _normality(a: np.ndarray) -> float:
+    return op_norm(commutator(adjoint(a), a))
+
+
+def _normality_bound(seg, s, sample) -> tuple:
+    if isinstance(seg, Conj):
+        return _const_bound(_normality(seg.base), s)
+    if isinstance(seg, Flat):
+        a0, a1 = seg.a, seg.b
+        mixed = commutator(adjoint(a0), a1) + commutator(adjoint(a1), a0)
+        return _quadratic_bound(_normality(a0), op_norm(mixed), _normality(a1), s)
+    return sample(_normality)
+
+
+def _norm_bound(seg, s) -> tuple:
+    if isinstance(seg, Flat):
+        return _convex_bound(op_norm(seg.a), op_norm(seg.b), s)
+    return _const_bound(op_norm(seg.base), s)
+
+
+def _mode_bound(seg, mode: str, s, sample) -> tuple:
+    if mode == "hermitian":
+        if isinstance(seg, Conj):
+            return _const_bound(_mode_defect(seg.base, mode), s)
+        if isinstance(seg, Flat):
+            return _convex_bound(_mode_defect(seg.a, mode), _mode_defect(seg.b, mode), s)
+        return sample(lambda a: _mode_defect(a, mode))
+    if isinstance(seg, Flat):
+        a0, a1 = seg.a, seg.b
+        mixed = adjoint(a0) @ a1 + adjoint(a1) @ a0 - 2.0 * np.eye(a0.shape[0])
+        return _quadratic_bound(
+            _mode_defect(a0, mode), op_norm(mixed), _mode_defect(a1, mode), s
+        )
+    return _const_bound(_mode_defect(seg.base, mode), s)
+
+
+def _distance_bound(seg, y: np.ndarray, eps: float, s) -> tuple:
+    if isinstance(seg, Flat):
+        return _convex_bound(_distance(seg.a, y), _distance(seg.b, y), s)
+    tree = _DistanceTree(seg, y)
+    tree.prove(eps)
+    return tree.at(s), tree.upper
+
+
+def _commutator_bound(sa, sb, s, sample) -> tuple:
+    if (
+        isinstance(sa, Conj)
+        and isinstance(sb, Conj)
+        and (sa.theta0, sa.theta1) == (sb.theta0, sb.theta1)
+        and np.array_equal(sa.h, sb.h)
+    ):
+        return _const_bound(op_norm(commutator(sa.base, sb.base)), s)
+    if isinstance(sa, Flat) and isinstance(sb, Flat):
+        mixed = commutator(sa.a, sb.b) + commutator(sa.b, sb.a)
+        return _quadratic_bound(
+            op_norm(commutator(sa.a, sb.a)),
+            op_norm(mixed),
+            op_norm(commutator(sa.b, sb.b)),
+            s,
+        )
+    return sample(lambda a, b: op_norm(commutator(a, b)))
+
+
+def _grid_pieces(link: MatrixPath, grid: np.ndarray) -> list:
+    """(segment index, grid indices, local coordinates) for every segment."""
+    where = [link.locate(t) for t in grid]
+    pieces = []
+    for i in range(len(link.segments)):
+        idx = np.array([g for g, (k, _) in enumerate(where) if k == i], dtype=int)
+        s = np.clip(np.array([where[g][1] for g in idx], dtype=float), 0.0, 1.0)
+        pieces.append((i, idx, s))
+    return pieces
+
+
 def certify(
     bundle: LinkBundle,
     eps: float,
     grid_points: int = 101,
     tolerances: CertTolerances | None = None,
 ) -> Certificate:
-    """Evaluate a bundle on a uniform grid and check every certificate item.
+    """Certify a bundle segment by segment and tabulate the bounds on a grid.
 
-    Records per-sample normality defects, contraction excesses, pairwise
-    commutators, distance to the target endpoints, plus endpoint errors,
-    exact lengths and Lipschitz constants (which bound deviations between
-    grid points by lipschitz * grid spacing). In hermitian/unitary modes the
-    corresponding defect is tracked as well. Passes iff every table stays
-    within its tolerance and every distance stays within eps.
+    Every table entry (normality, contraction excess, distance to the target,
+    pairwise commutator, mode defect) is an upper bound on its quantity at
+    its grid time, and ``passed`` compares per-segment suprema, which bound
+    every entry, with the tolerances and with eps:
+
+    * Conj: normality, norm and mode defect are those of the base (unitary
+      invariance); two links with the same generator, angles and schedule
+      keep the commutator norm of their bases.
+    * Flat: distance, norm and hermiticity defect are convex in s, so they
+      peak at an endpoint; normality, commutators and the unitarity defect
+      are (1-s)^2 C0 + s(1-s) C01 + s^2 C1 and bounded by the same form in
+      the norms of the C's.
+    * Geo: norm and unitarity defect are those of the base.
+    * Distance along Conj and Geo: Lipschitz bisection (_DistanceTree) until
+      every piece is within eps; a piece left above eps at the depth cap
+      fails the check.
+
+    Normality, commutation and hermiticity along Geo, and commutators of
+    links with different schedules, stay samples at the grid points.
+    Endpoint errors, exact lengths and Lipschitz constants (with the
+    inter-grid bounds lipschitz * spacing) are recorded as before.
     """
     if grid_points < 2:
         raise PreconditionError("grid needs at least two points")
@@ -464,33 +698,62 @@ def certify(
     count = len(links)
     grid = np.linspace(0.0, 1.0, m)
 
-    values = [[link.value(t) for t in grid] for link in links]
     endpoint_errors = np.array(
         [
             [op_norm(link.value(0.0) - x0), op_norm(link.value(1.0) - y1)]
             for link, x0, y1 in zip(links, bundle.x_mats, bundle.y_mats)
         ]
     )
-    normality = np.empty((count, m))
-    contraction = np.empty((count, m))
-    distance = np.empty((count, m))
+    values: dict = {}
+
+    def value(j: int, g: int) -> np.ndarray:
+        if (j, g) not in values:
+            values[j, g] = links[j].value(grid[g])
+        return values[j, g]
+
+    def sampler(js, idx):
+        """fn of the links js at the grid points idx: (samples, their max)."""
+
+        def sample(fn):
+            vals = np.array([fn(*(value(j, g) for j in js)) for g in idx])
+            return vals, float(vals.max(initial=0.0))
+
+        return sample
+
     use_mode = bundle.mode in ("hermitian", "unitary")
-    mode_defects = np.empty((count, m)) if use_mode else None
-    for j in range(count):
-        yj = bundle.y_mats[j]
-        for i in range(m):
-            a = values[j][i]
-            normality[j, i] = op_norm(commutator(adjoint(a), a))
-            contraction[j, i] = max(0.0, op_norm(a) - 1.0)
-            distance[j, i] = op_norm(a - yj)
+    tables = {key: np.empty((count, m)) for key in ("normality", "norm", "distance", "mode")}
+    sups = dict.fromkeys(tables, 0.0)
+    pieces = [_grid_pieces(link, grid) for link in links]
+    for j, link in enumerate(links):
+        for i, idx, s in pieces[j]:
+            seg = link.segments[i]
+            sample = sampler((j,), idx)
+            bounds = {
+                "normality": _normality_bound(seg, s, sample),
+                "norm": _norm_bound(seg, s),
+                "distance": _distance_bound(seg, bundle.y_mats[j], eps, s),
+            }
             if use_mode:
-                mode_defects[j, i] = _mode_defect(a, bundle.mode)
+                bounds["mode"] = _mode_bound(seg, bundle.mode, s, sample)
+            for key, (vals, top) in bounds.items():
+                tables[key][j, idx] = vals
+                sups[key] = max(sups[key], top)
 
     pair_index = [(j, k) for j in range(count) for k in range(j + 1, count)]
     commutation = np.empty((len(pair_index), m))
+    commutation_sup = 0.0
     for p, (j, k) in enumerate(pair_index):
-        for i in range(m):
-            commutation[p, i] = op_norm(commutator(values[j][i], values[k][i]))
+        a, b = links[j], links[k]
+        if [s.duration for s in a.segments] == [s.duration for s in b.segments]:
+            parts = [
+                (a.segments[i], b.segments[i], idx, s) for i, idx, s in pieces[j]
+            ]
+        else:  # no segment structure in common: sample every grid point
+            parts = [(None, None, np.arange(m), grid)]
+        for sa, sb, idx, s in parts:
+            vals, top = _commutator_bound(sa, sb, s, sampler((j, k), idx))
+            commutation[p, idx] = vals
+            commutation_sup = max(commutation_sup, top)
 
     lengths = np.array([link.exact_length() for link in links])
     lipschitz = np.array([link.max_speed() for link in links])
@@ -498,21 +761,21 @@ def certify(
 
     passed = (
         endpoint_errors.max() <= tols.endpoint
-        and normality.max() <= tols.normality
-        and contraction.max() <= tols.contraction
-        and (commutation.size == 0 or commutation.max() <= tols.commutation)
-        and distance.max() <= eps
-        and (mode_defects is None or mode_defects.max() <= tols.mode_defect)
+        and sups["normality"] <= tols.normality
+        and sups["norm"] - 1.0 <= tols.contraction
+        and commutation_sup <= tols.commutation
+        and sups["distance"] <= eps
+        and (not use_mode or sups["mode"] <= tols.mode_defect)
     )
     return Certificate(
         grid=grid,
         endpoint_errors=endpoint_errors,
-        normality=normality,
-        contraction_excess=contraction,
-        distance_to_target=distance,
+        normality=tables["normality"],
+        contraction_excess=np.maximum(tables["norm"] - 1.0, 0.0),
+        distance_to_target=tables["distance"],
         commutation=commutation,
         pair_index=pair_index,
-        mode_defects=mode_defects,
+        mode_defects=tables["mode"] if use_mode else None,
         lengths=lengths,
         lipschitz=lipschitz,
         intergrid_bounds=intergrid,
@@ -637,16 +900,16 @@ def ujc_links(
     z = adjoint(w_hat) @ w
     hz = principal_log_unitary(z, tol=tol) / np.pi
 
-    links = []
-    for xj, yj in zip(x.mats, y.mats):
-        curved = Conj(np.pi * hz, xj, 0.0, 1.0)
-        links.append(concat(MatrixPath([curved]), MatrixPath([Flat(curved.end, yj)])))
+    links = [
+        concat(MatrixPath([curved]), MatrixPath([Flat(curved.end, yj)]))
+        for curved, yj in zip(_conj_family(np.pi * hz, x.mats, 0.0, 1.0), y.mats)
+    ]
 
     return LinkBundle(
         links=links,
         x_mats=list(x.mats),
         y_mats=list(y.mats),
-        epsilon_reported=_report_epsilon(links, y.mats),
+        epsilon_reported=_sup_distance(links, y.mats),
         mode="normal",
         conjugator=np.pi * hz,
         lengths=[link.exact_length() for link in links],

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .homotopy import Conj, Flat, LinkBundle, _link_bundle
+from .homotopy import Flat, LinkBundle, _conj_family, _link_bundle
 from .jointspec import NormalTuple
 from .matcore import (
     PreconditionError,
@@ -22,7 +22,6 @@ from .matcore import (
     as_cmatrix,
     commutator,
     exp_i_herm,
-    herm_eig,
     op_norm,
 )
 from .spectral_match import isospectral_approximant
@@ -138,7 +137,7 @@ def lifted_links(
     eye2n = np.eye(2 * lift.n)
 
     bases = [iota2(pj) for pj in approx.psi]
-    curved_parts = [Conj(h, base, -1.0, 0.0) for base in bases]
+    curved_parts = _conj_family(h, bases, -1.0, 0.0)
     flat_parts = [Flat(base, iota2(yj)) for base, yj in zip(bases, y.mats)]
     x_mats = [lift.apply(xj) for xj in x.mats]
     y_mats = [iota2(yj) for yj in y.mats]
@@ -168,7 +167,7 @@ def lifted_links(
     report["hom_unit_defect"] = op_norm(lift.apply(np.eye(n)) - eye2n)
 
     ts = np.linspace(0.0, 1.0, grid_points)
-    q, w = herm_eig(h)
+    q, w = curved_parts[0]._q, curved_parts[0]._w  # the shared decomposition of H
     conjugators = [(q * np.exp(1j * (1.0 - t) * w)) @ adjoint(q) for t in ts]
     decay_err = 0.0
     for base in bases:

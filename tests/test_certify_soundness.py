@@ -1,0 +1,115 @@
+"""The analytic certificate against a dense-grid oracle.
+
+``certify`` bounds each quantity per segment instead of sampling it, and
+``epsilon_reported`` comes from Lipschitz bisection instead of a 201-point
+sampler. Here every table entry must bound the sampled value from above, the
+verdicts must agree with a grid-only certificate, and the reported epsilon
+must lie between the sampled maximum and the sampler's own epsilon.
+"""
+
+import numpy as np
+from dense_oracle import dense_passed, dense_tables, sampled_epsilon
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from torlinks.cli import decode_bundle, gen_bundle
+from torlinks.homotopy import certify, toral_links, ujc_links
+from torlinks.jointspec import NormalTuple
+from torlinks.matcore import adjoint, exp_i_herm, op_norm
+
+TABLES = (
+    "normality",
+    "contraction_excess",
+    "distance_to_target",
+    "commutation",
+    "mode_defects",
+)
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+shapes = st.tuples(
+    st.integers(1, 8),  # n
+    st.integers(1, 4),  # N
+    st.sampled_from([1e-3, 1e-2, 5e-2]),  # delta
+    st.integers(0, 2**16),  # seed
+    st.sampled_from(["within", "generic"]),
+)
+
+
+def _tuples(n, N, delta, seed, perturb, mode="normal"):
+    art = gen_bundle("commuting_pair", n, N=N, delta=delta, seed=seed, mode=mode, perturb=perturb)
+    loaded = decode_bundle(art, "mem")
+    return loaded["x"], loaded["y"]
+
+
+def _check_against_oracle(bundle):
+    eps = bundle.epsilon_reported
+    cert = certify(bundle, eps)
+    oracle = dense_tables(bundle)
+    assert np.array_equal(cert.endpoint_errors, oracle["endpoint_errors"])
+    for key in TABLES:
+        bound, sample = getattr(cert, key), oracle[key]
+        if sample is None:
+            assert bound is None
+            continue
+        assert bound.shape == sample.shape
+        assert np.all(bound >= sample - 1e-12), key
+
+    assert cert.passed == dense_passed(oracle, eps)
+    grid_max, sampler_eps = sampled_epsilon(bundle)
+    assert grid_max <= eps <= sampler_eps
+
+    below = 0.99 * grid_max
+    if below > 0:
+        assert not certify(bundle, below).passed
+        assert not dense_passed(oracle, below)
+    return cert
+
+
+@PROPERTY
+@given(shapes, st.sampled_from(["normal", "hermitian", "unitary"]))
+def test_toral_certificate_bounds_dense_oracle(shape, mode):
+    x, y = _tuples(*shape, mode=mode)
+    bundle = toral_links(x, y, mode=mode, seed=shape[3])
+    assert _check_against_oracle(bundle).passed
+
+
+@PROPERTY
+@given(shapes, st.floats(0.0, 0.5))
+def test_ujc_certificate_bounds_dense_oracle(shape, angle):
+    # Y is the commuting target conjugated by Z = What* W, so the flat factor
+    # joins two commuting tuples and the links certify
+    n, N, delta, seed, _ = shape
+    x, y = _tuples(n, N, delta, seed, "within")
+    rng = np.random.default_rng(seed)
+    w, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    k = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    k = k + adjoint(k)
+    w_hat = w @ exp_i_herm(k / op_norm(k), angle)
+    z = adjoint(w_hat) @ w
+    y = NormalTuple([adjoint(z) @ m @ z for m in y.mats])
+    bundle = ujc_links(x, y, w, w_hat)
+    assert _check_against_oracle(bundle).passed
+
+
+def test_criterion_1_grid_verdicts_match_dense_oracle():
+    # the acceptance grid of criterion 1 up to n = 16 (the dense oracle at
+    # n = 64 alone would take half a minute), at eps = epsilon_reported and
+    # just below the largest sampled distance
+    sizes = (4, 16)
+    grids = {
+        "normal": [
+            (n, N, d, s) for n in sizes for N in (2, 3) for d in (1e-3, 1e-2) for s in range(5)
+        ],
+        "hermitian": [(n, 2, d, s) for n in sizes for d in (1e-3, 1e-2) for s in range(3)],
+        "unitary": [(n, 2, d, s) for n in sizes for d in (1e-3, 1e-2) for s in range(3)],
+    }
+    for mode, grid in grids.items():
+        for n, N, delta, seed in grid:
+            x, y = _tuples(n, N, delta, seed, "within", mode=mode)
+            bundle = toral_links(x, y, mode=mode, seed=seed)
+            oracle = dense_tables(bundle)
+            eps = bundle.epsilon_reported
+            below = 0.99 * oracle["distance_to_target"].max()
+            for e in (eps, below):
+                assert certify(bundle, e).passed == dense_passed(oracle, e), (mode, n, N, seed, e)

@@ -213,6 +213,35 @@ def test_links_and_certificate_decode_encode_identity(tmp_path):
     assert again == cert_text
 
 
+_MALFORMED_CERTIFICATE = {
+    "grid-not-array": ("grid", lambda o: o.update(grid="abc")),
+    "grid-entry": ("grid", lambda o: o["grid"].__setitem__(3, "x")),
+    "lengths": ("lengths", lambda o: o.update(lengths=None)),
+    "lipschitz": ("lipschitz", lambda o: o["lipschitz"].__setitem__(0, True)),
+    "intergrid_bounds": ("intergrid_bounds", lambda o: o["intergrid_bounds"].pop()),
+    "epsilon": ("epsilon", lambda o: o.update(epsilon="x")),
+    "tolerances-key": ("tolerances", lambda o: o["tolerances"].update(slack=1.0)),
+    "tolerances-value": ("tolerances.endpoint", lambda o: o["tolerances"].update(endpoint="x")),
+    "pair_index": ("pair_index", lambda o: o.update(pair_index=3)),
+    "pair_index-range": ("pair_index", lambda o: o["pair_index"].__setitem__(0, [0, 7])),
+    "passed": ("passed", lambda o: o.update(passed="yes")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_CERTIFICATE))
+def test_malformed_certificate_raises_decode_error(tmp_path, case):
+    from torlinks.cli import DecodeError
+
+    bundle = _gen(tmp_path, n=3, N=3, delta=1e-3, seed=4)
+    cert = tmp_path / "cert.json"
+    assert main(["link", "--input", bundle, "--output", str(cert)]) == 0
+    obj = json.loads(_read(cert))
+    field, mutate = _MALFORMED_CERTIFICATE[case]
+    mutate(obj)
+    with pytest.raises(DecodeError, match=field):
+        decode_certificate(obj, "mem")
+
+
 def test_tampered_bundle_fails_delta_integrity(tmp_path, capsys):
     bundle = _gen(tmp_path, n=4, N=2, delta=1e-3, seed=0)
     obj = json.loads(_read(tmp_path / "bundle.json"))

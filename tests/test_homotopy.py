@@ -1,12 +1,18 @@
+import cProfile
+import json
 import logging
+import pstats
 
 import numpy as np
 import pytest
 
+from torlinks import matcore
+from torlinks.cli import decode_bundle, decode_links, encode_links, gen_bundle, json_text
 from torlinks.homotopy import (
     Conj,
     Flat,
     Geo,
+    LinkBundle,
     MatrixPath,
     certify,
     concat,
@@ -21,6 +27,7 @@ from torlinks.homotopy import (
     unitary_contraction_path,
 )
 from torlinks.jointspec import NormalTuple
+from torlinks.lifting import lifted_links
 from torlinks.matcore import (
     BranchPointError,
     PreconditionError,
@@ -380,6 +387,63 @@ def test_certify_respects_eps_budget():
     bundle = toral_links(x, y)
     assert certify(bundle, eps=0.5).passed
     assert not certify(bundle, eps=0.1).passed
+
+
+def _matcore_calls(fn, *args, **kwargs):
+    """Result of fn and its calls to matcore.op_norm / matcore.herm_eig (cProfile)."""
+    prof = cProfile.Profile()
+    result = prof.runcall(fn, *args, **kwargs)
+    counts = {"op_norm": 0, "herm_eig": 0}
+    for (path, _, name), stat in pstats.Stats(prof).stats.items():
+        if path == matcore.__file__ and name in counts:
+            counts[name] += stat[1]
+    return result, counts
+
+
+def test_norm_and_decomposition_budget():
+    # n = 16, N = 3, normal mode: a 101-point certify made 1218 op_norm calls
+    # and a 201-point epsilon sampler put toral_links at 670; the shared H
+    # used to be decomposed 12 times in toral_links and 6 times on decode
+    loaded = decode_bundle(gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0), "mem")
+    x, y = loaded["x"], loaded["y"]
+    bundle, built = _matcore_calls(toral_links, x, y, seed=0)
+    cert, checked = _matcore_calls(certify, bundle, bundle.epsilon_reported)
+    assert cert.passed
+    assert built["op_norm"] <= 100
+    assert checked["op_norm"] <= 120
+    assert built["herm_eig"] == 1
+
+    artifact = json.loads(json_text(encode_links(bundle)))
+    _, decoded = _matcore_calls(decode_links, artifact, "mem")
+    assert decoded["herm_eig"] == 1
+    # one decomposition serves the curved factors and the decay check; the
+    # other is LiftedHom.defects checking e^{iH} = What_s on its own
+    _, lifted = _matcore_calls(lifted_links, x, y, seed=0)
+    assert lifted["herm_eig"] == 2
+
+
+def test_rescaling_reuses_segment_data():
+    h = np.diag([1.0, -1.0])
+    seg = Conj(h, np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0, 1.0)
+    path = concat(MatrixPath([seg]), MatrixPath([Flat(seg.end, np.zeros((2, 2)))]))
+    first = path.segments[0]
+    assert first.duration == 0.5
+    assert first._q is seg._q and first.length == seg.length
+    assert seg.duration == 1.0  # the original is not modified
+
+
+def test_certify_grid_samples_unrecognised_pairs():
+    # links on different schedules: commutators fall back to grid samples,
+    # and the distance stays proven
+    a, b = np.diag([0.5, -0.5]), np.diag([0.25, 0.1])
+    lone = MatrixPath([Flat(a, b)])
+    split = MatrixPath([Flat(a, (a + b) / 2, 0.3), Flat((a + b) / 2, b, 0.7)])
+    bundle = LinkBundle([lone, split], [a, a], [b, b], 0.0)
+    cert = certify(bundle, eps=0.6)  # ||a - b|| = 0.6
+    assert cert.passed
+    assert cert.commutation.shape == (1, 101)
+    assert cert.commutation.max() == 0.0
+    assert not certify(bundle, eps=0.59).passed
 
 
 # ---------------------------------------------------------------------------

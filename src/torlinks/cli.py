@@ -52,7 +52,6 @@ __all__ = [
     "decode_certificate",
     "decode_links",
     "decode_matrix",
-    "encode_bundle",
     "encode_certificate",
     "encode_links",
     "encode_matrix",
@@ -136,9 +135,12 @@ def write_artifact(path: str, text: str) -> None:
 
 
 def _load_json(path: str):
+    def reject(name: str):
+        raise DecodeError(f"{path}: non-finite number {name} in JSON")
+
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_constant=reject)
     except FileNotFoundError:
         raise DecodeError(f"{path}: no such file")
     except json.JSONDecodeError as e:
@@ -160,6 +162,8 @@ def encode_matrix(a) -> dict:
 def _number(v, what: str) -> float:
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise DecodeError(f"{what} is not a number")
+    if not abs(v) <= sys.float_info.max:
+        raise DecodeError(f"{what} is not a finite number")
     return float(v)
 
 
@@ -167,13 +171,19 @@ def _grid_of_floats(rows, n_rows, n_cols, where: str) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != n_rows:
         raise DecodeError(f"{where}: expected {n_rows} rows")
     out = np.empty((n_rows, n_cols))
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n_cols:
-            raise DecodeError(f"{where}: row {i} is not {n_cols} numbers")
-        for j, v in enumerate(row):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise DecodeError(f"{where}: entry [{i}][{j}] is not a number")
-            out[i, j] = float(v)
+    try:
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != n_cols:
+                raise DecodeError(f"{where}: row {i} is not {n_cols} numbers")
+            for j, v in enumerate(row):
+                if not isinstance(v, (int, float)) or isinstance(v, bool):
+                    raise DecodeError(f"{where}: entry [{i}][{j}] is not a number")
+                out[i, j] = float(v)
+        finite = np.isfinite(out).all()
+    except OverflowError:  # an integer literal beyond the float range
+        finite = False
+    if not finite:
+        raise DecodeError(f"{where}: entries must be finite numbers")
     return out
 
 
@@ -329,18 +339,6 @@ def gen_bundle(
             "commuting": bool(commuting),
             "softness": float(delta) if kind == "soft_pair" else 0.0,
         },
-        "delta": float(dmax),
-        "x": [encode_matrix(m) for m in x_mats],
-        "y": [encode_matrix(m) for m in y_mats],
-    }
-
-
-def encode_bundle(x_mats, y_mats, metadata: dict) -> dict:
-    """Assemble a bundle artifact from explicit tuples (delta is recomputed)."""
-    dmax = max(op_norm(as_cmatrix(a) - as_cmatrix(b)) for a, b in zip(x_mats, y_mats))
-    return {
-        "type": "bundle",
-        "metadata": dict(metadata),
         "delta": float(dmax),
         "x": [encode_matrix(m) for m in x_mats],
         "y": [encode_matrix(m) for m in y_mats],
@@ -514,7 +512,6 @@ def encode_certificate(cert: Certificate) -> dict:
         else [[float(v) for v in row] for row in cert.mode_defects],
         "lengths": [float(v) for v in cert.lengths],
         "lipschitz": [float(v) for v in cert.lipschitz],
-        "intergrid_bounds": [float(v) for v in cert.intergrid_bounds],
         "tolerances": {
             "endpoint": tols.endpoint,
             "commutation": tols.commutation,
@@ -588,7 +585,6 @@ def decode_certificate(obj, where: str) -> Certificate:
         else _grid_of_floats(raw_mode, count, m, f"{where}.mode_defects"),
         lengths=lengths,
         lipschitz=_floats_field(obj, "lipschitz", where, count),
-        intergrid_bounds=_floats_field(obj, "intergrid_bounds", where, count),
         epsilon=_number_field(obj, "epsilon", where),
         mode=str(_field(obj, "mode", where)),
         tolerances=_tolerances(obj, where),

@@ -19,6 +19,7 @@ import bisect
 import copy
 import heapq
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -359,7 +360,6 @@ class Certificate:
     mode_defects: np.ndarray | None
     lengths: np.ndarray
     lipschitz: np.ndarray
-    intergrid_bounds: np.ndarray
     epsilon: float
     mode: str
     tolerances: CertTolerances
@@ -590,14 +590,22 @@ def _normality(a: np.ndarray) -> float:
     return op_norm(commutator(adjoint(a), a))
 
 
-def _normality_bound(seg, s, sample) -> tuple:
+def _theta_max(seg) -> float:
+    """max |th| over the segment: ||[e^{i th H}, M]|| <= that * ||[H, M]||."""
+    return max(abs(seg.theta0), abs(seg.theta1))
+
+
+def _normality_bound(seg, s) -> tuple:
     if isinstance(seg, Conj):
         return _const_bound(_normality(seg.base), s)
     if isinstance(seg, Flat):
         a0, a1 = seg.a, seg.b
         mixed = commutator(adjoint(a0), a1) + commutator(adjoint(a1), a0)
         return _quadratic_bound(_normality(a0), op_norm(mixed), _normality(a1), s)
-    return sample(_normality)
+    # Geo: [a*, a] = e^{-i th H} (B*B) e^{i th H} - BB*
+    gram = adjoint(seg.base) @ seg.base
+    drift = _theta_max(seg) * op_norm(commutator(seg.h, gram))
+    return _const_bound(_normality(seg.base) + drift, s)
 
 
 def _norm_bound(seg, s) -> tuple:
@@ -606,13 +614,15 @@ def _norm_bound(seg, s) -> tuple:
     return _const_bound(op_norm(seg.base), s)
 
 
-def _mode_bound(seg, mode: str, s, sample) -> tuple:
+def _mode_bound(seg, mode: str, s) -> tuple:
     if mode == "hermitian":
         if isinstance(seg, Conj):
             return _const_bound(_mode_defect(seg.base, mode), s)
         if isinstance(seg, Flat):
             return _convex_bound(_mode_defect(seg.a, mode), _mode_defect(seg.b, mode), s)
-        return sample(lambda a: _mode_defect(a, mode))
+        # Geo: a - a* = (B - B*) + B (e^{i th H} - 1) - (e^{-i th H} - 1) B*
+        turn = min(2.0, _theta_max(seg) * op_norm(seg.h))
+        return _const_bound(_mode_defect(seg.base, mode) + 2.0 * op_norm(seg.base) * turn, s)
     if isinstance(seg, Flat):
         a0, a1 = seg.a, seg.b
         mixed = adjoint(a0) @ a1 + adjoint(a1) @ a0 - 2.0 * np.eye(a0.shape[0])
@@ -630,7 +640,7 @@ def _distance_bound(seg, y: np.ndarray, eps: float, s) -> tuple:
     return tree.at(s), tree.upper
 
 
-def _commutator_bound(sa, sb, s, sample) -> tuple:
+def _commutator_bound(sa, sb, s) -> tuple:
     if (
         isinstance(sa, Conj)
         and isinstance(sb, Conj)
@@ -646,18 +656,42 @@ def _commutator_bound(sa, sb, s, sample) -> tuple:
             op_norm(commutator(sa.b, sb.b)),
             s,
         )
-    return sample(lambda a, b: op_norm(commutator(a, b)))
+    _, norm_a = _norm_bound(sa, s)
+    _, norm_b = _norm_bound(sb, s)
+    if isinstance(sa, Geo) and isinstance(sb, Geo):
+        # [B1 E1, B2 E2] = [B1, B2] E1 E2 + B2 B1 [E1, E2] + B1 [E1, B2] E2
+        # - B2 [E2, B1] E1 with E = e^{i th H}
+        ta, tb = _theta_max(sa), _theta_max(sb)
+        top = (
+            op_norm(commutator(sa.base, sb.base))
+            + norm_a * norm_b * ta * tb * op_norm(commutator(sa.h, sb.h))
+            + ta * norm_a * op_norm(commutator(sa.h, sb.base))
+            + tb * norm_b * op_norm(commutator(sb.h, sa.base))
+        )
+        return _const_bound(top, s)
+    # any other pair: ||[a(s), b(s)] - [a(0), b(0)]|| <= 2 s (L_a ||b|| + L_b ||a||)
+    start = op_norm(commutator(sa.start, sb.start))
+    slope = 2.0 * (sa.length * norm_b + sb.length * norm_a)
+    return start + slope * s, start + slope
 
 
-def _grid_pieces(link: MatrixPath, grid: np.ndarray) -> list:
-    """(segment index, grid indices, local coordinates) for every segment."""
-    where = [link.locate(t) for t in grid]
-    pieces = []
-    for i in range(len(link.segments)):
-        idx = np.array([g for g, (k, _) in enumerate(where) if k == i], dtype=int)
-        s = np.clip(np.array([where[g][1] for g in idx], dtype=float), 0.0, 1.0)
-        pieces.append((i, idx, s))
-    return pieces
+def _cut(link: MatrixPath, t0: float, t1: float):
+    """The part of ``link`` on [t0, t1], which lies in one of its segments,
+    as a segment on [0, 1]; a whole segment is returned as it is."""
+    k = int(np.searchsorted(link._bounds, t0, side="right"))
+    seg = link.segments[k]
+    lo, hi = link.joints()[k : k + 2]
+    s0 = 0.0 if t0 == lo else (t0 - lo) / (hi - lo)
+    s1 = 1.0 if t1 == hi else (t1 - lo) / (hi - lo)
+    if (s0, s1) == (0.0, 1.0):
+        return seg
+    if isinstance(seg, Flat):
+        return Flat(seg.value(s0), seg.value(s1))
+    out = copy.copy(seg)
+    out.theta0 = (1.0 - s0) * seg.theta0 + s0 * seg.theta1
+    out.theta1 = (1.0 - s1) * seg.theta0 + s1 * seg.theta1
+    out.length = seg.length * (s1 - s0)
+    return out
 
 
 def certify(
@@ -668,27 +702,30 @@ def certify(
 ) -> Certificate:
     """Certify a bundle segment by segment and tabulate the bounds on a grid.
 
-    Every table entry (normality, contraction excess, distance to the target,
-    pairwise commutator, mode defect) is an upper bound on its quantity at
-    its grid time, and ``passed`` compares per-segment suprema, which bound
-    every entry, with the tolerances and with eps:
+    All links are cut at the union of their joints, so on every piece each
+    link is one segment (or part of one). Every table entry (normality,
+    contraction excess, distance to the target, pairwise commutator, mode
+    defect) is an upper bound on its quantity at its grid time, and
+    ``passed`` compares per-piece suprema, which bound every entry, with the
+    tolerances and with eps:
 
     * Conj: normality, norm and mode defect are those of the base (unitary
-      invariance); two links with the same generator, angles and schedule
-      keep the commutator norm of their bases.
+      invariance); two links with the same generator and angles keep the
+      commutator norm of their bases.
     * Flat: distance, norm and hermiticity defect are convex in s, so they
       peak at an endpoint; normality, commutators and the unitarity defect
       are (1-s)^2 C0 + s(1-s) C01 + s^2 C1 and bounded by the same form in
       the norms of the C's.
-    * Geo: norm and unitarity defect are those of the base.
+    * Geo B e^{i th H}: norm and unitarity defect are those of B; normality,
+      hermiticity and commutators of two Geo pieces follow from
+      ||[e^{i th H}, M]|| <= |th| ||[H, M]||.
+    * Any other pair: the commutator at the piece's start plus its
+      Lipschitz growth, which fails unless both pieces are static.
     * Distance along Conj and Geo: Lipschitz bisection (_DistanceTree) until
       every piece is within eps; a piece left above eps at the depth cap
       fails the check.
 
-    Normality, commutation and hermiticity along Geo, and commutators of
-    links with different schedules, stay samples at the grid points.
-    Endpoint errors, exact lengths and Lipschitz constants (with the
-    inter-grid bounds lipschitz * spacing) are recorded as before.
+    Endpoint errors, exact lengths and Lipschitz constants are recorded too.
     """
     if grid_points < 2:
         raise PreconditionError("grid needs at least two points")
@@ -704,60 +741,34 @@ def certify(
             for link, x0, y1 in zip(links, bundle.x_mats, bundle.y_mats)
         ]
     )
-    values: dict = {}
-
-    def value(j: int, g: int) -> np.ndarray:
-        if (j, g) not in values:
-            values[j, g] = links[j].value(grid[g])
-        return values[j, g]
-
-    def sampler(js, idx):
-        """fn of the links js at the grid points idx: (samples, their max)."""
-
-        def sample(fn):
-            vals = np.array([fn(*(value(j, g) for j in js)) for g in idx])
-            return vals, float(vals.max(initial=0.0))
-
-        return sample
-
     use_mode = bundle.mode in ("hermitian", "unitary")
     tables = {key: np.empty((count, m)) for key in ("normality", "norm", "distance", "mode")}
     sups = dict.fromkeys(tables, 0.0)
-    pieces = [_grid_pieces(link, grid) for link in links]
-    for j, link in enumerate(links):
-        for i, idx, s in pieces[j]:
-            seg = link.segments[i]
-            sample = sampler((j,), idx)
+    pair_index = [(j, k) for j in range(count) for k in range(j + 1, count)]
+    commutation = np.empty((len(pair_index), m))
+    commutation_sup = 0.0
+
+    cuts = reduce(np.union1d, [link.joints() for link in links])
+    piece_of = np.searchsorted(cuts[1:], grid, side="left")
+    for i, (t0, t1) in enumerate(zip(cuts, cuts[1:])):
+        idx = np.flatnonzero(piece_of == i)
+        s = (grid[idx] - t0) / (t1 - t0)
+        segs = [_cut(link, t0, t1) for link in links]
+        for j, seg in enumerate(segs):
             bounds = {
-                "normality": _normality_bound(seg, s, sample),
+                "normality": _normality_bound(seg, s),
                 "norm": _norm_bound(seg, s),
                 "distance": _distance_bound(seg, bundle.y_mats[j], eps, s),
             }
             if use_mode:
-                bounds["mode"] = _mode_bound(seg, bundle.mode, s, sample)
+                bounds["mode"] = _mode_bound(seg, bundle.mode, s)
             for key, (vals, top) in bounds.items():
                 tables[key][j, idx] = vals
                 sups[key] = max(sups[key], top)
-
-    pair_index = [(j, k) for j in range(count) for k in range(j + 1, count)]
-    commutation = np.empty((len(pair_index), m))
-    commutation_sup = 0.0
-    for p, (j, k) in enumerate(pair_index):
-        a, b = links[j], links[k]
-        if [s.duration for s in a.segments] == [s.duration for s in b.segments]:
-            parts = [
-                (a.segments[i], b.segments[i], idx, s) for i, idx, s in pieces[j]
-            ]
-        else:  # no segment structure in common: sample every grid point
-            parts = [(None, None, np.arange(m), grid)]
-        for sa, sb, idx, s in parts:
-            vals, top = _commutator_bound(sa, sb, s, sampler((j, k), idx))
+        for p, (j, k) in enumerate(pair_index):
+            vals, top = _commutator_bound(segs[j], segs[k], s)
             commutation[p, idx] = vals
             commutation_sup = max(commutation_sup, top)
-
-    lengths = np.array([link.exact_length() for link in links])
-    lipschitz = np.array([link.max_speed() for link in links])
-    intergrid = lipschitz * (grid[1] - grid[0])
 
     passed = (
         endpoint_errors.max() <= tols.endpoint
@@ -776,9 +787,8 @@ def certify(
         commutation=commutation,
         pair_index=pair_index,
         mode_defects=tables["mode"] if use_mode else None,
-        lengths=lengths,
-        lipschitz=lipschitz,
-        intergrid_bounds=intergrid,
+        lengths=np.array([link.exact_length() for link in links]),
+        lipschitz=np.array([link.max_speed() for link in links]),
         epsilon=float(eps),
         mode=bundle.mode,
         tolerances=tols,
@@ -900,20 +910,9 @@ def ujc_links(
     z = adjoint(w_hat) @ w
     hz = principal_log_unitary(z, tol=tol) / np.pi
 
-    links = [
-        concat(MatrixPath([curved]), MatrixPath([Flat(curved.end, yj)]))
-        for curved, yj in zip(_conj_family(np.pi * hz, x.mats, 0.0, 1.0), y.mats)
-    ]
-
-    return LinkBundle(
-        links=links,
-        x_mats=list(x.mats),
-        y_mats=list(y.mats),
-        epsilon_reported=_sup_distance(links, y.mats),
-        mode="normal",
-        conjugator=np.pi * hz,
-        lengths=[link.exact_length() for link in links],
-    )
+    curved_parts = _conj_family(np.pi * hz, x.mats, 0.0, 1.0)
+    flat_parts = [Flat(c.end, yj) for c, yj in zip(curved_parts, y.mats)]
+    return _link_bundle(curved_parts, flat_parts, x.mats, y.mats, "normal", np.pi * hz)
 
 
 def project_solid_torus(path: MatrixPath, w=None, samples: int = 101) -> np.ndarray:

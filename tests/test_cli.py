@@ -218,8 +218,9 @@ _MALFORMED_CERTIFICATE = {
     "grid-entry": ("grid", lambda o: o["grid"].__setitem__(3, "x")),
     "lengths": ("lengths", lambda o: o.update(lengths=None)),
     "lipschitz": ("lipschitz", lambda o: o["lipschitz"].__setitem__(0, True)),
-    "intergrid_bounds": ("intergrid_bounds", lambda o: o["intergrid_bounds"].pop()),
+    "grid-infinite": ("grid", lambda o: o["grid"].__setitem__(3, float("inf"))),
     "epsilon": ("epsilon", lambda o: o.update(epsilon="x")),
+    "epsilon-nan": ("epsilon", lambda o: o.update(epsilon=float("nan"))),
     "tolerances-key": ("tolerances", lambda o: o["tolerances"].update(slack=1.0)),
     "tolerances-value": ("tolerances.endpoint", lambda o: o["tolerances"].update(endpoint="x")),
     "pair_index": ("pair_index", lambda o: o.update(pair_index=3)),
@@ -268,6 +269,37 @@ def test_malformed_bundle_exits_2(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and field in err
+
+
+_NON_FINITE = {
+    # json.dumps writes NaN and Infinity; 1e999 parses as inf, and an
+    # integer literal beyond the float range cannot be converted at all
+    "bundle-delta": ("bundle", lambda o: o.update(delta=float("nan")), ["link"]),
+    "bundle-entry": ("bundle", lambda o: o["y"][0]["re"][0].__setitem__(0, 1e999), ["link"]),
+    "bundle-long-int": ("bundle", lambda o: o["x"][1]["im"][2].__setitem__(1, 10**400), ["link"]),
+    "links-epsilon": (
+        "links",
+        lambda o: o.update(epsilon_reported=float("nan")),
+        ["certify", "--epsilon", "0.1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE))
+def test_non_finite_numbers_exit_2(tmp_path, capsys, case):
+    kind, mutate, argv = _NON_FINITE[case]
+    bundle = _gen(tmp_path, n=3, N=2, delta=1e-3, seed=0)
+    links = tmp_path / "links.json"
+    argv_link = ["link", "--input", bundle, "--output", str(tmp_path / "c.json")]
+    assert main(argv_link + ["--links-output", str(links)]) == 0
+    obj = json.loads(_read(tmp_path / f"{kind}.json"))
+    mutate(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    code = main(argv + ["--input", str(bad), "--output", str(tmp_path / "re.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_malformed_json_names_the_file(tmp_path, capsys):

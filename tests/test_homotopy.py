@@ -421,6 +421,14 @@ def test_norm_and_decomposition_budget():
     _, lifted = _matcore_calls(lifted_links, x, y, seed=0)
     assert lifted["herm_eig"] == 2
 
+    # unitary mode sampled the Geo pieces at the grid points: 336 calls
+    art = gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0, mode="unitary")
+    loaded = decode_bundle(art, "mem")
+    bundle = toral_links(loaded["x"], loaded["y"], mode="unitary", seed=0)
+    cert, checked = _matcore_calls(certify, bundle, bundle.epsilon_reported)
+    assert cert.passed
+    assert checked["op_norm"] <= 120
+
 
 def test_rescaling_reuses_segment_data():
     h = np.diag([1.0, -1.0])
@@ -433,8 +441,8 @@ def test_rescaling_reuses_segment_data():
 
 
 def test_certify_grid_samples_unrecognised_pairs():
-    # links on different schedules: commutators fall back to grid samples,
-    # and the distance stays proven
+    # links on different schedules are cut at the union of their joints, so
+    # each piece is a pair of Flat segments, and the distance stays proven
     a, b = np.diag([0.5, -0.5]), np.diag([0.25, 0.1])
     lone = MatrixPath([Flat(a, b)])
     split = MatrixPath([Flat(a, (a + b) / 2, 0.3), Flat((a + b) / 2, b, 0.7)])
@@ -444,6 +452,32 @@ def test_certify_grid_samples_unrecognised_pairs():
     assert cert.commutation.shape == (1, 101)
     assert cert.commutation.max() == 0.0
     assert not certify(bundle, eps=0.59).passed
+
+
+def test_certify_cuts_a_whole_conj_at_the_other_links_joint():
+    h = np.diag([1.0, -0.5, 0.25])
+    a = np.array([[0.2, 0.1, 0.0], [0.1, -0.3, 0.05], [0.0, 0.05, 0.1]])
+    b = a @ a
+    whole = MatrixPath([Conj(h, a, 0.0, 1.0)])
+    split = MatrixPath([Conj(h, b, 0.0, 0.3, 0.3), Conj(h, b, 0.3, 1.0, 0.7)])
+    ends = [whole.end, split.end]
+    bundle = LinkBundle([whole, split], [a, b], ends, 0.0)
+    cert = certify(bundle, eps=2.0)
+    assert cert.passed
+    assert cert.commutation.max() <= 1e-12
+
+
+def test_certify_mixed_kind_pair_is_conservative():
+    # both links stay diagonal, so they commute; a Geo against a Flat has no
+    # closed form, and its Lipschitz bound fails once both move
+    d = np.diag([0.6, -0.4])
+    geo = MatrixPath([Geo(d, np.diag([1.0, 2.0]), 0.0, 0.1)])
+    flat = MatrixPath([Flat(d, 0.5 * d)])
+    bundle = LinkBundle([geo, flat], [d, d], [geo.end, flat.end], 0.0)
+    cert = certify(bundle, eps=1.0)
+    assert not cert.passed
+    assert cert.normality.max() <= 1e-12
+    assert cert.commutation.max() > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +620,12 @@ def test_ujc_identical_conjugators_give_flat_motion():
     cert = certify(bundle, eps=0.05)
     assert cert.passed
     assert max(bundle.lengths) <= 1e-2 + 1e-9
+    # W* W is the identity only up to rounding, so the curved factors above
+    # keep a length of about 1e-17; with W = 1 they vanish and are dropped
+    bundle = ujc_links(x, y, np.eye(4), np.eye(4))
+    assert all(
+        len(link.segments) == 1 and isinstance(link.segments[0], Flat) for link in bundle.links
+    )
 
 
 def test_ujc_pure_conjugation_bundle():

@@ -66,7 +66,7 @@ class NormalTuple:
                     raise PreconditionError(
                         f"matrix {j} has norm {nrm!r} > 1 + {CONTRACTION_SLACK}"
                     )
-        for j in range(len(mats)):
+        for j in range(len(mats) if self.commutation_tol < np.inf else 0):  # no norm exceeds inf
             for k in range(j + 1, len(mats)):
                 d = op_norm(commutator(mats[j], mats[k]))
                 if d > self.commutation_tol:

@@ -1,22 +1,30 @@
 """End-to-end tests for the command line: codecs, determinism, exit codes."""
 
+import cProfile
 import json
+import pstats
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from torlinks import cli
 from torlinks.cli import (
+    DecodeError,
     decode_bundle,
     decode_certificate,
     decode_links,
     decode_matrix,
     encode_certificate,
+    encode_links,
     encode_matrix,
     gen_bundle,
     json_text,
     main,
 )
-from torlinks.matcore import op_norm
+from torlinks.homotopy import toral_links
+from torlinks.matcore import PreconditionError, op_norm
 
 
 def _read(path) -> str:
@@ -48,9 +56,88 @@ def test_matrix_codec_round_trip_is_exact():
     assert np.array_equal(decoded, a)
 
 
-def test_matrix_codec_rejects_garbage():
-    from torlinks.cli import DecodeError
+_EDGE_FLOATS = [
+    -0.0,
+    5e-324,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    12345678901234567.0,
+]
 
+
+@st.composite
+def _float_matrices(draw):
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(
+        st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+    )
+    parts = draw(st.lists(entry, min_size=2 * n * n, max_size=2 * n * n))
+    a = np.empty((n, n), dtype=complex)
+    a.real = np.reshape(parts[: n * n], (n, n))
+    a.imag = np.reshape(parts[n * n :], (n, n))
+    return a
+
+
+def _reference_rows(rows) -> str:
+    """Rows written one entry at a time, -0 folded to 0, as artifacts store them."""
+
+    def fmt(v) -> str:
+        return f"{float(v) if v != 0 else 0.0:.17g}"
+
+    return "[" + ",".join("[" + ",".join(map(fmt, row)) + "]" for row in rows) + "]"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_float_matrices())
+def test_matrix_rows_match_per_entry_formatting(a):
+    text = json_text(encode_matrix(a))
+    n = a.shape[0]
+    expected = f'{{"im":{_reference_rows(a.imag)},"n":{n},"re":{_reference_rows(a.real)}}}\n'
+    assert text == expected
+    assert json_text(json.loads(text)) == text
+    assert np.array_equal(decode_matrix(json.loads(text), "mem"), a)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_row_cannot_be_serialized(bad):
+    with pytest.raises(PreconditionError, match="non-finite"):
+        json_text({"rows": [[0.5, 0.25], [bad, -0.0]]})
+
+
+@pytest.mark.parametrize("bad", [True, "0.5", None, [0.5]])
+def test_matrix_decode_names_the_bad_entry(bad):
+    obj = {"n": 2, "re": [[0.0, 1], [0.5, 0.25]], "im": [[0.0, 0.0], [0.0, bad]]}
+    with pytest.raises(DecodeError, match=r"mem\.im: entry \[1\]\[1\] is not a number"):
+        decode_matrix(obj, "mem")
+
+
+def test_matrix_decode_rows_and_integers():
+    ragged = {"n": 2, "re": [[0.0, 1.0], [0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+    with pytest.raises(DecodeError, match=r"mem\.re: row 1 is not 2 numbers"):
+        decode_matrix(ragged, "mem")
+    ints = {"n": 2, "re": [[1, 0], [0, 1]], "im": [[0, -3], [2**60, 0]]}
+    expected = np.eye(2) + 1j * np.array([[0.0, -3.0], [2.0**60, 0.0]])
+    assert np.array_equal(decode_matrix(ints, "mem"), expected)
+    ints["im"][0][0] = 10**400
+    with pytest.raises(DecodeError, match="finite"):
+        decode_matrix(ints, "mem")
+
+
+def test_links_encoding_formats_rows_in_bulk():
+    # n = 16, N = 3: one _fmt_float call per matrix entry made 9744 calls
+    loaded = decode_bundle(gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0), "mem")
+    bundle = toral_links(loaded["x"], loaded["y"], seed=0)
+    prof = cProfile.Profile()
+    prof.runcall(json_text, encode_links(bundle))
+    calls = sum(
+        stat[1]
+        for (path, _, name), stat in pstats.Stats(prof).stats.items()
+        if path == cli.__file__ and name == "_fmt_float"
+    )
+    assert calls <= 20
+
+
+def test_matrix_codec_rejects_garbage():
     with pytest.raises(DecodeError):
         decode_matrix({"n": 2, "re": [[0, 0]], "im": [[0, 0]]}, "mem")
     with pytest.raises(DecodeError):
@@ -100,8 +187,6 @@ def test_gen_generic_perturbation_still_commutes(tmp_path):
 
 
 def test_gen_bundle_rejects_bad_arguments():
-    from torlinks.matcore import PreconditionError
-
     with pytest.raises(PreconditionError):
         gen_bundle("mystery", 4)
     with pytest.raises(PreconditionError):
@@ -175,6 +260,7 @@ _MALFORMED_LINKS = {
     "lengths": lambda o: o.update(lengths="ab"),
     "count": lambda o: o["x"].pop(),
     "dimension": lambda o: o["y"].__setitem__(0, _SMALL_MATRIX),
+    "mode": lambda o: o.update(mode="bogus"),
 }
 
 
@@ -202,8 +288,6 @@ def test_links_and_certificate_decode_encode_identity(tmp_path):
     cert = tmp_path / "cert.json"
     main(["link", "--input", bundle, "--output", str(cert), "--links-output", str(links)])
 
-    from torlinks.cli import encode_links
-
     links_text = _read(links)
     again = json_text(encode_links(decode_links(json.loads(links_text), "mem")))
     assert again == links_text
@@ -226,13 +310,12 @@ _MALFORMED_CERTIFICATE = {
     "pair_index": ("pair_index", lambda o: o.update(pair_index=3)),
     "pair_index-range": ("pair_index", lambda o: o["pair_index"].__setitem__(0, [0, 7])),
     "passed": ("passed", lambda o: o.update(passed="yes")),
+    "mode": ("mode", lambda o: o.update(mode="bogus")),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED_CERTIFICATE))
 def test_malformed_certificate_raises_decode_error(tmp_path, case):
-    from torlinks.cli import DecodeError
-
     bundle = _gen(tmp_path, n=3, N=3, delta=1e-3, seed=4)
     cert = tmp_path / "cert.json"
     assert main(["link", "--input", bundle, "--output", str(cert)]) == 0

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import cProfile
+import pstats
+
 import numpy as np
 import pytest
 
+from torlinks import matcore
 from torlinks.jointspec import (
     NormalTuple,
     clifford_norm,
@@ -39,6 +43,23 @@ def test_tuple_validation_rejects_noncommuting():
     s = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(PreconditionError):
         NormalTuple([x, s], commutation_tol=1e-10)
+
+
+def test_infinite_commutation_tolerance_measures_no_commutator():
+    # clock and shift do not commute: ||[omega, sigma]|| = 2 sin(pi / 4)
+    omega = np.diag(np.exp(2j * np.pi * np.arange(4) / 4))
+    sigma = np.roll(np.eye(4), 1, axis=0)
+    prof = cProfile.Profile()
+    t = prof.runcall(NormalTuple, [omega, sigma], commutation_tol=float("inf"))
+    assert t.N == 2
+    commutators = sum(
+        stat[1]
+        for (path, _, name), stat in pstats.Stats(prof).stats.items()
+        if path == matcore.__file__ and name == "commutator"
+    )
+    assert commutators == 0
+    with pytest.raises(PreconditionError, match="commutator norm"):
+        NormalTuple([omega, sigma], commutation_tol=1.0)
 
 
 def test_tuple_validation_rejects_noncontraction():

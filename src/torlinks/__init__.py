@@ -10,13 +10,11 @@ with Bott indices, and a small relation-checking DSL.
 
 from .matcore import (
     BranchPointError,
-    DefectReport,
     DiagnosticsError,
     PreconditionError,
     adjoint,
     as_cmatrix,
     commutator,
-    defect_report,
     exp_i_herm,
     gap_branch_log,
     herm_eig,
@@ -25,14 +23,12 @@ from .matcore import (
     principal_log_unitary,
 )
 from .jointspec import (
-    CliffordRep,
     JointSpectrum,
     NormalTuple,
     clifford_norm,
     clifford_rep,
     joint_diagonalize,
     joint_spectrum,
-    partition,
 )
 from .spectral_match import (
     Approximant,
@@ -51,9 +47,6 @@ from .homotopy import (
     MatrixPath,
     certify,
     concat,
-    constant_path,
-    flat_unitary_path,
-    nearby_generator,
     path_curvature,
     path_length,
     project_solid_torus,
@@ -66,8 +59,6 @@ from .lifting import (
     iota2,
     kappa_compress,
     lifted_links,
-    std_dilation,
-    z2_dilation,
 )
 from .softtorus import (
     BottResult,

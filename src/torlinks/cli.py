@@ -410,20 +410,11 @@ def _encode_segment(seg) -> dict:
             "b": encode_matrix(seg.b),
             "duration": float(seg.duration),
         }
-    if isinstance(seg, Conj):
+    if isinstance(seg, (Conj, Geo)):
         return {
-            "kind": "conj",
+            "kind": "conj" if isinstance(seg, Conj) else "geo",
             "h": encode_matrix(seg.h),
             "base": encode_matrix(seg.base),
-            "theta0": float(seg.theta0),
-            "theta1": float(seg.theta1),
-            "duration": float(seg.duration),
-        }
-    if isinstance(seg, Geo):
-        return {
-            "kind": "geo",
-            "base": encode_matrix(seg.base),
-            "h": encode_matrix(seg.h),
             "theta0": float(seg.theta0),
             "theta1": float(seg.theta1),
             "duration": float(seg.duration),

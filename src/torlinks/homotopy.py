@@ -24,7 +24,7 @@ from functools import reduce
 import numpy as np
 
 from . import matcore
-from .jointspec import NormalTuple, joint_diagonalize
+from .jointspec import NormalTuple
 from .matcore import (
     DiagnosticsError,
     PreconditionError,
@@ -47,14 +47,11 @@ __all__ = [
     "Certificate",
     "CertTolerances",
     "concat",
-    "constant_path",
     "path_length",
     "path_curvature",
     "toral_links",
     "certify",
     "unitary_contraction_path",
-    "flat_unitary_path",
-    "nearby_generator",
     "ujc_links",
     "project_solid_torus",
 ]
@@ -181,9 +178,6 @@ class Geo:
         return self.value(1.0)
 
 
-Segment = Flat | Conj | Geo
-
-
 def _with_duration(seg, duration: float):
     """The same segment on a rescaled clock; nothing is recomputed."""
     out = copy.copy(seg)
@@ -256,15 +250,11 @@ class MatrixPath:
         return float(max(s.length / s.duration for s in self.segments))
 
 
-def constant_path(a) -> MatrixPath:
-    a = as_cmatrix(a)
-    return MatrixPath([Flat(a, a)])
-
-
 def concat(x: MatrixPath, y: MatrixPath) -> MatrixPath:
-    """Run x on [0, 1/2] and y on [1/2, 1] (both at double speed)."""
-    if op_norm(x.end - y.start) > JOIN_TOL:
-        raise PreconditionError("paths do not meet: endpoint mismatch exceeds 1e-9")
+    """Run x on [0, 1/2] and y on [1/2, 1] (both at double speed).
+
+    MatrixPath checks that x's last segment meets y's first.
+    """
     segs = [_with_duration(s, s.duration * 0.5) for s in x.segments]
     segs += [_with_duration(s, s.duration * 0.5) for s in y.segments]
     return MatrixPath(segs)
@@ -826,71 +816,6 @@ def unitary_contraction_path(
     return path, report
 
 
-def flat_unitary_path(u0, u1, tol: float = 1e-10) -> MatrixPath:
-    """Unitary geodesic u0 exp(t log(u0* u1)); errors at the -1 branch point."""
-    u0 = as_cmatrix(u0)
-    u1 = as_cmatrix(u1)
-    matcore._check_unitary(u0, tol)
-    matcore._check_unitary(u1, tol)
-    g = principal_log_unitary(adjoint(u0) @ u1, tol=tol)
-    return MatrixPath([Geo(u0, g, 0.0, 1.0)])
-
-
-def nearby_generator(
-    x: NormalTuple, j: int, eps: float, cluster_tol: float = 1e-8, seed: int = 0
-) -> np.ndarray:
-    """A single normal generator within eps of x_j.
-
-    Returns X meeting x_j on the joint eigenbasis but with all diagonal
-    entries distinct, splitting collisions by increments of at most eps/n.
-    Requires the joint spectrum to have n distinct points (otherwise no
-    single generator separates the basis and an error is raised).
-    """
-    if not 0 <= j < x.N:
-        raise PreconditionError(f"index {j} outside tuple of length {x.N}")
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
-    js = joint_diagonalize(x, cluster_tol=cluster_tol, seed=seed)
-    n = x.n
-    pts = js.points
-    for a in range(n):
-        for b in range(a + 1, n):
-            if np.max(np.abs(pts[a] - pts[b])) <= 1e-12:
-                raise PreconditionError(
-                    "joint spectrum has coinciding points; the tuple is not "
-                    "singly generated at this tolerance"
-                )
-    col = pts[:, j].copy()
-
-    # group exactly-colliding values of the chosen coordinate
-    order = np.lexsort((col.imag, col.real))
-    groups: list[list[int]] = []
-    for idx in order:
-        if groups and abs(col[groups[-1][-1]] - col[idx]) <= 1e-12:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    distinct = [col[g[0]] for g in groups]
-    if len(distinct) > 1:
-        dmin = min(
-            abs(a - b) for i, a in enumerate(distinct) for b in distinct[i + 1 :]
-        )
-    else:
-        dmin = np.inf
-    eta = min(eps / n, dmin / (2.0 * (n + 1.0)))
-    for g in groups:
-        for k, idx in enumerate(g):
-            col[idx] = col[g[0]] + k * eta
-
-    out = (js.q * col) @ adjoint(js.q)
-    dist = op_norm(out - x.mats[j])
-    if dist > eps:
-        raise DiagnosticsError(
-            "nearby generator moved farther than eps", worst_residual=dist
-        )
-    return out
-
-
 def ujc_links(
     x: NormalTuple, y: NormalTuple, w, w_hat, tol: float = 1e-10
 ) -> LinkBundle:
@@ -899,6 +824,8 @@ def ujc_links(
     The curved factor conjugates all of X by exp(-i pi t H_Z) with
     H_Z = (1/pi) log Z (principal branch, well defined since ||1 - Z|| < 1),
     which preserves commutation exactly; a flat factor then lands on Y.
+    When W equals What, Z is exactly 1 and H_Z exactly 0, so the curved
+    factors have length 0.0 and only the flat factors remain.
     """
     w = as_cmatrix(w)
     w_hat = as_cmatrix(w_hat)
@@ -907,8 +834,10 @@ def ujc_links(
     nu = op_norm(w - w_hat)
     if nu >= 1.0:
         raise PreconditionError(f"||W - What|| = {nu!r} >= 1; no common branch")
-    z = adjoint(w_hat) @ w
-    hz = principal_log_unitary(z, tol=tol) / np.pi
+    if np.array_equal(w, w_hat):
+        hz = np.zeros(w.shape, dtype=np.complex128)
+    else:
+        hz = principal_log_unitary(adjoint(w_hat) @ w, tol=tol) / np.pi
 
     curved_parts = _conj_family(np.pi * hz, x.mats, 0.0, 1.0)
     flat_parts = [Flat(c.end, yj) for c, yj in zip(curved_parts, y.mats)]

@@ -8,7 +8,7 @@ norm controls all coordinates at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -25,26 +25,23 @@ from .matcore import (
 __all__ = [
     "NormalTuple",
     "JointSpectrum",
-    "CliffordRep",
-    "partition",
     "joint_diagonalize",
     "joint_spectrum",
     "clifford_rep",
     "clifford_norm",
 ]
 
-#: norms may exceed 1 by at most this much for tuples flagged as contractions
+#: norms may exceed 1 by at most this much
 CONTRACTION_SLACK = 1e-10
 
 
 @dataclass
 class NormalTuple:
-    """N same-size normal matrices commuting within stated tolerances."""
+    """N same-size normal contractions commuting within stated tolerances."""
 
     mats: list[np.ndarray]
     commutation_tol: float = 1e-10
     normality_tol: float = 1e-10
-    contractions: bool = True
 
     def __post_init__(self):
         mats = [as_cmatrix(m) for m in self.mats]
@@ -60,12 +57,11 @@ class NormalTuple:
                     f"matrix {j} has normality defect {defect:.3e} "
                     f"> {self.normality_tol:.3e}"
                 )
-            if self.contractions:
-                nrm = op_norm(m)
-                if nrm > 1.0 + CONTRACTION_SLACK:
-                    raise PreconditionError(
-                        f"matrix {j} has norm {nrm!r} > 1 + {CONTRACTION_SLACK}"
-                    )
+            nrm = op_norm(m)
+            if nrm > 1.0 + CONTRACTION_SLACK:
+                raise PreconditionError(
+                    f"matrix {j} has norm {nrm!r} > 1 + {CONTRACTION_SLACK}"
+                )
         for j in range(len(mats) if self.commutation_tol < np.inf else 0):  # no norm exceeds inf
             for k in range(j + 1, len(mats)):
                 d = op_norm(commutator(mats[j], mats[k]))
@@ -92,34 +88,6 @@ class JointSpectrum:
     q: np.ndarray
     points: np.ndarray
     residual: float = 0.0
-
-
-@dataclass
-class CliffordRep:
-    """N anticommuting Hermitian involutions of dimension 2^ceil(N/2)."""
-
-    N: int
-    gens: list[np.ndarray] = field(repr=False)
-
-
-def partition(t: NormalTuple) -> NormalTuple:
-    """Split X_j = X_{1j} + i X_{2j} into 2N Hermitian parts.
-
-    Order: all real parts first, then all imaginary parts. The returned
-    tuple's commutation tolerance is set from the measured defects (for a
-    commuting normal tuple the parts commute up to the input tolerances).
-    """
-    parts = matcore._hermitian_parts(t.mats)
-    worst = 0.0
-    for j in range(len(parts)):
-        for k in range(j + 1, len(parts)):
-            worst = max(worst, op_norm(commutator(parts[j], parts[k])))
-    return NormalTuple(
-        parts,
-        commutation_tol=max(worst * (1.0 + 1e-9), 1e-14),
-        normality_tol=1e-12,
-        contractions=t.contractions,
-    )
 
 
 def joint_diagonalize(
@@ -161,8 +129,11 @@ _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 _EYE2 = np.eye(2, dtype=np.complex128)
 
 
-def clifford_rep(n_gens: int) -> CliffordRep:
-    """Jordan-Wigner generators: gamma_{2k-1} = Z^(k-1) X I..., gamma_{2k} = Z^(k-1) Y I..."""
+def clifford_rep(n_gens: int) -> list[np.ndarray]:
+    """n_gens anticommuting Hermitian involutions of dimension 2^ceil(n_gens/2).
+
+    Jordan-Wigner generators: gamma_{2k-1} = Z^(k-1) X I..., gamma_{2k} = Z^(k-1) Y I...
+    """
     if n_gens < 1:
         raise PreconditionError("need at least one generator")
     m = (n_gens + 1) // 2
@@ -172,7 +143,7 @@ def clifford_rep(n_gens: int) -> CliffordRep:
         suffix = [_EYE2] * (m - k - 1)
         for mid in (_PAULI_X, _PAULI_Y):
             gens.append(reduce(np.kron, prefix + [mid] + suffix))
-    return CliffordRep(N=n_gens, gens=gens[:n_gens])
+    return gens[:n_gens]
 
 
 def clifford_norm(mats: list[np.ndarray]) -> tuple[np.ndarray, float]:
@@ -186,9 +157,9 @@ def clifford_norm(mats: list[np.ndarray]) -> tuple[np.ndarray, float]:
     n = mats[0].shape[0]
     if any(m.shape[0] != n for m in mats):
         raise PreconditionError("all matrices must share one dimension")
-    rep = clifford_rep(len(mats))
-    dim = n * rep.gens[0].shape[0]
+    gens = clifford_rep(len(mats))
+    dim = n * gens[0].shape[0]
     cliff = np.zeros((dim, dim), dtype=np.complex128)
-    for x, g in zip(mats, rep.gens):
+    for x, g in zip(mats, gens):
         cliff += 1j * np.kron(x, 1j * g)
     return cliff, op_norm(cliff)

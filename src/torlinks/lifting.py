@@ -1,4 +1,4 @@
-"""Doubling, compression, dilations, and links lifted to the doubled space.
+"""Doubling, compression, the doubled homomorphism, and lifted links.
 
 The lift sends x to the block matrix diag(x, V*^2 x V^2), which equals
 Ad[What_s](x' ⊕ x') for x' = V* x V conjugated by the Hermitian unitary
@@ -30,8 +30,6 @@ __all__ = [
     "LiftedHom",
     "iota2",
     "kappa_compress",
-    "std_dilation",
-    "z2_dilation",
     "lifted_links",
 ]
 
@@ -56,13 +54,6 @@ def _block_diag2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[:n, :n] = a
     out[n:, n:] = b
     return out
-
-
-def std_dilation(w) -> np.ndarray:
-    """Conjugator W ⊕ W of the standard dilation Ad[W ⊕ W]."""
-    w = as_cmatrix(w)
-    _check_unitary(w, 1e-10)
-    return iota2(w)
 
 
 @dataclass
@@ -109,15 +100,9 @@ class LiftedHom:
         }
 
 
-def z2_dilation(w) -> LiftedHom:
-    """Z/2 dilation of Ad[w*]: the Hermitian-unitary conjugator [[0,w],[w*,0]]."""
-    return LiftedHom(w)
-
-
 def lifted_links(
     x: NormalTuple,
     y: NormalTuple,
-    tol: float = 1e-10,
     cluster_tol: float = 1e-8,
     seed: int = 0,
     grid_points: int = 101,

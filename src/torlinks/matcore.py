@@ -8,20 +8,16 @@ logarithms of unitary matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "PreconditionError",
     "BranchPointError",
     "DiagnosticsError",
-    "DefectReport",
     "as_cmatrix",
     "adjoint",
     "op_norm",
     "commutator",
-    "defect_report",
     "herm_eig",
     "normal_eig",
     "exp_i_herm",
@@ -92,30 +88,6 @@ def commutator(a, b) -> np.ndarray:
     if a.shape != b.shape:
         raise PreconditionError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a
-
-
-@dataclass(frozen=True)
-class DefectReport:
-    """How far a matrix is from being normal/unitary/Hermitian/a contraction."""
-
-    normality: float
-    unitarity: float
-    hermiticity: float
-    norm: float
-    contraction_excess: float
-
-
-def defect_report(a) -> DefectReport:
-    a = as_cmatrix(a)
-    eye = np.eye(a.shape[0])
-    nrm = op_norm(a)
-    return DefectReport(
-        normality=op_norm(adjoint(a) @ a - a @ adjoint(a)),
-        unitarity=op_norm(adjoint(a) @ a - eye),
-        hermiticity=op_norm(a - adjoint(a)),
-        norm=nrm,
-        contraction_excess=max(0.0, nrm - 1.0),
-    )
 
 
 def _canonical_column_phases(q: np.ndarray) -> np.ndarray:

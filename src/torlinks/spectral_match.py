@@ -17,7 +17,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .jointspec import NormalTuple, joint_diagonalize
-from .matcore import PreconditionError, adjoint, op_norm
+from .matcore import PreconditionError, adjoint
 
 __all__ = [
     "Matching",
@@ -39,11 +39,10 @@ class Matching:
 
 @dataclass
 class Approximant:
-    """Unitary V with psi_j = V* x_j V and the achieved bound max_j ||psi_j - y_j||."""
+    """Unitary V with psi_j = V* x_j V, and the matching it realizes."""
 
     v: np.ndarray
     psi: list[np.ndarray]
-    bound: float
     matching: Matching
 
 
@@ -138,8 +137,9 @@ def isospectral_approximant(
     """Conjugate X onto Y's eigenbasis along the bottleneck matching.
 
     V = Q_X P_tau Q_Y*, so psi_j = V* x_j V is diagonal in Y's basis with
-    the joint spectrum of x_j rearranged to face its matched partner. The
-    achieved bound equals the per-coordinate bottleneck of the matching.
+    the joint spectrum of x_j rearranged to face its matched partner, and
+    max_j ||psi_j - y_j|| is the per-coordinate bottleneck of the matching
+    up to diagonalization residuals.
     """
     if x.n != y.n or x.N != y.N:
         raise PreconditionError("tuples must have matching dimensions and lengths")
@@ -152,5 +152,4 @@ def isospectral_approximant(
     p[np.arange(n), matching.tau] = 1.0
     v = jx.q @ p @ adjoint(jy.q)
     psi = [adjoint(v) @ m @ v for m in x.mats]
-    bound = max(op_norm(pj - yj) for pj, yj in zip(psi, y.mats))
-    return Approximant(v=v, psi=psi, bound=bound, matching=matching)
+    return Approximant(v=v, psi=psi, matching=matching)

@@ -16,9 +16,6 @@ from torlinks.homotopy import (
     MatrixPath,
     certify,
     concat,
-    constant_path,
-    flat_unitary_path,
-    nearby_generator,
     path_curvature,
     path_length,
     project_solid_torus,
@@ -29,7 +26,6 @@ from torlinks.homotopy import (
 from torlinks.jointspec import NormalTuple
 from torlinks.lifting import lifted_links
 from torlinks.matcore import (
-    BranchPointError,
     PreconditionError,
     adjoint,
     commutator,
@@ -165,8 +161,8 @@ def test_concat_rejects_mismatched_endpoints():
 
 
 def test_concat_of_constants_is_constant():
-    c = constant_path(np.diag([1.0, 2.0]))
-    p = concat(c, constant_path(np.diag([1.0, 2.0])))
+    d = np.diag([1.0, 2.0])
+    p = concat(MatrixPath([Flat(d, d)]), MatrixPath([Flat(d, d)]))
     assert p.exact_length() == 0.0
     assert np.allclose(p.value(0.3), np.diag([1.0, 2.0]))
 
@@ -179,7 +175,7 @@ def test_concat_of_constants_is_constant():
 def test_path_length_flat_and_constant():
     a, b = np.zeros((2, 2)), np.diag([3.0, 1.0])
     assert path_length(MatrixPath([Flat(a, b)])) == pytest.approx(3.0)
-    assert path_length(constant_path(b)) == 0.0
+    assert path_length(MatrixPath([Flat(b, b)])) == 0.0
 
 
 def test_path_length_conj_matches_commutator_norm():
@@ -235,7 +231,8 @@ def test_curvature_rejects_segment_joints():
 
 
 def test_curvature_of_stationary_path_is_zero():
-    assert path_curvature(constant_path(np.eye(3)), 0.5) == 0.0
+    eye = np.eye(3)
+    assert path_curvature(MatrixPath([Flat(eye, eye)]), 0.5) == 0.0
 
 
 def test_curved_factor_curvature_length_product_logged():
@@ -430,6 +427,14 @@ def test_norm_and_decomposition_budget():
     assert checked["op_norm"] <= 120
 
 
+def test_concat_checks_the_join_once():
+    # MatrixPath measures the join of x and y; concat adds no second measure
+    a, b, c = np.zeros((3, 3)), np.eye(3) / 2, np.eye(3)
+    path, calls = _matcore_calls(concat, MatrixPath([Flat(a, b)]), MatrixPath([Flat(b, c)]))
+    assert calls["op_norm"] == 1
+    assert [seg.duration for seg in path.segments] == [0.5, 0.5]
+
+
 def test_rescaling_reuses_segment_data():
     h = np.diag([1.0, -1.0])
     seg = Conj(h, np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0, 1.0)
@@ -528,72 +533,6 @@ def test_contraction_path_antipodal_cluster_needs_long_arc():
     assert report["length"] <= 2 * np.pi - np.pi / 2
 
 
-def test_flat_unitary_path_endpoints_and_unitarity():
-    rng = np.random.default_rng(14)
-    u0 = _haar_unitary(4, rng)
-    s = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    s = 0.2 * (s + adjoint(s))
-    u1 = u0 @ _rot(s / op_norm(s), 0.4)
-    p = flat_unitary_path(u0, u1)
-    assert op_norm(p.value(0.0) - u0) < 1e-10
-    assert op_norm(p.value(1.0) - u1) < 1e-10
-    for t in (0.25, 0.75):
-        v = p.value(t)
-        assert op_norm(adjoint(v) @ v - np.eye(4)) < 1e-10
-
-
-def test_flat_unitary_path_branch_point_errors():
-    with pytest.raises(BranchPointError):
-        flat_unitary_path(np.eye(2), np.diag([-1.0, 1.0]))
-
-
-# ---------------------------------------------------------------------------
-# nearby generators
-# ---------------------------------------------------------------------------
-
-
-def test_nearby_generator_keeps_already_distinct_matrix():
-    x = NormalTuple([np.diag([1.0, -1.0])])
-    out = nearby_generator(x, 0, eps=0.1)
-    assert op_norm(out - x.mats[0]) < 1e-12
-
-
-def test_nearby_generator_splits_collisions():
-    a, b = 0.5, -0.25
-    c, d = 0.1, 0.7
-    x = NormalTuple([np.diag([a, a, b]), np.diag([c, d, d])])
-    out = nearby_generator(x, 0, eps=0.09)
-    vals = np.sort_complex(np.linalg.eigvals(out))
-    assert abs(vals[0] - b) < 1e-12
-    eta = vals[2] - vals[1]
-    assert abs(vals[1] - a) < 1e-12 or abs(vals[2] - a) < 1e-12
-    assert 0 < eta.real <= 0.03 + 1e-12
-    assert abs(eta.imag) < 1e-12
-    assert op_norm(out - x.mats[0]) <= 0.09
-    # all three entries distinct now
-    assert np.min(np.abs(np.diff(vals))) > 1e-9
-
-
-def test_nearby_generator_output_commutes_with_tuple():
-    rng = np.random.default_rng(21)
-    q = _haar_unitary(6, rng)
-    d1 = np.array([0.1, 0.1, 0.1, -0.4, -0.4, 0.6])
-    d2 = np.array([0.2j, -0.3, 0.5, 0.2j, -0.1j, 0.2j])
-    x = NormalTuple([(q * d1) @ adjoint(q), (q * d2) @ adjoint(q)])
-    out = nearby_generator(x, 0, eps=0.05)
-    for m in x.mats:
-        assert op_norm(commutator(out, m)) < 1e-10
-    assert op_norm(out - x.mats[0]) <= 0.05
-    vals = np.linalg.eigvals(out)
-    assert np.min(np.abs(vals[:, None] - vals[None, :]) + np.eye(6)) > 1e-9
-
-
-def test_nearby_generator_rejects_duplicate_joint_rows():
-    x = NormalTuple([np.diag([1.0, 1.0]), np.diag([0.5, 0.5])])
-    with pytest.raises(PreconditionError):
-        nearby_generator(x, 0, eps=0.1)
-
-
 # ---------------------------------------------------------------------------
 # joint-conjugation links
 # ---------------------------------------------------------------------------
@@ -620,12 +559,14 @@ def test_ujc_identical_conjugators_give_flat_motion():
     cert = certify(bundle, eps=0.05)
     assert cert.passed
     assert max(bundle.lengths) <= 1e-2 + 1e-9
-    # W* W is the identity only up to rounding, so the curved factors above
-    # keep a length of about 1e-17; with W = 1 they vanish and are dropped
-    bundle = ujc_links(x, y, np.eye(4), np.eye(4))
-    assert all(
-        len(link.segments) == 1 and isinstance(link.segments[0], Flat) for link in bundle.links
-    )
+    # W = What makes Z exactly 1, so the curved factors have length 0.0 and
+    # are dropped, for a Haar W as for W = 1
+    for u in (w, np.eye(4)):
+        bundle = ujc_links(x, y, u, u)
+        assert all(
+            len(link.segments) == 1 and isinstance(link.segments[0], Flat)
+            for link in bundle.links
+        )
 
 
 def test_ujc_pure_conjugation_bundle():
@@ -685,14 +626,16 @@ def test_projection_of_diagonal_path_tracks_eigenvalues():
 
 
 def test_projection_of_zero_matrix_sits_at_center():
-    rows = project_solid_torus(constant_path(np.zeros((3, 3))), samples=4)
+    z = np.zeros((3, 3))
+    rows = project_solid_torus(MatrixPath([Flat(z, z)]), samples=4)
     assert np.max(np.abs(rows[:, 2:4])) == 0.0
 
 
 def test_projection_rejects_bad_inputs():
-    p = constant_path(np.zeros((2, 2)))
+    z = np.zeros((2, 2))
+    p = MatrixPath([Flat(z, z)])
     with pytest.raises(PreconditionError):
         project_solid_torus(p, w=np.diag([2.0, 1.0]))
-    q = constant_path(1.5 * np.eye(2))
+    q = MatrixPath([Flat(1.5 * np.eye(2), 1.5 * np.eye(2))])
     with pytest.raises(PreconditionError):
         project_solid_torus(q)

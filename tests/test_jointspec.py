@@ -13,7 +13,6 @@ from torlinks.jointspec import (
     clifford_rep,
     joint_diagonalize,
     joint_spectrum,
-    partition,
 )
 from torlinks.matcore import PreconditionError, adjoint, commutator, normal_eig, op_norm
 
@@ -65,23 +64,20 @@ def test_infinite_commutation_tolerance_measures_no_commutator():
 def test_tuple_validation_rejects_noncontraction():
     with pytest.raises(PreconditionError):
         NormalTuple([np.diag([2.0, 0.0])])
-    # fine when the contraction flag is off
-    NormalTuple([np.diag([2.0, 0.0])], contractions=False)
 
 
 # ---------------------------------------------------------------- partition
 
 
 def test_partition_diagonal_example():
-    t = NormalTuple([np.diag([1.0j, 0.5])])
-    parts = partition(t).mats
+    parts = matcore._hermitian_parts([np.diag([1.0j, 0.5])])
     assert np.allclose(parts[0], np.diag([0.0, 0.5]), atol=1e-14)
     assert np.allclose(parts[1], np.diag([1.0, 0.0]), atol=1e-14)
 
 
 def test_partition_hermitian_fixed_point():
     h = np.array([[0.3, 0.1], [0.1, -0.2]])
-    parts = partition(NormalTuple([h])).mats
+    parts = matcore._hermitian_parts([h])
     assert np.allclose(parts[0], h, atol=1e-14)
     assert np.allclose(parts[1], 0.0, atol=1e-14)
 
@@ -89,13 +85,16 @@ def test_partition_hermitian_fixed_point():
 def test_partition_reassembles_and_commutes():
     rng = np.random.default_rng(21)
     t = _commuting_tuple(8, 3, rng)
-    out = partition(t)
-    assert out.N == 6
+    parts = matcore._hermitian_parts(t.mats)
+    assert len(parts) == 6
     for j, m in enumerate(t.mats):
-        re, im = out.mats[j], out.mats[j + 3]
+        re, im = parts[j], parts[j + 3]
         assert op_norm(re + 1j * im - m) < 1e-13
         assert op_norm(re - adjoint(re)) < 1e-13
-    assert out.commutation_tol < 1e-11
+    worst = max(
+        op_norm(commutator(a, b)) for i, a in enumerate(parts) for b in parts[i + 1 :]
+    )
+    assert worst < 1e-11
 
 
 # ---------------------------------------------------------------- joint diag
@@ -179,14 +178,14 @@ def test_joint_diagonalize_rejects_soft_tuple():
 
 def test_clifford_rep_relations():
     for count in (1, 2, 3, 4, 5):
-        rep = clifford_rep(count)
+        gens = clifford_rep(count)
         dim = 2 ** ((count + 1) // 2)
-        assert all(g.shape == (dim, dim) for g in rep.gens)
-        for j, g in enumerate(rep.gens):
+        assert all(g.shape == (dim, dim) for g in gens)
+        for j, g in enumerate(gens):
             assert op_norm(g - adjoint(g)) < 1e-14
             assert op_norm(g @ g - np.eye(dim)) < 1e-14
             for k in range(j + 1, count):
-                h = rep.gens[k]
+                h = gens[k]
                 assert op_norm(g @ h + h @ g) < 1e-14
 
 

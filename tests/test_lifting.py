@@ -8,8 +8,6 @@ from torlinks.lifting import (
     iota2,
     kappa_compress,
     lifted_links,
-    std_dilation,
-    z2_dilation,
 )
 from torlinks.matcore import PreconditionError, adjoint, op_norm
 
@@ -62,26 +60,15 @@ def test_kappa_extracts_upper_left_block():
         kappa_compress(np.eye(3))
 
 
-def test_std_dilation_is_block_doubling():
-    rng = np.random.default_rng(2)
-    w = _haar_unitary(3, rng)
-    d = std_dilation(w)
-    assert np.allclose(d[:3, :3], w)
-    assert np.allclose(d[3:, 3:], w)
-    assert np.max(np.abs(d[:3, 3:])) == 0.0
-    with pytest.raises(PreconditionError):
-        std_dilation(2 * np.eye(2))
-
-
 def test_z2_dilation_of_scalar_is_swap():
-    lift = z2_dilation(np.array([[1.0]]))
+    lift = LiftedHom(np.array([[1.0]]))
     assert np.allclose(lift.what_s, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_z2_dilation_invariants():
     rng = np.random.default_rng(3)
     for n in (2, 5):
-        lift = z2_dilation(_haar_unitary(n, rng))
+        lift = LiftedHom(_haar_unitary(n, rng))
         d = lift.defects()
         assert d["hermiticity"] <= 1e-12
         assert d["unitarity"] <= 1e-12
@@ -89,12 +76,12 @@ def test_z2_dilation_invariants():
         sq = lift.what_s @ lift.what_s
         assert op_norm(sq - np.eye(2 * n)) <= 1e-12
     with pytest.raises(PreconditionError):
-        z2_dilation(np.ones((2, 2)))
+        LiftedHom(np.ones((2, 2)))
 
 
 def test_lift_compression_is_bit_exact():
     rng = np.random.default_rng(4)
-    lift = z2_dilation(_haar_unitary(4, rng))
+    lift = LiftedHom(_haar_unitary(4, rng))
     for _ in range(5):
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         assert np.array_equal(kappa_compress(lift.apply(x)), x)
@@ -102,7 +89,7 @@ def test_lift_compression_is_bit_exact():
 
 def test_lift_is_star_homomorphism_on_samples():
     rng = np.random.default_rng(5)
-    lift = z2_dilation(_haar_unitary(3, rng))
+    lift = LiftedHom(_haar_unitary(3, rng))
     for _ in range(5):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

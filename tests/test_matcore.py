@@ -10,7 +10,6 @@ from torlinks.matcore import (
     adjoint,
     as_cmatrix,
     commutator,
-    defect_report,
     exp_i_herm,
     gap_branch_log,
     herm_eig,
@@ -247,31 +246,6 @@ def test_principal_log_small_angles():
 def test_principal_log_branch_point():
     with pytest.raises(BranchPointError):
         principal_log_unitary(np.diag([1.0, -1.0]))
-
-
-# ---------------------------------------------------------------- defects
-
-
-def test_defect_report_unitary():
-    rng = np.random.default_rng(17)
-    u = _haar_unitary(6, rng)
-    rep = defect_report(u)
-    assert rep.unitarity < 1e-12
-    assert rep.normality < 1e-12
-    assert rep.contraction_excess < 1e-12
-
-
-def test_defect_report_nilpotent():
-    rep = defect_report(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert rep.normality == pytest.approx(1.0, abs=1e-12)
-    assert rep.norm == pytest.approx(1.0, abs=1e-12)
-
-
-def test_defect_report_half():
-    rep = defect_report(np.array([[0.5]]))
-    assert rep.hermiticity == 0.0
-    assert rep.contraction_excess == 0.0
-    assert rep.unitarity == pytest.approx(0.75, abs=1e-12)
 
 
 # ---------------------------------------------------------------- commutator

@@ -46,7 +46,6 @@ from .homotopy import (
     LinkBundle,
     MatrixPath,
     certify,
-    concat,
     path_curvature,
     path_length,
     project_solid_torus,

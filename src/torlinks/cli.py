@@ -13,7 +13,6 @@ membership, 2 precondition and decode errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
@@ -25,7 +24,6 @@ import numpy as np
 
 from .homotopy import (
     Certificate,
-    CertTolerances,
     Conj,
     Flat,
     Geo,
@@ -51,7 +49,6 @@ from .softtorus import bott_index, clock_shift, soft_pair
 __all__ = [
     "DecodeError",
     "decode_bundle",
-    "decode_certificate",
     "decode_links",
     "decode_matrix",
     "encode_certificate",
@@ -146,15 +143,22 @@ def write_artifact(path: str, text: str) -> None:
         raise
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except FileNotFoundError:
+        raise DecodeError(f"{path}: no such file")
+    except (OSError, UnicodeDecodeError) as e:
+        raise DecodeError(f"{path}: unreadable: {e}")
+
+
 def _load_json(path: str):
     def reject(name: str):
         raise DecodeError(f"{path}: non-finite number {name} in JSON")
 
     try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle, parse_constant=reject)
-    except FileNotFoundError:
-        raise DecodeError(f"{path}: no such file")
+        return json.loads(_read_text(path), parse_constant=reject)
     except json.JSONDecodeError as e:
         raise DecodeError(f"{path}: invalid JSON: {e}")
 
@@ -491,7 +495,10 @@ def decode_links(obj, where: str) -> LinkBundle:
         or any(link.n != n for link in links)
     ):
         raise DecodeError(f"{where}: links, x and y disagree in count or dimension")
-    conj = obj.get("conjugator")
+    lengths = _array_field(obj, "lengths", where)
+    if len(lengths) != len(links):
+        raise DecodeError(f"{where}.lengths: expected {len(links)} numbers, one per link")
+    conj = _field(obj, "conjugator", where)
     return LinkBundle(
         links=links,
         x_mats=x_mats,
@@ -499,10 +506,7 @@ def decode_links(obj, where: str) -> LinkBundle:
         epsilon_reported=_number_field(obj, "epsilon_reported", where),
         mode=_mode_field(obj, where),
         conjugator=None if conj is None else decode_matrix(conj, f"{where}.conjugator"),
-        lengths=[
-            _number(v, f"{where}.lengths[{i}]")
-            for i, v in enumerate(_array_field(obj, "lengths", where))
-        ],
+        lengths=[_number(v, f"{where}.lengths[{i}]") for i, v in enumerate(lengths)],
     )
 
 
@@ -537,75 +541,6 @@ def encode_certificate(cert: Certificate) -> dict:
         },
         "worst": cert.worst(),
     }
-
-
-def _floats_field(obj: dict, key: str, where: str, size: int | None = None) -> np.ndarray:
-    value = _array_field(obj, key, where)
-    if size is not None and len(value) != size:
-        raise DecodeError(f"{where}.{key}: expected {size} numbers")
-    return _grid_of_floats([value], 1, len(value), f"{where}.{key}")[0]
-
-
-def _pair_index(obj: dict, count: int, where: str) -> list:
-    pairs = []
-    for i, p in enumerate(_array_field(obj, "pair_index", where)):
-        if (
-            not isinstance(p, list)
-            or len(p) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in p)
-            or not 0 <= p[0] < p[1] < count
-        ):
-            raise DecodeError(f"{where}.pair_index[{i}] is not a pair of link indices")
-        pairs.append(tuple(p))
-    return pairs
-
-
-def _tolerances(obj: dict, where: str) -> CertTolerances:
-    raw = _field(obj, "tolerances", where)
-    names = {f.name for f in dataclasses.fields(CertTolerances)}
-    if not isinstance(raw, dict) or set(raw) != names:
-        raise DecodeError(f"{where}.tolerances: expected the keys {sorted(names)}")
-    return CertTolerances(
-        **{k: _number(v, f"{where}.tolerances.{k}") for k, v in raw.items()}
-    )
-
-
-def decode_certificate(obj, where: str) -> Certificate:
-    _expect_type(obj, "certificate", where)
-    grid = _floats_field(obj, "grid", where)
-    m = grid.size
-    lengths = _floats_field(obj, "lengths", where)
-    count = lengths.size
-
-    def table(key, rows, cols):
-        raw = _field(obj, key, where)
-        if rows == 0:
-            return np.zeros((0, cols))
-        return _grid_of_floats(raw, rows, cols, f"{where}.{key}")
-
-    pair_index = _pair_index(obj, count, where)
-    raw_mode = _field(obj, "mode_defects", where)
-    passed = _field(obj, "passed", where)
-    if not isinstance(passed, bool):
-        raise DecodeError(f"{where}.passed is not a boolean")
-    return Certificate(
-        grid=grid,
-        endpoint_errors=table("endpoint_errors", count, 2),
-        normality=table("normality", count, m),
-        contraction_excess=table("contraction_excess", count, m),
-        distance_to_target=table("distance_to_target", count, m),
-        commutation=table("commutation", len(pair_index), m),
-        pair_index=pair_index,
-        mode_defects=None
-        if raw_mode is None
-        else _grid_of_floats(raw_mode, count, m, f"{where}.mode_defects"),
-        lengths=lengths,
-        lipschitz=_floats_field(obj, "lipschitz", where, count),
-        epsilon=_number_field(obj, "epsilon", where),
-        mode=_mode_field(obj, where),
-        tolerances=_tolerances(obj, where),
-        passed=passed,
-    )
 
 
 # --- subcommand helpers ------------------------------------------------------------
@@ -718,8 +653,7 @@ def _relations_for(args):
         raise PreconditionError("relcheck needs exactly one of --preset / --rel-file")
     if args.preset is not None:
         return preset(args.preset, args.delta)
-    with open(args.rel_file, encoding="utf-8") as handle:
-        parsed = parse_relations(handle.read())
+    parsed = parse_relations(_read_text(args.rel_file))
     if not hasattr(parsed, "relations"):
         raise PreconditionError(f"{args.rel_file}: file holds an expression, not relations")
     return parsed
@@ -730,6 +664,8 @@ def _cmd_relcheck(args) -> int:
     obj = _load_json(args.input)
     if isinstance(obj, dict) and obj.get("type") == "assignment":
         raw = _field(obj, "matrices", args.input)
+        if not isinstance(raw, dict):
+            raise DecodeError(f"{args.input}.matrices is not an object")
         assign = {
             name: decode_matrix(m, f"{args.input}.matrices[{name!r}]")
             for name, m in raw.items()

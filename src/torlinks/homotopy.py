@@ -46,7 +46,6 @@ __all__ = [
     "LinkBundle",
     "Certificate",
     "CertTolerances",
-    "concat",
     "path_length",
     "path_curvature",
     "toral_links",
@@ -248,16 +247,6 @@ class MatrixPath:
     def max_speed(self) -> float:
         """Lipschitz constant on the normalized clock."""
         return float(max(s.length / s.duration for s in self.segments))
-
-
-def concat(x: MatrixPath, y: MatrixPath) -> MatrixPath:
-    """Run x on [0, 1/2] and y on [1/2, 1] (both at double speed).
-
-    MatrixPath checks that x's last segment meets y's first.
-    """
-    segs = [_with_duration(s, s.duration * 0.5) for s in x.segments]
-    segs += [_with_duration(s, s.duration * 0.5) for s in y.segments]
-    return MatrixPath(segs)
 
 
 def path_length(path: MatrixPath, cross_check: bool = True, samples: int = 1000) -> float:
@@ -483,10 +472,7 @@ def _link_bundle(curved_parts, flat_parts, x_mats, y_mats, mode, conjugator) -> 
     if all(c.length == 0.0 for c in curved_parts):
         links = [MatrixPath([f]) for f in flat_parts]
     else:
-        links = [
-            concat(MatrixPath([c]), MatrixPath([f]))
-            for c, f in zip(curved_parts, flat_parts)
-        ]
+        links = [MatrixPath([c, f]) for c, f in zip(curved_parts, flat_parts)]
     return LinkBundle(
         links=links,
         x_mats=list(x_mats),
@@ -524,7 +510,6 @@ def toral_links(
     y: NormalTuple,
     mode: str = "normal",
     tol: float = 1e-9,
-    cluster_tol: float = 1e-8,
     seed: int = 0,
 ) -> LinkBundle:
     """Links x_j -> y_j: a shared conjugation factor then a flat factor.
@@ -539,7 +524,7 @@ def toral_links(
     """
     _validate_mode(x, mode, tol, "x")
     _validate_mode(y, mode, tol, "y")
-    approx = isospectral_approximant(x, y, cluster_tol=cluster_tol, seed=seed)
+    approx = isospectral_approximant(x, y, seed=seed)
     h = gap_branch_log(approx.v)
 
     curved_parts = _conj_family(h, x.mats, 0.0, 1.0)
@@ -684,20 +669,15 @@ def _cut(link: MatrixPath, t0: float, t1: float):
     return out
 
 
-def certify(
-    bundle: LinkBundle,
-    eps: float,
-    grid_points: int = 101,
-    tolerances: CertTolerances | None = None,
-) -> Certificate:
+def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certificate:
     """Certify a bundle segment by segment and tabulate the bounds on a grid.
 
     All links are cut at the union of their joints, so on every piece each
     link is one segment (or part of one). Every table entry (normality,
     contraction excess, distance to the target, pairwise commutator, mode
     defect) is an upper bound on its quantity at its grid time, and
-    ``passed`` compares per-piece suprema, which bound every entry, with the
-    tolerances and with eps:
+    ``passed`` compares per-piece suprema, which bound every entry, with
+    CertTolerances() and with eps:
 
     * Conj: normality, norm and mode defect are those of the base (unitary
       invariance); two links with the same generator and angles keep the
@@ -719,7 +699,7 @@ def certify(
     """
     if grid_points < 2:
         raise PreconditionError("grid needs at least two points")
-    tols = tolerances or CertTolerances()
+    tols = CertTolerances()
     links = bundle.links
     m = grid_points
     count = len(links)
@@ -786,39 +766,24 @@ def certify(
     )
 
 
-def unitary_contraction_path(
-    u, family: list | None = None, tol: float = 1e-10, grid_points: int = 101
-) -> tuple[MatrixPath, dict]:
+def unitary_contraction_path(u) -> tuple[MatrixPath, dict]:
     """Unitary path u(t) = exp(i (1-t) H) from u to the identity.
 
-    H is the branch logarithm of u, so the length is ||H|| (< 2*pi), and the
-    report records how well the whole path commutes with each matrix of the
-    optional ``family`` (max over a uniform grid).
+    H is the branch logarithm of u, so the path is a function of u and
+    commutes with everything u commutes with. The report gives its length
+    ||H|| (< 2*pi) and the bound 2*pi - 2*pi/n on the spectral interval of H.
     """
     u = as_cmatrix(u)
-    h = gap_branch_log(u, tol=tol)
+    h = gap_branch_log(u)
     path = MatrixPath([Geo(np.eye(u.shape[0], dtype=np.complex128), h, 1.0, 0.0)])
-    family = [as_cmatrix(a) for a in (family or [])]
-    worst = 0.0
-    per_element = []
-    if family:
-        ts = np.linspace(0.0, 1.0, grid_points)
-        for a in family:
-            c = max(op_norm(commutator(path.value(t), a)) for t in ts)
-            per_element.append(c)
-            worst = max(worst, c)
     report = {
         "length": path.exact_length(),
-        "commutation_max": worst,
-        "commutation_per_element": per_element,
         "gap_interval_bound": 2 * np.pi - 2 * np.pi / u.shape[0],
     }
     return path, report
 
 
-def ujc_links(
-    x: NormalTuple, y: NormalTuple, w, w_hat, tol: float = 1e-10
-) -> LinkBundle:
+def ujc_links(x: NormalTuple, y: NormalTuple, w, w_hat) -> LinkBundle:
     """Links through a unitary Z = What* W with ||W - What|| < 1.
 
     The curved factor conjugates all of X by exp(-i pi t H_Z) with
@@ -829,15 +794,15 @@ def ujc_links(
     """
     w = as_cmatrix(w)
     w_hat = as_cmatrix(w_hat)
-    matcore._check_unitary(w, tol)
-    matcore._check_unitary(w_hat, tol)
+    matcore._check_unitary(w, 1e-10)
+    matcore._check_unitary(w_hat, 1e-10)
     nu = op_norm(w - w_hat)
     if nu >= 1.0:
         raise PreconditionError(f"||W - What|| = {nu!r} >= 1; no common branch")
     if np.array_equal(w, w_hat):
         hz = np.zeros(w.shape, dtype=np.complex128)
     else:
-        hz = principal_log_unitary(adjoint(w_hat) @ w, tol=tol) / np.pi
+        hz = principal_log_unitary(adjoint(w_hat) @ w) / np.pi
 
     curved_parts = _conj_family(np.pi * hz, x.mats, 0.0, 1.0)
     flat_parts = [Flat(c.end, yj) for c, yj in zip(curved_parts, y.mats)]

@@ -118,9 +118,9 @@ def joint_diagonalize(
     return JointSpectrum(q=q, points=points, residual=residual)
 
 
-def joint_spectrum(t: NormalTuple, cluster_tol: float = 1e-8, seed: int = 0) -> np.ndarray:
+def joint_spectrum(t: NormalTuple, seed: int = 0) -> np.ndarray:
     """The n x N array of joint eigenvalue points of a commuting tuple."""
-    return joint_diagonalize(t, cluster_tol=cluster_tol, seed=seed).points
+    return joint_diagonalize(t, seed=seed).points
 
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)

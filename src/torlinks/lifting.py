@@ -21,7 +21,6 @@ from .matcore import (
     adjoint,
     as_cmatrix,
     commutator,
-    exp_i_herm,
     op_norm,
 )
 from .spectral_match import isospectral_approximant
@@ -90,20 +89,10 @@ class LiftedHom:
         """Hermitian H = (pi/2)(What_s - 1) with e^{iH} = What_s."""
         return (np.pi / 2) * (self.what_s - np.eye(2 * self.n))
 
-    def defects(self) -> dict:
-        """Hermitian-unitary and exponential-representation residuals."""
-        eye = np.eye(2 * self.n)
-        return {
-            "hermiticity": op_norm(self.what_s - adjoint(self.what_s)),
-            "unitarity": op_norm(self.what_s @ self.what_s - eye),
-            "exp_identity": op_norm(exp_i_herm(self.generator(), 1.0) - self.what_s),
-        }
-
 
 def lifted_links(
     x: NormalTuple,
     y: NormalTuple,
-    cluster_tol: float = 1e-8,
     seed: int = 0,
     grid_points: int = 101,
 ) -> tuple[LiftedHom, LinkBundle, dict]:
@@ -116,7 +105,7 @@ def lifted_links(
     compression, *-homomorphism samples, Hermitian-unitary structure, and
     the commutator decay |cos(pi t/2)| along the curved conjugator.
     """
-    approx = isospectral_approximant(x, y, cluster_tol=cluster_tol, seed=seed)
+    approx = isospectral_approximant(x, y, seed=seed)
     lift = LiftedHom(approx.v)
     h = lift.generator()
     eye2n = np.eye(2 * lift.n)
@@ -128,7 +117,12 @@ def lifted_links(
     y_mats = [iota2(yj) for yj in y.mats]
     bundle = _link_bundle(curved_parts, flat_parts, x_mats, y_mats, "normal", h)
 
-    report = dict(lift.defects())
+    q, w = curved_parts[0]._q, curved_parts[0]._w  # the shared decomposition of H
+    report = {
+        "hermiticity": op_norm(lift.what_s - adjoint(lift.what_s)),
+        "unitarity": op_norm(lift.what_s @ lift.what_s - eye2n),
+        "exp_identity": op_norm((q * np.exp(1j * w)) @ adjoint(q) - lift.what_s),
+    }
     report["kappa_identity_error"] = max(
         op_norm(kappa_compress(phi_x) - xj) for phi_x, xj in zip(x_mats, x.mats)
     )
@@ -152,7 +146,6 @@ def lifted_links(
     report["hom_unit_defect"] = op_norm(lift.apply(np.eye(n)) - eye2n)
 
     ts = np.linspace(0.0, 1.0, grid_points)
-    q, w = curved_parts[0]._q, curved_parts[0]._w  # the shared decomposition of H
     conjugators = [(q * np.exp(1j * (1.0 - t) * w)) @ adjoint(q) for t in ts]
     decay_err = 0.0
     for base in bases:

@@ -106,7 +106,7 @@ def _canonical_column_phases(q: np.ndarray) -> np.ndarray:
     return q
 
 
-def herm_eig(a, rtol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (Q, lam) with unitary Q, eigenvalues ascending, and canonical
@@ -114,7 +114,7 @@ def herm_eig(a, rtol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """
     a = as_cmatrix(a)
     scale = op_norm(a)
-    if op_norm(a - adjoint(a)) > rtol * max(scale, 1e-300):
+    if op_norm(a - adjoint(a)) > 1e-10 * max(scale, 1e-300):
         raise PreconditionError("input is not Hermitian within tolerance")
     w, q = np.linalg.eigh((a + adjoint(a)) / 2.0)
     return _canonical_column_phases(q), w
@@ -181,7 +181,7 @@ def _simdiag_recurse(parts, rng, cluster_rtol, depth):
     return q
 
 
-def _simdiag_hermitian(parts, rng, cluster_rtol=CLUSTER_RTOL, max_depth=16):
+def _simdiag_hermitian(parts, rng, cluster_rtol):
     """One unitary (approximately) diagonalizing all Hermitian ``parts``.
 
     Eigendecomposes a random positive combination of the parts and recurses
@@ -189,7 +189,7 @@ def _simdiag_hermitian(parts, rng, cluster_rtol=CLUSTER_RTOL, max_depth=16):
     verify residuals and retry with more draws from ``rng`` if needed.
     """
     parts = [_hermitize(as_cmatrix(p)) for p in parts]
-    return _simdiag_recurse(parts, rng, cluster_rtol, max_depth)
+    return _simdiag_recurse(parts, rng, cluster_rtol, 16)
 
 
 def _hermitian_parts(mats) -> list[np.ndarray]:
@@ -218,7 +218,7 @@ def _simdiag_normal(mats, target, seed, cluster_rtol=CLUSTER_RTOL):
     best_q = None
     best_res = np.inf
     for _ in range(6):
-        q = _simdiag_hermitian(parts, rng, cluster_rtol=cluster_rtol)
+        q = _simdiag_hermitian(parts, rng, cluster_rtol)
         res = max(_offdiag_norm(adjoint(q) @ m @ q) for m in mats)
         if res < best_res:
             best_q, best_res = q, res
@@ -239,7 +239,7 @@ def _simdiag_normal(mats, target, seed, cluster_rtol=CLUSTER_RTOL):
     return q, points, best_res
 
 
-def normal_eig(a, tol: float = 1e-10, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def normal_eig(a, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a normal matrix.
 
     Jointly diagonalizes the Hermitian real part (A + A*)/2 and imaginary
@@ -250,7 +250,7 @@ def normal_eig(a, tol: float = 1e-10, seed: int = 0) -> tuple[np.ndarray, np.nda
     scale = op_norm(a)
     if op_norm(commutator(adjoint(a), a)) > tol * max(scale, 1e-300):
         raise PreconditionError("matrix is not normal within tolerance")
-    q, points, _ = _simdiag_normal([a], 10.0 * tol * max(scale, 1e-300), seed)
+    q, points, _ = _simdiag_normal([a], 10.0 * tol * max(scale, 1e-300), 0)
     return q, points[:, 0]
 
 
@@ -259,7 +259,7 @@ def _check_unitary(u: np.ndarray, tol: float) -> None:
         raise PreconditionError("matrix is not unitary within tolerance")
 
 
-def gap_branch_log(u, tol: float = 1e-10) -> np.ndarray:
+def gap_branch_log(u) -> np.ndarray:
     """Hermitian H with exp(iH) = U, branch cut in the largest spectral gap.
 
     Eigenvalue angles are taken in [0, 2*pi) and sorted; the cut is placed at
@@ -271,8 +271,8 @@ def gap_branch_log(u, tol: float = 1e-10) -> np.ndarray:
     2*pi - (largest gap) whose image on the circle avoids the cut.
     """
     u = as_cmatrix(u)
-    _check_unitary(u, tol)
-    q, lam = normal_eig(u, tol=max(tol, 1e-10))
+    _check_unitary(u, 1e-10)
+    q, lam = normal_eig(u)
     ang = np.mod(np.angle(lam), TWO_PI)
     s = np.sort(ang)
     n = len(s)
@@ -292,17 +292,17 @@ def gap_branch_log(u, tol: float = 1e-10) -> np.ndarray:
     return _hermitize((q * best) @ adjoint(q))
 
 
-def principal_log_unitary(u, tol: float = 1e-10, branch_tol: float = 1e-9) -> np.ndarray:
+def principal_log_unitary(u) -> np.ndarray:
     """Hermitian H with exp(iH) = U and eigenvalue angles in (-pi, pi).
 
-    Raises BranchPointError when the spectrum touches -1 (within branch_tol
-    of angle pi), where the principal branch is discontinuous.
+    Raises BranchPointError when the spectrum touches -1 (within 1e-9 of
+    angle pi), where the principal branch is discontinuous.
     """
     u = as_cmatrix(u)
-    _check_unitary(u, tol)
-    q, lam = normal_eig(u, tol=max(tol, 1e-10))
+    _check_unitary(u, 1e-10)
+    q, lam = normal_eig(u)
     ang = np.angle(lam)
-    if np.any(np.pi - np.abs(ang) < branch_tol):
+    if np.any(np.pi - np.abs(ang) < 1e-9):
         raise BranchPointError(
             "spectrum touches -1; the principal logarithm is undefined"
         )

@@ -13,10 +13,8 @@ from torlinks import cli
 from torlinks.cli import (
     DecodeError,
     decode_bundle,
-    decode_certificate,
     decode_links,
     decode_matrix,
-    encode_certificate,
     encode_links,
     encode_matrix,
     gen_bundle,
@@ -254,25 +252,28 @@ def test_certify_saved_links_and_detect_tampering(tmp_path):
 _SMALL_MATRIX = {"n": 2, "re": [[0.1, 0.0], [0.0, 0.1]], "im": [[0.0, 0.0], [0.0, 0.0]]}
 
 _MALFORMED_LINKS = {
-    "duration": lambda o: o["links"][0]["segments"][0].update(duration="x"),
-    "epsilon_reported": lambda o: o.update(epsilon_reported=None),
-    "segments": lambda o: o["links"][0].update(segments=3),
-    "lengths": lambda o: o.update(lengths="ab"),
-    "count": lambda o: o["x"].pop(),
-    "dimension": lambda o: o["y"].__setitem__(0, _SMALL_MATRIX),
-    "mode": lambda o: o.update(mode="bogus"),
+    "duration": ("duration", lambda o: o["links"][0]["segments"][0].update(duration="x")),
+    "epsilon_reported": ("epsilon_reported", lambda o: o.update(epsilon_reported=None)),
+    "segments": ("segments", lambda o: o["links"][0].update(segments=3)),
+    "lengths": ("lengths", lambda o: o.update(lengths="ab")),
+    "lengths-count": ("lengths", lambda o: o.update(lengths=[])),
+    "conjugator": ("conjugator", lambda o: o.pop("conjugator")),
+    "count": ("count", lambda o: o["x"].pop()),
+    "dimension": ("dimension", lambda o: o["y"].__setitem__(0, _SMALL_MATRIX)),
+    "mode": ("mode", lambda o: o.update(mode="bogus")),
 }
 
 
-@pytest.mark.parametrize("field", sorted(_MALFORMED_LINKS))
-def test_malformed_links_artifact_exits_2(tmp_path, capsys, field):
+@pytest.mark.parametrize("case", sorted(_MALFORMED_LINKS))
+def test_malformed_links_artifact_exits_2(tmp_path, capsys, case):
     bundle = _gen(tmp_path, n=3, N=2, delta=1e-3, seed=4)
     links = tmp_path / "links.json"
     cert = tmp_path / "cert.json"
     argv = ["link", "--input", bundle, "--output", str(cert), "--links-output", str(links)]
     assert main(argv) == 0
     obj = json.loads(_read(links))
-    _MALFORMED_LINKS[field](obj)
+    field, mutate = _MALFORMED_LINKS[case]
+    mutate(obj)
     bad = tmp_path / "bad.json"
     bad.write_text(json_text(obj), encoding="utf-8")
     capsys.readouterr()
@@ -293,37 +294,7 @@ def test_links_and_certificate_decode_encode_identity(tmp_path):
     assert again == links_text
 
     cert_text = _read(cert)
-    again = json_text(encode_certificate(decode_certificate(json.loads(cert_text), "mem")))
-    assert again == cert_text
-
-
-_MALFORMED_CERTIFICATE = {
-    "grid-not-array": ("grid", lambda o: o.update(grid="abc")),
-    "grid-entry": ("grid", lambda o: o["grid"].__setitem__(3, "x")),
-    "lengths": ("lengths", lambda o: o.update(lengths=None)),
-    "lipschitz": ("lipschitz", lambda o: o["lipschitz"].__setitem__(0, True)),
-    "grid-infinite": ("grid", lambda o: o["grid"].__setitem__(3, float("inf"))),
-    "epsilon": ("epsilon", lambda o: o.update(epsilon="x")),
-    "epsilon-nan": ("epsilon", lambda o: o.update(epsilon=float("nan"))),
-    "tolerances-key": ("tolerances", lambda o: o["tolerances"].update(slack=1.0)),
-    "tolerances-value": ("tolerances.endpoint", lambda o: o["tolerances"].update(endpoint="x")),
-    "pair_index": ("pair_index", lambda o: o.update(pair_index=3)),
-    "pair_index-range": ("pair_index", lambda o: o["pair_index"].__setitem__(0, [0, 7])),
-    "passed": ("passed", lambda o: o.update(passed="yes")),
-    "mode": ("mode", lambda o: o.update(mode="bogus")),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_MALFORMED_CERTIFICATE))
-def test_malformed_certificate_raises_decode_error(tmp_path, case):
-    bundle = _gen(tmp_path, n=3, N=3, delta=1e-3, seed=4)
-    cert = tmp_path / "cert.json"
-    assert main(["link", "--input", bundle, "--output", str(cert)]) == 0
-    obj = json.loads(_read(cert))
-    field, mutate = _MALFORMED_CERTIFICATE[case]
-    mutate(obj)
-    with pytest.raises(DecodeError, match=field):
-        decode_certificate(obj, "mem")
+    assert json_text(json.loads(cert_text)) == cert_text
 
 
 def test_tampered_bundle_fails_delta_integrity(tmp_path, capsys):
@@ -397,6 +368,98 @@ def test_missing_input_exits_2(tmp_path, capsys):
     code = main(["link", "--input", str(tmp_path / "nope.json"), "--output", "x.json"])
     assert code == 2
     assert "nope.json" in capsys.readouterr().err
+
+
+def test_directory_input_exits_2(tmp_path, capsys):
+    code = main(["certify", "--input", str(tmp_path), "--output", str(tmp_path / "c.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path}")
+
+
+def test_relation_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bundle = _gen(tmp_path, kind="clock_shift", n=4)
+    rel = tmp_path / "latin1.rel"
+    rel.write_bytes("u u' - 1 = 0  # caf\u00e9\n".encode("latin-1"))
+    argv = ["relcheck", "--input", bundle, "--rel-file", str(rel)]
+    code = main(argv + ["--output", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "latin1.rel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [[1, 2], None, "x", 1.5])
+def test_assignment_matrices_must_be_an_object(tmp_path, capsys, value):
+    assign = tmp_path / "assign.json"
+    assign.write_text(json.dumps({"type": "assignment", "matrices": value}), encoding="utf-8")
+    argv = ["relcheck", "--input", str(assign), "--preset", "soft_torus", "--delta", "1"]
+    code = main(argv + ["--output", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "matrices" in capsys.readouterr().err
+
+
+def _field_paths(obj, prefix=()):
+    """Every key or index path into obj, except into a matrix's re/im rows."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        if key not in ("re", "im"):
+            yield from _field_paths(value, prefix + (key,))
+
+
+_DROP = object()
+
+
+def _mutations(text: str):
+    """(path, value, artifact) for each field path dropped or replaced by
+    null, a string, an empty array or object, a float or a boolean."""
+    for path in _field_paths(json.loads(text)):
+        for value in (_DROP, None, "x", [], {}, 1.5, True):
+            obj = json.loads(text)
+            parent = obj
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is _DROP:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            yield path, value, obj
+
+
+def test_mutated_artifacts_never_raise(tmp_path, capsys):
+    bundle = _gen(tmp_path, n=3, N=2, delta=1e-3, seed=0)
+    links = tmp_path / "links.json"
+    out = str(tmp_path / "out")
+    assert main(["link", "--input", bundle, "--output", out, "--links-output", str(links)]) == 0
+    rel = tmp_path / "unitary.rel"
+    rel.write_text("u u' - 1 = 0\n", encoding="utf-8")
+    assignment = json_text({"type": "assignment", "matrices": {"u": encode_matrix(np.eye(3))}})
+    commands = {
+        _read(tmp_path / "bundle.json"): [
+            ["link"],
+            ["bott"],
+            ["relcheck", "--preset", "soft_torus", "--delta", "1"],
+        ],
+        _read(links): [["certify"], ["project"]],
+        assignment: [["relcheck", "--rel-file", str(rel)]],
+    }
+    bad = tmp_path / "mutated.json"
+    failures = []
+    for text, argvs in commands.items():
+        for path, value, obj in _mutations(text):
+            bad.write_text(json.dumps(obj), encoding="utf-8")
+            for argv in argvs:
+                try:
+                    code = main(argv + ["--input", str(bad), "--output", out])
+                except Exception as e:  # any exception is a failure
+                    code = repr(e)
+                if code not in (0, 1, 2):
+                    failures.append((argv[0], path, "drop" if value is _DROP else value, code))
+    capsys.readouterr()
+    assert failures == []
 
 
 # --- lift -------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from torlinks.homotopy import (
     LinkBundle,
     MatrixPath,
     certify,
-    concat,
     path_curvature,
     path_length,
     project_solid_torus,
@@ -147,7 +146,7 @@ def test_path_requires_continuity():
 
 def test_concat_hits_middle_value():
     a, b, c = np.zeros((2, 2)), np.eye(2), 3 * np.eye(2)
-    p = concat(MatrixPath([Flat(a, b)]), MatrixPath([Flat(b, c)]))
+    p = MatrixPath(MatrixPath([Flat(a, b)]).segments + MatrixPath([Flat(b, c)]).segments)
     assert op_norm(p.value(0.5) - b) < 1e-12
     assert op_norm(p.value(0.0) - a) < 1e-12
     assert op_norm(p.value(1.0) - c) < 1e-12
@@ -157,12 +156,12 @@ def test_concat_hits_middle_value():
 def test_concat_rejects_mismatched_endpoints():
     a, b = np.zeros((2, 2)), np.eye(2)
     with pytest.raises(PreconditionError):
-        concat(MatrixPath([Flat(a, b)]), MatrixPath([Flat(a, b)]))
+        MatrixPath(MatrixPath([Flat(a, b)]).segments + MatrixPath([Flat(a, b)]).segments)
 
 
 def test_concat_of_constants_is_constant():
     d = np.diag([1.0, 2.0])
-    p = concat(MatrixPath([Flat(d, d)]), MatrixPath([Flat(d, d)]))
+    p = MatrixPath(MatrixPath([Flat(d, d)]).segments + MatrixPath([Flat(d, d)]).segments)
     assert p.exact_length() == 0.0
     assert np.allclose(p.value(0.3), np.diag([1.0, 2.0]))
 
@@ -194,7 +193,7 @@ def test_path_length_polygonal_agreement_on_mixed_path():
     h = (h + adjoint(h)) / 2
     b = np.diag([0.5, -0.2, 0.1j])
     curved = Conj(h, b, 0.0, 0.8)
-    p = concat(MatrixPath([curved]), MatrixPath([Flat(curved.end, np.zeros((3, 3)))]))
+    p = MatrixPath([curved, Flat(curved.end, np.zeros((3, 3)))])
     exact = p.exact_length()
     ts = np.linspace(0, 1, 1000)
     vals = [p.value(t) for t in ts]
@@ -413,10 +412,10 @@ def test_norm_and_decomposition_budget():
     artifact = json.loads(json_text(encode_links(bundle)))
     _, decoded = _matcore_calls(decode_links, artifact, "mem")
     assert decoded["herm_eig"] == 1
-    # one decomposition serves the curved factors and the decay check; the
-    # other is LiftedHom.defects checking e^{iH} = What_s on its own
+    # one decomposition serves the curved factors, e^{iH} = What_s and the
+    # decay check
     _, lifted = _matcore_calls(lifted_links, x, y, seed=0)
-    assert lifted["herm_eig"] == 2
+    assert lifted["herm_eig"] == 1
 
     # unitary mode sampled the Geo pieces at the grid points: 336 calls
     art = gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0, mode="unitary")
@@ -428,9 +427,10 @@ def test_norm_and_decomposition_budget():
 
 
 def test_concat_checks_the_join_once():
-    # MatrixPath measures the join of x and y; concat adds no second measure
+    # joining two paths measures their join once and nothing else
     a, b, c = np.zeros((3, 3)), np.eye(3) / 2, np.eye(3)
-    path, calls = _matcore_calls(concat, MatrixPath([Flat(a, b)]), MatrixPath([Flat(b, c)]))
+    p, q = MatrixPath([Flat(a, b)]), MatrixPath([Flat(b, c)])
+    path, calls = _matcore_calls(MatrixPath, p.segments + q.segments)
     assert calls["op_norm"] == 1
     assert [seg.duration for seg in path.segments] == [0.5, 0.5]
 
@@ -438,7 +438,7 @@ def test_concat_checks_the_join_once():
 def test_rescaling_reuses_segment_data():
     h = np.diag([1.0, -1.0])
     seg = Conj(h, np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0, 1.0)
-    path = concat(MatrixPath([seg]), MatrixPath([Flat(seg.end, np.zeros((2, 2)))]))
+    path = MatrixPath([seg, Flat(seg.end, np.zeros((2, 2)))])
     first = path.segments[0]
     assert first.duration == 0.5
     assert first._q is seg._q and first.length == seg.length
@@ -502,12 +502,13 @@ def test_contraction_path_for_sign_matrix():
 def test_contraction_path_commutes_with_functions_of_u():
     rng = np.random.default_rng(12)
     u = _haar_unitary(5, rng)
-    path, report = unitary_contraction_path(u, family=[u, u @ u, adjoint(u)])
-    assert report["commutation_max"] <= 1e-12
+    path, report = unitary_contraction_path(u)
     assert report["length"] <= 2 * np.pi
     for t in (0.0, 0.3, 0.7, 1.0):
         v = path.value(t)
         assert op_norm(adjoint(v) @ v - np.eye(5)) < 1e-10
+        for a in (u, u @ u, adjoint(u)):
+            assert op_norm(commutator(v, a)) <= 1e-12
 
 
 def test_contraction_path_haar_sweep_stays_below_two_pi():

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import types
 from pathlib import Path
 
 import torlinks
@@ -32,3 +33,15 @@ def test_every_parameter_is_read():
     assert SOURCES
     unread = [entry for path in SOURCES for entry in _unread_parameters(path)]
     assert unread == [], "parameters accepted and then ignored: " + ", ".join(unread)
+
+
+def test_package_namespace_matches_module_exports():
+    names = ("matcore", "jointspec", "spectral_match", "homotopy", "lifting", "softtorus", "ncrel")
+    modules = [getattr(torlinks, name) for name in names]
+    exported = {name for module in modules for name in module.__all__}
+    public = {
+        name
+        for name, value in vars(torlinks).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == exported

@@ -377,26 +377,36 @@ def decode_bundle(obj, where: str) -> dict:
     """Validate a bundle artifact; returns dict with tuples and metadata.
 
     Recomputes delta = max_j ||X_j - Y_j|| and insists it matches the stored
-    value to 1e-12, so silently edited matrices are caught on load.
+    value to 1e-12, so silently edited matrices are caught on load. The
+    metadata must name a known kind and mode, integer sizes matching the
+    matrices and a boolean ``commuting``; ``perturb`` and ``softness`` are
+    free-form.
     """
     _expect_type(obj, "bundle", where)
     meta = _field(obj, "metadata", where)
-    for key in ("kind", "seed", "n", "N", "mode", "commuting"):
+    for key in ("kind", "seed", "n", "N", "commuting"):
         _field(meta, key, f"{where}.metadata")
-    if not isinstance(meta["seed"], int) or isinstance(meta["seed"], bool):
-        raise DecodeError(f"{where}.metadata.seed is not an integer")
+    _mode_field(meta, f"{where}.metadata")
+    for key in ("seed", "n", "N"):
+        if not isinstance(meta[key], int) or isinstance(meta[key], bool):
+            raise DecodeError(f"{where}.metadata.{key} is not an integer")
+    if meta["kind"] not in GEN_KINDS:
+        raise DecodeError(f"{where}.metadata.kind: unknown kind {meta['kind']!r}")
+    if not isinstance(meta["commuting"], bool):
+        raise DecodeError(f"{where}.metadata.commuting is not a boolean")
     x_mats = _decode_mats(_field(obj, "x", where), f"{where}.x")
     y_mats = _decode_mats(_field(obj, "y", where), f"{where}.y")
     if len(x_mats) != len(y_mats) or len(x_mats) != meta["N"]:
         raise DecodeError(f"{where}: tuple sizes disagree with metadata N")
+    if any(m.shape[0] != meta["n"] for m in x_mats + y_mats):
+        raise DecodeError(f"{where}.metadata.n: matrices are not {meta['n']} x {meta['n']}")
     stored = _number_field(obj, "delta", where)
     dmax = _displacement(x_mats, y_mats)
     if abs(dmax - stored) > 1e-12:
         raise DecodeError(
             f"{where}: stored delta {stored!r} does not match recomputed {dmax!r}"
         )
-    commuting = bool(meta["commuting"])
-    tol = 1e-10 if commuting else float("inf")
+    tol = 1e-10 if meta["commuting"] else float("inf")
     x = NormalTuple(x_mats, commutation_tol=tol)
     same = all(map(np.array_equal, x_mats, y_mats))  # then X's checks hold for Y
     y = x if same else NormalTuple(y_mats, commutation_tol=tol)
@@ -469,6 +479,8 @@ def encode_links(bundle: LinkBundle) -> dict:
 
 
 def decode_links(obj, where: str) -> LinkBundle:
+    """Validate a links artifact; each stored length must match its link's
+    exact length to 1e-12, as the bundle's delta must."""
     _expect_type(obj, "links", where)
     raw_links = _field(obj, "links", where)
     if not isinstance(raw_links, list) or not raw_links:
@@ -498,6 +510,14 @@ def decode_links(obj, where: str) -> LinkBundle:
     lengths = _array_field(obj, "lengths", where)
     if len(lengths) != len(links):
         raise DecodeError(f"{where}.lengths: expected {len(links)} numbers, one per link")
+    lengths = [_number(v, f"{where}.lengths[{j}]") for j, v in enumerate(lengths)]
+    for j, (stored, link) in enumerate(zip(lengths, links)):
+        exact = link.exact_length()
+        if abs(exact - stored) > 1e-12:
+            raise DecodeError(
+                f"{where}.lengths[{j}]: stored {stored!r} does not match the link's "
+                f"exact length {exact!r}"
+            )
     conj = _field(obj, "conjugator", where)
     return LinkBundle(
         links=links,
@@ -506,7 +526,7 @@ def decode_links(obj, where: str) -> LinkBundle:
         epsilon_reported=_number_field(obj, "epsilon_reported", where),
         mode=_mode_field(obj, where),
         conjugator=None if conj is None else decode_matrix(conj, f"{where}.conjugator"),
-        lengths=[_number(v, f"{where}.lengths[{i}]") for i, v in enumerate(lengths)],
+        lengths=lengths,
     )
 
 

@@ -21,7 +21,7 @@ from torlinks.cli import (
     json_text,
     main,
 )
-from torlinks.homotopy import toral_links
+from torlinks.homotopy import Flat, toral_links
 from torlinks.matcore import PreconditionError, op_norm
 
 
@@ -242,9 +242,18 @@ def test_certify_saved_links_and_detect_tampering(tmp_path):
     assert main(["certify", "--input", str(links), "--output", str(recert)]) == 0
 
     tampered = json.loads(text)
-    tampered["links"][0]["segments"][-1]["b"]["re"][0][0] += 1e-3
-    (tmp_path / "bad.json").write_text(json_text(tampered), encoding="utf-8")
-    code = main(["certify", "--input", str(tmp_path / "bad.json"), "--output", str(recert)])
+    flat = tampered["links"][0]["segments"][-1]
+    before = Flat(decode_matrix(flat["a"], "a"), decode_matrix(flat["b"], "b")).length
+    flat["b"]["re"][0][0] += 1e-3
+    after = Flat(decode_matrix(flat["a"], "a"), decode_matrix(flat["b"], "b")).length
+    bad = tmp_path / "bad.json"
+    # a stale stored length is caught on decode
+    bad.write_text(json_text(tampered), encoding="utf-8")
+    assert main(["certify", "--input", str(bad), "--output", str(recert)]) == 2
+    # with its length made consistent, the moved endpoint fails the certificate
+    tampered["lengths"][0] += after - before
+    bad.write_text(json_text(tampered), encoding="utf-8")
+    code = main(["certify", "--input", str(bad), "--output", str(recert)])
     assert code == 1
     assert json.loads(_read(recert))["passed"] is False
 
@@ -257,6 +266,7 @@ _MALFORMED_LINKS = {
     "segments": ("segments", lambda o: o["links"][0].update(segments=3)),
     "lengths": ("lengths", lambda o: o.update(lengths="ab")),
     "lengths-count": ("lengths", lambda o: o.update(lengths=[])),
+    "lengths-value": ("lengths[0]", lambda o: o.update(lengths=[1.5, 1.5])),
     "conjugator": ("conjugator", lambda o: o.pop("conjugator")),
     "count": ("count", lambda o: o["x"].pop()),
     "dimension": ("dimension", lambda o: o["y"].__setitem__(0, _SMALL_MATRIX)),
@@ -308,16 +318,32 @@ def test_tampered_bundle_fails_delta_integrity(tmp_path, capsys):
     assert "delta" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [("delta", None), ("seed", "x")])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("delta", None),
+        ("seed", "x"),
+        ("n", "x"),
+        ("n", 1.5),
+        ("n", 3.0),
+        ("n", 4),
+        ("N", 2.0),
+        ("kind", {}),
+        ("mode", "bogus"),
+        ("commuting", "x"),
+    ],
+)
 def test_malformed_bundle_exits_2(tmp_path, capsys, field, value):
     _gen(tmp_path, n=3, N=2, delta=1e-3, seed=0)
     obj = json.loads(_read(tmp_path / "bundle.json"))
-    if field == "seed":
-        obj["metadata"]["seed"] = value
-    else:
+    if field == "delta":
         obj[field] = value
+    else:
+        obj["metadata"][field] = value
+        field = f"metadata.{field}"
     bad = tmp_path / "bad.json"
-    bad.write_text(json_text(obj), encoding="utf-8")
+    # json.dumps keeps 2.0 a float; the canonical writer would print it as 2
+    bad.write_text(json.dumps(obj), encoding="utf-8")
     capsys.readouterr()
     code = main(["link", "--input", str(bad), "--output", str(tmp_path / "c.json")])
     err = capsys.readouterr().err
@@ -476,6 +502,19 @@ def test_lift_pipeline_certifies(tmp_path):
     cert_obj = json.loads(_read(cert))
     assert cert_obj["passed"] is True
     rep = json.loads(_read(report))
+    # perfbench's lift check reads these keys; a renamed one would fail every op
+    assert set(rep) == {
+        "type",
+        "hermiticity",
+        "unitarity",
+        "exp_identity",
+        "kappa_identity_error",
+        "phi_displacement",
+        "hom_product_defect",
+        "hom_star_defect",
+        "hom_unit_defect",
+        "decay_max_error",
+    }
     assert rep["kappa_identity_error"] == 0
     assert rep["hom_product_defect"] <= 1e-10
     assert rep["decay_max_error"] <= 1e-10

@@ -413,9 +413,11 @@ def test_norm_and_decomposition_budget():
     _, decoded = _matcore_calls(decode_links, artifact, "mem")
     assert decoded["herm_eig"] == 1
     # one decomposition serves the curved factors, e^{iH} = What_s and the
-    # decay check
+    # decay bound; a 101-point decay grid and 10 sampled hom pairs made 363
+    # op_norm calls
     _, lifted = _matcore_calls(lifted_links, x, y, seed=0)
     assert lifted["herm_eig"] == 1
+    assert lifted["op_norm"] <= 50
 
     # unitary mode sampled the Geo pieces at the grid points: 336 calls
     art = gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0, mode="unitary")

@@ -1,15 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from torlinks.cli import decode_bundle, gen_bundle
 from torlinks.homotopy import Flat, certify
 from torlinks.jointspec import NormalTuple
 from torlinks.lifting import (
     LiftedHom,
+    _decay_bound,
     iota2,
     kappa_compress,
     lifted_links,
 )
-from torlinks.matcore import PreconditionError, adjoint, exp_i_herm, op_norm
+from torlinks.matcore import PreconditionError, adjoint, exp_i_herm, herm_eig, op_norm
+from torlinks.spectral_match import isospectral_approximant
+
+REPORT_KEYS = {
+    "hermiticity",
+    "unitarity",
+    "exp_identity",
+    "kappa_identity_error",
+    "phi_displacement",
+    "hom_product_defect",
+    "hom_star_defect",
+    "hom_unit_defect",
+    "decay_max_error",
+}
 
 
 def _haar_unitary(n, rng):
@@ -127,6 +144,8 @@ def test_lifted_links_close_pair_certifies():
     lift, bundle, report = lifted_links(x, y)
     cert = certify(bundle, eps=1.0)
     assert cert.passed
+    # perfbench's lift check reads these keys; a renamed one would fail every op
+    assert set(report) == REPORT_KEYS
     assert report["kappa_identity_error"] == 0.0
     assert report["hom_product_defect"] <= 1e-10
     assert report["hom_star_defect"] <= 1e-12
@@ -146,3 +165,80 @@ def test_lifted_links_report_displacement_tracks_conjugator():
     _, _, report_same = lifted_links(x, x)
     assert report_same["phi_displacement"] <= report_far["phi_displacement"] + 1e-12
     assert report_same["phi_displacement"] <= 1e-9
+
+
+def _spectral_norms(stack: np.ndarray) -> np.ndarray:
+    """Operator norms of a stack of matrices, by SVD rather than op_norm."""
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+def _decay_sample(s, q, w, psis, ts) -> float:
+    """max over t and j of | ||[W_t, B_j]|| - |cos(pi t/2)| ||[S, B_j]|| |."""
+    conjugators = (q[None] * np.exp(1j * np.outer(1.0 - ts, w))[:, None, :]) @ adjoint(q)
+    decay = 0.0
+    for psi in psis:
+        b = iota2(psi)
+        ref = _spectral_norms(s @ b - b @ s)
+        lhs = _spectral_norms(conjugators @ b - b @ conjugators)
+        decay = max(decay, np.max(np.abs(lhs - np.abs(np.cos(np.pi * ts / 2)) * ref)))
+    return decay
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 8),  # n
+    st.integers(1, 3),  # N
+    st.sampled_from([1e-3, 1e-2, 5e-2]),  # delta
+    st.integers(0, 2**16),  # seed
+    st.sampled_from(["within", "generic"]),
+)
+def test_lift_report_bounds_dense_samples(n, N, delta, seed, perturb):
+    # the closed-form report entries must bound what a dense sample measures,
+    # up to the rounding allowance of the certificate soundness tests
+    art = gen_bundle("commuting_pair", n, N=N, delta=delta, seed=seed, perturb=perturb)
+    loaded = decode_bundle(art, "mem")
+    x, y = loaded["x"], loaded["y"]
+    ts = np.linspace(0.0, 1.0, 1001)
+    lift, _, report = lifted_links(x, y, seed=seed, grid_points=ts.size)
+
+    q, w = herm_eig(lift.generator())
+    psis = isospectral_approximant(x, y, seed=seed).psi
+    decay = _decay_sample(lift.what_s, q, w, psis, ts)
+    assert decay <= report["decay_max_error"] + 1e-12
+
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        a, b = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+        a, b = a / op_norm(a), b / op_norm(b)
+        product = op_norm(lift.apply(a @ b) - lift.apply(a) @ lift.apply(b))
+        assert product <= report["hom_product_defect"] + 1e-12
+        star = op_norm(lift.apply(adjoint(a)) - adjoint(lift.apply(a)))
+        assert star <= report["hom_star_defect"] + 1e-12
+
+
+@pytest.mark.parametrize("spoil", ["q", "w", "s"])
+def test_decay_bound_covers_a_spoiled_decomposition(spoil):
+    # the bound holds for any (q, w, S), not only for a decomposition of H
+    # with e^{iH} = S, so a spoil at 1e-3 must stay covered with no rounding
+    # allowance; each spoil loads one term of the bound: with S = q e^{iw} q*
+    # kept, a non-unitary q loads ||q*q - 1|| and a shifted w loads phi, and a
+    # moved S loads exp_identity
+    rng = np.random.default_rng(10)
+    n = 4
+    lift = LiftedHom(_haar_unitary(n, rng))
+    s = lift.what_s
+    q, w = herm_eig(lift.generator())
+    noise = 1e-3 * (rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape))
+    if spoil == "q":
+        q = q + noise
+    elif spoil == "w":
+        w = w + 1e-3 * rng.standard_normal(w.shape)
+    if spoil == "s":
+        s = s + noise
+    else:
+        s = (q * np.exp(1j * w)) @ adjoint(q)
+    psis = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2)]
+    exp_identity = op_norm((q * np.exp(1j * w)) @ adjoint(q) - s)
+    ts = np.linspace(0.0, 1.0, 101)
+    decay = _decay_sample(s, q, w, psis, ts)
+    assert 1e-4 < decay <= _decay_bound(q, w, psis, exp_identity, ts.size)

@@ -480,7 +480,8 @@ def encode_links(bundle: LinkBundle) -> dict:
 
 def decode_links(obj, where: str) -> LinkBundle:
     """Validate a links artifact; each stored length must match its link's
-    exact length to 1e-12, as the bundle's delta must."""
+    exact length to 1e-12, as the bundle's delta must, and the conjugator
+    must be the n x n generator H that every Conj segment shares."""
     _expect_type(obj, "links", where)
     raw_links = _field(obj, "links", where)
     if not isinstance(raw_links, list) or not raw_links:
@@ -518,14 +519,19 @@ def decode_links(obj, where: str) -> LinkBundle:
                 f"{where}.lengths[{j}]: stored {stored!r} does not match the link's "
                 f"exact length {exact!r}"
             )
-    conj = _field(obj, "conjugator", where)
+    conj = decode_matrix(_field(obj, "conjugator", where), f"{where}.conjugator")
+    if conj.shape[0] != n or any(not np.array_equal(g.h, conj) for g in generators):
+        raise DecodeError(
+            f"{where}.conjugator: must be the {n}x{n} generator of the links' "
+            "conjugation segments"
+        )
     return LinkBundle(
         links=links,
         x_mats=x_mats,
         y_mats=y_mats,
         epsilon_reported=_number_field(obj, "epsilon_reported", where),
         mode=_mode_field(obj, where),
-        conjugator=None if conj is None else decode_matrix(conj, f"{where}.conjugator"),
+        conjugator=conj,
         lengths=lengths,
     )
 

@@ -202,9 +202,10 @@ class MatrixPath:
         total = sum(s.duration for s in self.segments)
         self.segments = [_with_duration(s, s.duration / total) for s in self.segments]
         for a, b in zip(self.segments, self.segments[1:]):
-            if op_norm(a.end - b.start) > JOIN_TOL:
+            gap = matcore._threshold_norm(a.end - b.start, JOIN_TOL)
+            if gap > JOIN_TOL:
                 raise PreconditionError(
-                    "consecutive segments do not meet within 1e-9"
+                    f"consecutive segments do not meet within 1e-9: gap {gap:.3e}"
                 )
         bounds = np.cumsum([s.duration for s in self.segments])
         bounds[-1] = 1.0
@@ -484,12 +485,15 @@ def _link_bundle(curved_parts, flat_parts, x_mats, y_mats, mode, conjugator) -> 
     )
 
 
-def _mode_defect(a: np.ndarray, mode: str) -> float:
+def _mode_residual(a: np.ndarray, mode: str) -> np.ndarray:
+    """The matrix whose norm is the mode defect of ``a`` (hermitian or unitary)."""
     if mode == "hermitian":
-        return op_norm(a - adjoint(a))
-    if mode == "unitary":
-        return op_norm(adjoint(a) @ a - np.eye(a.shape[0]))
-    return 0.0
+        return a - adjoint(a)
+    return adjoint(a) @ a - np.eye(a.shape[0])
+
+
+def _mode_defect(a: np.ndarray, mode: str) -> float:
+    return op_norm(_mode_residual(a, mode))
 
 
 def _validate_mode(t: NormalTuple, mode: str, tol: float, who: str) -> None:
@@ -498,7 +502,7 @@ def _validate_mode(t: NormalTuple, mode: str, tol: float, who: str) -> None:
     if mode == "normal":
         return
     for j, m in enumerate(t.mats):
-        d = _mode_defect(m, mode)
+        d = matcore._threshold_norm(_mode_residual(m, mode), tol)
         if d > tol:
             raise PreconditionError(
                 f"{who}[{j}] has {mode} defect {d:.3e} > {tol:.3e}"

@@ -31,6 +31,12 @@ TWO_PI = 2.0 * np.pi
 # one degenerate cluster wherever grouping matters.
 CLUSTER_RTOL = 1e-8
 
+# Relative rounding allowance on the O(n^2) norm bounds of ``_threshold_norm``.
+# Their sums of moduli are off by at most about n * 2^-53 relative, below
+# 1e-12 for n up to several thousand. The allowance must stay below the
+# contraction slack 1e-10, so that exact unitaries pass on the bound.
+_BOUND_RTOL = 1e-12
+
 
 class PreconditionError(ValueError):
     """An operation was called with input violating its contract."""
@@ -73,12 +79,31 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 def op_norm(a) -> float:
     """Operator (spectral) norm: the largest singular value.
 
-    Computed as the square root of the top eigenvalue of A*A.
+    Computed as the square root of the top eigenvalue of A*A; the zero
+    matrix needs no eigensolve.
     """
     a = as_cmatrix(a)
+    if not a.any():
+        return 0.0
     g = adjoint(a) @ a
     w = np.linalg.eigvalsh((g + adjoint(g)) / 2.0)
     return float(np.sqrt(max(float(w[-1]), 0.0)))
+
+
+def _threshold_norm(a: np.ndarray, tol: float) -> float:
+    """A stand-in for op_norm(a) in the test ``> tol``, without an eigensolve
+    when a cheap bound already settles it.
+
+    ||A||_2 is at most both the Frobenius norm and Schur's bound
+    sqrt(||A||_1 ||A||_inf). When the smaller of the two, widened by
+    ``_BOUND_RTOL``, is at most ``tol``, it is returned and the test fails
+    as it would on the exact norm. Otherwise the exact op_norm is returned,
+    so a rejection reports the exact value. Never store the result.
+    """
+    mod = np.abs(a)
+    schur = np.sqrt(float(mod.sum(axis=0).max()) * float(mod.sum(axis=1).max()))
+    bound = min(float(np.linalg.norm(mod)), schur) * (1.0 + _BOUND_RTOL)
+    return bound if bound <= tol else op_norm(a)
 
 
 def commutator(a, b) -> np.ndarray:
@@ -114,8 +139,12 @@ def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """
     a = as_cmatrix(a)
     scale = op_norm(a)
-    if op_norm(a - adjoint(a)) > 1e-10 * max(scale, 1e-300):
-        raise PreconditionError("input is not Hermitian within tolerance")
+    tol = 1e-10 * max(scale, 1e-300)
+    defect = _threshold_norm(a - adjoint(a), tol)
+    if defect > tol:
+        raise PreconditionError(
+            f"input is not Hermitian within tolerance: ||A - A*|| = {defect:.3e} > {tol:.3e}"
+        )
     w, q = np.linalg.eigh((a + adjoint(a)) / 2.0)
     return _canonical_column_phases(q), w
 
@@ -248,15 +277,22 @@ def normal_eig(a, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """
     a = as_cmatrix(a)
     scale = op_norm(a)
-    if op_norm(commutator(adjoint(a), a)) > tol * max(scale, 1e-300):
-        raise PreconditionError("matrix is not normal within tolerance")
+    limit = tol * max(scale, 1e-300)
+    defect = _threshold_norm(commutator(adjoint(a), a), limit)
+    if defect > limit:
+        raise PreconditionError(
+            f"matrix is not normal within tolerance: ||[A*, A]|| = {defect:.3e} > {limit:.3e}"
+        )
     q, points, _ = _simdiag_normal([a], 10.0 * tol * max(scale, 1e-300), 0)
     return q, points[:, 0]
 
 
 def _check_unitary(u: np.ndarray, tol: float) -> None:
-    if op_norm(adjoint(u) @ u - np.eye(u.shape[0])) > tol:
-        raise PreconditionError("matrix is not unitary within tolerance")
+    defect = _threshold_norm(adjoint(u) @ u - np.eye(u.shape[0]), tol)
+    if defect > tol:
+        raise PreconditionError(
+            f"matrix is not unitary within tolerance: ||U*U - 1|| = {defect:.3e} > {tol:.3e}"
+        )
 
 
 def gap_branch_log(u) -> np.ndarray:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -476,11 +477,8 @@ def evaluate(p: NCPoly, assign: dict) -> np.ndarray:
     mats, n = _assignment(assign, p.variables)
     out = np.zeros((n, n), dtype=complex)
     for coeff, word in p.terms:
-        acc = np.eye(n, dtype=complex)
-        for name, star in word:
-            m = mats[name]
-            acc = acc @ (adjoint(m) if star else m)
-        out += coeff * acc
+        letters = (adjoint(mats[name]) if star else mats[name] for name, star in word)
+        out += coeff * (reduce(np.matmul, letters) if word else np.eye(n, dtype=complex))
     return out
 
 

@@ -30,6 +30,7 @@ from torlinks.matcore import (
     commutator,
     op_norm,
 )
+from torlinks.softtorus import bott_index, clock_shift
 
 log = logging.getLogger(__name__)
 
@@ -385,13 +386,17 @@ def test_certify_respects_eps_budget():
     assert not certify(bundle, eps=0.1).passed
 
 
+_EIGVALSH_FILE = np.linalg.eigvalsh.__wrapped__.__code__.co_filename
+
+
 def _matcore_calls(fn, *args, **kwargs):
-    """Result of fn and its calls to matcore.op_norm / matcore.herm_eig (cProfile)."""
+    """Result of fn and its calls to matcore.op_norm / matcore.herm_eig and to
+    numpy.linalg.eigvalsh (cProfile); op_norm of a zero matrix solves nothing."""
     prof = cProfile.Profile()
     result = prof.runcall(fn, *args, **kwargs)
-    counts = {"op_norm": 0, "herm_eig": 0}
+    counts = {"op_norm": 0, "herm_eig": 0, "eigvalsh": 0}
     for (path, _, name), stat in pstats.Stats(prof).stats.items():
-        if path == matcore.__file__ and name in counts:
+        if name in counts and path == (_EIGVALSH_FILE if name == "eigvalsh" else matcore.__file__):
             counts[name] += stat[1]
     return result, counts
 
@@ -428,13 +433,35 @@ def test_norm_and_decomposition_budget():
     assert checked["op_norm"] <= 120
 
 
-def test_concat_checks_the_join_once():
-    # joining two paths measures their join once and nothing else
+def test_path_checks_each_join_once():
+    # a path decides its one join from a norm bound, so an exact join needs no
+    # eigensolve, and a join off by 2e-9 is still refused with the exact gap
     a, b, c = np.zeros((3, 3)), np.eye(3) / 2, np.eye(3)
     p, q = MatrixPath([Flat(a, b)]), MatrixPath([Flat(b, c)])
     path, calls = _matcore_calls(MatrixPath, p.segments + q.segments)
-    assert calls["op_norm"] == 1
+    assert calls["op_norm"] == 0 and calls["eigvalsh"] == 0
     assert [seg.duration for seg in path.segments] == [0.5, 0.5]
+    with pytest.raises(PreconditionError, match="gap 2.000e-09"):
+        MatrixPath([Flat(a, b), Flat(b + 2e-9 * np.eye(3), c)])
+
+
+def test_input_checks_solve_only_where_a_bound_fails():
+    # a clock/shift pair is monomial and unitary: its normality and
+    # contraction checks pass on Schur's bound, and nothing is solved
+    cs = clock_shift(64)
+    _, calls = _matcore_calls(NormalTuple, [cs.omega, cs.sigma], commutation_tol=np.inf)
+    assert calls["eigvalsh"] == 0
+    # a dense commuting tuple has Frobenius and Schur bounds above 1, so only
+    # its N contraction checks fall back to the exact norm
+    art = gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0)
+    mats = [np.array(m) for m in decode_bundle(art, "mem")["x"].mats]
+    _, calls = _matcore_calls(NormalTuple, mats)
+    assert calls["eigvalsh"] <= 3
+    # bott_index solves for the scale and residual of normal_eig(v), the
+    # spectrum of e(u, v) and the stored defect ||[u, v]||; its unitarity and
+    # normality checks solve nothing (7 eigensolves before)
+    _, calls = _matcore_calls(bott_index, cs.omega, cs.sigma)
+    assert calls["eigvalsh"] <= 4
 
 
 def test_rescaling_reuses_segment_data():

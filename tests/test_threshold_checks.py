@@ -1,0 +1,192 @@
+"""Tolerance checks decided from a cheap norm bound decide as the exact norm does.
+
+Every input check that only compares a norm with a tolerance goes through
+``matcore._threshold_norm``: it accepts on min(Frobenius, Schur) and falls
+back to ``op_norm`` otherwise. These property tests put each check's defect
+at tol * (1 +- 1e-6) on the shapes where a bound is tight -- rank one
+(Frobenius), diagonal unitaries and permutations (Schur), zero -- and on
+dense Hermitian unitaries, where the fallback decides.
+"""
+
+from __future__ import annotations
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from torlinks import homotopy, matcore
+from torlinks.homotopy import JOIN_TOL, Flat, MatrixPath
+from torlinks.jointspec import CONTRACTION_SLACK, NormalTuple
+from torlinks.matcore import (
+    DiagnosticsError,
+    PreconditionError,
+    adjoint,
+    commutator,
+    herm_eig,
+    normal_eig,
+    op_norm,
+)
+
+SHAPES = ("zero", "rank_one", "diagonal", "permutation", "dense")
+TOLS = (1e-10, 1e-6, 1e-3)
+
+
+def _hermitize(a: np.ndarray) -> np.ndarray:
+    return (a + adjoint(a)) / 2.0
+
+
+def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def _shape(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """An exactly Hermitian n x n matrix of norm 1 (or 0) of the given kind."""
+    if kind == "zero":
+        return np.zeros((n, n), dtype=np.complex128)
+    if kind == "rank_one":  # ||A||_F = ||A||_2
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        return np.outer(v, v.conj())
+    if kind == "diagonal":  # a diagonal unitary: Schur's bound is tight
+        return np.diag(rng.choice([-1.0, 1.0], n)).astype(np.complex128)
+    if kind == "permutation":  # row and column sums 1: Schur's bound is tight
+        p = np.eye(n)[rng.permutation(n)]
+        return ((p + p.T) / 2.0).astype(np.complex128)
+    w = _haar_unitary(n, rng)  # a dense Hermitian unitary: only the fallback decides
+    return _hermitize((w * rng.choice([-1.0, 1.0], n)) @ adjoint(w))
+
+
+def _scale(k: np.ndarray, limit: float, side: int) -> float:
+    """t with ||t k|| = limit (1 + side 1e-6); 1 when k is zero up to rounding
+    (a shape that commutes with the partner)."""
+    nk = op_norm(k)
+    return limit * (1.0 + side * 1e-6) / nk if nk > 1e-8 else 1.0
+
+
+def _site(site: str, a: np.ndarray, side: int, tol: float, rng: np.random.Generator):
+    """(call, defect, limit, shown): ``call`` runs one tolerance check on an
+    input whose defect matrix ``defect`` has norm about limit (1 + side 1e-6);
+    ``shown`` formats the exact norm as the rejection message prints it."""
+    n = a.shape[0]
+    eye = np.eye(n, dtype=np.complex128)
+    shift = np.roll(eye, 1, axis=0)  # commutes with few shapes; [diagonal, shift] is monomial
+    g = _hermitize(shift)
+    h0 = np.diag(np.linspace(-1.0, 1.0, n)).astype(np.complex128)
+    sci = "{:.3e}".format
+    if site == "join":
+        d = _scale(a, JOIN_TOL, side) * a
+        call = lambda: MatrixPath([Flat(eye, 0 * eye), Flat(d, eye)])
+        return call, 0 * eye - d, JOIN_TOL, sci
+    if site == "contraction":
+        limit = 1.0 + CONTRACTION_SLACK
+        m = _scale(a, limit, side) * a
+        return lambda: NormalTuple([m]), m, limit, repr
+    if site == "commutator":
+        m2 = _scale(commutator(a / 2, shift), tol, side) * shift
+        call = lambda: NormalTuple([a / 2, m2], commutation_tol=tol)
+        return call, commutator(a / 2, m2), tol, sci
+    if site == "normality":
+        # [m*, m] = (i t / 2) [a, g] for m = (a + i t g) / 2
+        m = (a + 1j * _scale(commutator(a, g) / 2, tol, side) * g) / 2
+        call = lambda: NormalTuple([m], normality_tol=tol)
+        return call, adjoint(m) @ m - m @ adjoint(m), tol, sci
+    if site == "hermitian":
+        m = h0 + 1j * _scale(2 * a, 1e-10 * op_norm(h0), side) * a
+        limit = 1e-10 * max(op_norm(m), 1e-300)
+        return lambda: herm_eig(m), m - adjoint(m), limit, sci
+    if site == "normal":
+        m = h0 + 1j * _scale(2 * commutator(h0, a), tol * op_norm(h0), side) * a
+        limit = tol * max(op_norm(m), 1e-300)
+        return lambda: normal_eig(m, tol), commutator(adjoint(m), m), limit, sci
+    if site == "unitary":
+        # u*u - 1 = 2 t a + t^2 a^2 for u = w (1 + t a), w unitary
+        u = _haar_unitary(n, rng) @ (eye + _scale(2 * a, tol, side) * a)
+        call = lambda: matcore._check_unitary(u, tol)
+        return call, adjoint(u) @ u - eye, tol, sci
+    if site == "mode_hermitian":
+        t = NormalTuple([1j * _scale(2 * a, tol, side) * a])
+        call = lambda: homotopy._validate_mode(t, "hermitian", tol, "x")
+        return call, t.mats[0] - adjoint(t.mats[0]), tol, sci
+    # mode_unitary: u*u - 1 = -2 t p + t^2 p^2 for u = 1 - t p, p = a^2 >= 0
+    p = _hermitize(a @ a)
+    t = NormalTuple([eye - _scale(2 * p, tol, side) * p])
+    call = lambda: homotopy._validate_mode(t, "unitary", tol, "x")
+    return call, adjoint(t.mats[0]) @ t.mats[0] - eye, tol, sci
+
+
+cases = st.tuples(
+    st.sampled_from(SHAPES),
+    st.integers(1, 8),  # n
+    st.sampled_from([-1, 1]),  # defect just below or just above the tolerance
+    st.sampled_from(TOLS),
+    st.integers(0, 2**16),  # seed
+)
+
+SITES = (
+    "join",
+    "contraction",
+    "commutator",
+    "normality",
+    "hermitian",
+    "normal",
+    "unitary",
+    "mode_hermitian",
+    "mode_unitary",
+)
+
+
+@pytest.mark.parametrize("site", SITES)
+@settings(max_examples=40, deadline=None)
+@given(cases)
+def test_each_check_decides_as_the_exact_norm(site, case):
+    kind, n, side, tol, seed = case
+    rng = np.random.default_rng(seed)
+    call, defect, limit, shown = _site(site, _shape(kind, n, rng), side, tol, rng)
+    exact = op_norm(defect)
+    try:
+        call()
+        message = None
+    except PreconditionError as e:
+        message = str(e)
+    except DiagnosticsError:  # normal_eig passed its check, then failed to diagonalize
+        message = None
+    assert (message is not None) == (exact > limit), (site, kind, exact, limit)
+    if message is not None:
+        assert shown(exact) in message
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases, st.sampled_from(["hermitian", "permutation", "phases"]))
+def test_threshold_norm_matches_op_norm(case, form):
+    kind, n, side, tol, seed = case
+    rng = np.random.default_rng(seed)
+    a = _shape(kind, n, rng)
+    if form == "permutation" and kind != "zero":  # a non-Hermitian permutation
+        a = np.eye(n, dtype=np.complex128)[rng.permutation(n)]
+    elif form == "phases":  # a scaled unitary or a rank-one u w*
+        a = a @ np.diag(np.exp(2j * np.pi * rng.random(n)))
+    d = _scale(a, tol, side) * a
+    exact = op_norm(d)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as solve:
+        value = matcore._threshold_norm(d, tol)
+    if side < 0 and (kind != "dense" or form == "permutation"):
+        assert solve.call_count == 0  # a tight bound accepts without an eigensolve
+    assert (value > tol) == (exact > tol)
+    assert value >= exact * (1.0 - 1e-12)  # an upper bound up to rounding
+    if value > tol:
+        assert value == exact
+
+
+def test_zero_norm_needs_no_eigensolve(monkeypatch):
+    def refuse(_):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert op_norm(np.zeros((4, 4))) == 0.0
+    assert matcore._threshold_norm(np.zeros((4, 4)), 0.0) == 0.0

@@ -3,8 +3,9 @@
 Artifacts are JSON with a ``type`` tag and floats written with 17 significant
 digits, so encoding is canonical: re-encoding a decoded artifact reproduces
 the same bytes, and fixed seeds reproduce identical files.  Matrices are
-stored as ``{"n": k, "re": [[...]], "im": [[...]]}`` row-major.  All writes go
-through a temp file and an atomic rename.
+stored as ``{"n": k, "re": [[...]], "im": [[...]]}`` row-major; a links
+artifact stores each distinct matrix once in its ``matrices`` table and refers
+to it by index.  All writes go through a temp file and an atomic rename.
 
 Exit codes: 0 success / certificate passed, 1 failed certification or
 membership, 2 precondition and decode errors.
@@ -416,19 +417,14 @@ def decode_bundle(obj, where: str) -> dict:
 # --- link bundle codec ---------------------------------------------------------
 
 
-def _encode_segment(seg) -> dict:
+def _encode_segment(seg, ref) -> dict:
     if isinstance(seg, Flat):
-        return {
-            "kind": "flat",
-            "a": encode_matrix(seg.a),
-            "b": encode_matrix(seg.b),
-            "duration": float(seg.duration),
-        }
+        return {"kind": "flat", "a": ref(seg.a), "b": ref(seg.b), "duration": float(seg.duration)}
     if isinstance(seg, (Conj, Geo)):
         return {
             "kind": "conj" if isinstance(seg, Conj) else "geo",
-            "h": encode_matrix(seg.h),
-            "base": encode_matrix(seg.base),
+            "h": ref(seg.h),
+            "base": ref(seg.base),
             "theta0": float(seg.theta0),
             "theta1": float(seg.theta1),
             "duration": float(seg.duration),
@@ -436,70 +432,86 @@ def _encode_segment(seg) -> dict:
     raise PreconditionError(f"cannot serialize segment {type(seg).__name__}")
 
 
-def _decode_segment(obj, where: str, generators: list):
-    """Decode one segment; Conj segments whose H equals one in ``generators``
-    reuse its eigendecomposition, and new ones are appended to it."""
+def _index(value, size: int, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < size:
+        raise DecodeError(f"{where}: expected an index into matrices, 0 to {size - 1}")
+    return value
+
+
+def _decode_segment(obj, where: str, matrices: list, shared: dict):
+    """Decode one segment; Conj segments with the same ``h`` index share the
+    eigendecomposition of the first one, kept in ``shared``."""
     kind = _field(obj, "kind", where)
     duration = _number_field(obj, "duration", where)
+
+    def slot(key: str) -> int:
+        return _index(_field(obj, key, where), len(matrices), f"{where}.{key}")
+
     if kind == "flat":
-        return Flat(
-            decode_matrix(_field(obj, "a", where), f"{where}.a"),
-            decode_matrix(_field(obj, "b", where), f"{where}.b"),
-            duration,
-        )
+        return Flat(matrices[slot("a")], matrices[slot("b")], duration)
     if kind in ("conj", "geo"):
-        h = decode_matrix(_field(obj, "h", where), f"{where}.h")
-        base = decode_matrix(_field(obj, "base", where), f"{where}.base")
+        h, base = slot("h"), matrices[slot("base")]
         theta0 = _number_field(obj, "theta0", where)
         theta1 = _number_field(obj, "theta1", where)
         if kind == "geo":
-            return Geo(base, h, theta0, theta1, duration)
-        for seen in generators:
-            if np.array_equal(seen.h, h):
-                return seen._same_generator(base, theta0, theta1, duration)
-        generators.append(Conj(h, base, theta0, theta1, duration))
-        return generators[-1]
+            return Geo(base, matrices[h], theta0, theta1, duration)
+        if h in shared:
+            return shared[h]._same_generator(base, theta0, theta1, duration)
+        shared[h] = Conj(matrices[h], base, theta0, theta1, duration)
+        return shared[h]
     raise DecodeError(f"{where}: unknown segment kind {kind!r}")
 
 
 def encode_links(bundle: LinkBundle) -> dict:
+    """A links artifact: ``matrices`` holds each distinct matrix once, in
+    order of first use (x, y, then the segments link by link), and every
+    other matrix slot is an index into it."""
+    pool: dict = {}
+
+    def ref(a) -> int:
+        a = as_cmatrix(a) + 0.0  # -0 and 0 are written alike, so they share an entry
+        return pool.setdefault(a.tobytes(), (len(pool), a))[0]
+
     return {
         "type": "links",
         "mode": bundle.mode,
         "epsilon_reported": float(bundle.epsilon_reported),
-        "conjugator": None if bundle.conjugator is None else encode_matrix(bundle.conjugator),
-        "lengths": [float(v) for v in bundle.lengths],
-        "x": [encode_matrix(m) for m in bundle.x_mats],
-        "y": [encode_matrix(m) for m in bundle.y_mats],
+        "x": [ref(m) for m in bundle.x_mats],
+        "y": [ref(m) for m in bundle.y_mats],
         "links": [
-            {"segments": [_encode_segment(s) for s in link.segments]}
+            {"segments": [_encode_segment(s, ref) for s in link.segments]}
             for link in bundle.links
         ],
+        "matrices": [encode_matrix(a) for _, a in pool.values()],  # after every ref above
     }
 
 
 def decode_links(obj, where: str) -> LinkBundle:
-    """Validate a links artifact; each stored length must match its link's
-    exact length to 1e-12, as the bundle's delta must, and the conjugator
-    must be the n x n generator H that every Conj segment shares."""
+    """Validate a links artifact; each ``matrices`` entry is decoded once and
+    every matrix slot must be an index into that table."""
     _expect_type(obj, "links", where)
+    matrices = _decode_mats(_field(obj, "matrices", where), f"{where}.matrices")
     raw_links = _field(obj, "links", where)
     if not isinstance(raw_links, list) or not raw_links:
         raise DecodeError(f"{where}.links: expected a nonempty array")
     links = []
-    generators: list = []
+    shared: dict = {}
     for j, entry in enumerate(raw_links):
         segs = _array_field(entry, "segments", f"{where}.links[{j}]")
         links.append(
             MatrixPath(
                 [
-                    _decode_segment(s, f"{where}.links[{j}].segments[{i}]", generators)
+                    _decode_segment(s, f"{where}.links[{j}].segments[{i}]", matrices, shared)
                     for i, s in enumerate(segs)
                 ]
             )
         )
-    x_mats = _decode_mats(_field(obj, "x", where), f"{where}.x")
-    y_mats = _decode_mats(_field(obj, "y", where), f"{where}.y")
+
+    def resolve(key: str) -> list:
+        slots = enumerate(_array_field(obj, key, where))
+        return [matrices[_index(v, len(matrices), f"{where}.{key}[{j}]")] for j, v in slots]
+
+    x_mats, y_mats = resolve("x"), resolve("y")
     n = links[0].n
     if (
         len(x_mats) != len(links)
@@ -508,31 +520,12 @@ def decode_links(obj, where: str) -> LinkBundle:
         or any(link.n != n for link in links)
     ):
         raise DecodeError(f"{where}: links, x and y disagree in count or dimension")
-    lengths = _array_field(obj, "lengths", where)
-    if len(lengths) != len(links):
-        raise DecodeError(f"{where}.lengths: expected {len(links)} numbers, one per link")
-    lengths = [_number(v, f"{where}.lengths[{j}]") for j, v in enumerate(lengths)]
-    for j, (stored, link) in enumerate(zip(lengths, links)):
-        exact = link.exact_length()
-        if abs(exact - stored) > 1e-12:
-            raise DecodeError(
-                f"{where}.lengths[{j}]: stored {stored!r} does not match the link's "
-                f"exact length {exact!r}"
-            )
-    conj = decode_matrix(_field(obj, "conjugator", where), f"{where}.conjugator")
-    if conj.shape[0] != n or any(not np.array_equal(g.h, conj) for g in generators):
-        raise DecodeError(
-            f"{where}.conjugator: must be the {n}x{n} generator of the links' "
-            "conjugation segments"
-        )
     return LinkBundle(
         links=links,
         x_mats=x_mats,
         y_mats=y_mats,
         epsilon_reported=_number_field(obj, "epsilon_reported", where),
         mode=_mode_field(obj, where),
-        conjugator=conj,
-        lengths=lengths,
     )
 
 

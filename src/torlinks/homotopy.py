@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import copy
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -202,7 +202,10 @@ class MatrixPath:
         total = sum(s.duration for s in self.segments)
         self.segments = [_with_duration(s, s.duration / total) for s in self.segments]
         for a, b in zip(self.segments, self.segments[1:]):
-            gap = matcore._threshold_norm(a.end - b.start, JOIN_TOL)
+            end, start = a.end, b.start
+            if end.shape != start.shape:
+                raise PreconditionError(f"segment shapes {end.shape} and {start.shape} differ")
+            gap = matcore._threshold_norm(end - start, JOIN_TOL)
             if gap > JOIN_TOL:
                 raise PreconditionError(
                     f"consecutive segments do not meet within 1e-9: gap {gap:.3e}"
@@ -309,8 +312,10 @@ class LinkBundle:
     y_mats: list
     epsilon_reported: float
     mode: str = "normal"
-    conjugator: np.ndarray | None = None
-    lengths: list = field(default_factory=list)
+
+    @property
+    def lengths(self) -> list:
+        return [link.exact_length() for link in self.links]
 
 
 @dataclass(frozen=True)
@@ -463,7 +468,7 @@ def _sup_distance(links, y_mats) -> float:
     return float(max([exact] + [tree.upper for tree in trees]) + _ROUNDOFF)
 
 
-def _link_bundle(curved_parts, flat_parts, x_mats, y_mats, mode, conjugator) -> LinkBundle:
+def _link_bundle(curved_parts, flat_parts, x_mats, y_mats, mode) -> LinkBundle:
     """Join each curved factor to its flat factor and measure the bundle.
 
     Degenerate curved factors are dropped only all-or-none: a per-link drop
@@ -480,8 +485,6 @@ def _link_bundle(curved_parts, flat_parts, x_mats, y_mats, mode, conjugator) -> 
         y_mats=list(y_mats),
         epsilon_reported=_sup_distance(links, y_mats),
         mode=mode,
-        conjugator=conjugator,
-        lengths=[link.exact_length() for link in links],
     )
 
 
@@ -539,7 +542,7 @@ def toral_links(
         else:
             flat_parts.append(Flat(pj, yj))
 
-    return _link_bundle(curved_parts, flat_parts, x.mats, y.mats, mode, h)
+    return _link_bundle(curved_parts, flat_parts, x.mats, y.mats, mode)
 
 
 def _const_bound(c: float, s: np.ndarray) -> tuple:
@@ -810,7 +813,7 @@ def ujc_links(x: NormalTuple, y: NormalTuple, w, w_hat) -> LinkBundle:
 
     curved_parts = _conj_family(np.pi * hz, x.mats, 0.0, 1.0)
     flat_parts = [Flat(c.end, yj) for c, yj in zip(curved_parts, y.mats)]
-    return _link_bundle(curved_parts, flat_parts, x.mats, y.mats, "normal", np.pi * hz)
+    return _link_bundle(curved_parts, flat_parts, x.mats, y.mats, "normal")
 
 
 def project_solid_torus(path: MatrixPath, w=None, samples: int = 101) -> np.ndarray:

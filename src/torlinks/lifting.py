@@ -139,7 +139,7 @@ def lifted_links(
     flat_parts = [Flat(base, iota2(yj)) for base, yj in zip(bases, y.mats)]
     x_mats = [lift.apply(xj) for xj in x.mats]
     y_mats = [iota2(yj) for yj in y.mats]
-    bundle = _link_bundle(curved_parts, flat_parts, x_mats, y_mats, "normal", h)
+    bundle = _link_bundle(curved_parts, flat_parts, x_mats, y_mats, "normal")
 
     q, w = curved_parts[0]._q, curved_parts[0]._w  # the shared decomposition of H
     v2, eye = lift._v2, np.eye(lift.n)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line: codecs, determinism, exit codes."""
 
 import cProfile
+import copy
 import json
 import pstats
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torlinks import cli
+from torlinks import cli, matcore
 from torlinks.cli import (
     DecodeError,
     decode_bundle,
@@ -21,7 +22,7 @@ from torlinks.cli import (
     json_text,
     main,
 )
-from torlinks.homotopy import Flat, toral_links
+from torlinks.homotopy import toral_links
 from torlinks.matcore import PreconditionError, op_norm
 
 
@@ -241,17 +242,13 @@ def test_certify_saved_links_and_detect_tampering(tmp_path):
     recert = tmp_path / "recert.json"
     assert main(["certify", "--input", str(links), "--output", str(recert)]) == 0
 
+    # point one flat segment's end at a moved copy of it; y keeps the original
     tampered = json.loads(text)
     flat = tampered["links"][0]["segments"][-1]
-    before = Flat(decode_matrix(flat["a"], "a"), decode_matrix(flat["b"], "b")).length
-    flat["b"]["re"][0][0] += 1e-3
-    after = Flat(decode_matrix(flat["a"], "a"), decode_matrix(flat["b"], "b")).length
+    moved = copy.deepcopy(tampered["matrices"][flat["b"]])
+    moved["re"][0][0] += 1e-3
+    flat["b"] = _append_matrix(tampered, moved)
     bad = tmp_path / "bad.json"
-    # a stale stored length is caught on decode
-    bad.write_text(json_text(tampered), encoding="utf-8")
-    assert main(["certify", "--input", str(bad), "--output", str(recert)]) == 2
-    # with its length made consistent, the moved endpoint fails the certificate
-    tampered["lengths"][0] += after - before
     bad.write_text(json_text(tampered), encoding="utf-8")
     code = main(["certify", "--input", str(bad), "--output", str(recert)])
     assert code == 1
@@ -260,20 +257,52 @@ def test_certify_saved_links_and_detect_tampering(tmp_path):
 
 _SMALL_MATRIX = {"n": 2, "re": [[0.1, 0.0], [0.0, 0.1]], "im": [[0.0, 0.0], [0.0, 0.0]]}
 
+_MATRIX_SLOTS = ("a", "b", "h", "base")
+
+
+def _append_matrix(obj: dict, matrix: dict) -> int:
+    """Add a matrix to a links artifact's table; returns its index."""
+    obj["matrices"].append(matrix)
+    return len(obj["matrices"]) - 1
+
+
+def _inline_matrices(obj: dict) -> None:
+    """Rewrite a links artifact in the older shape: a matrix object in every
+    slot, no table, and the conjugator and lengths fields it carried."""
+    table = obj.pop("matrices")
+    for key in ("x", "y"):
+        obj[key] = [table[k] for k in obj[key]]
+    for link in obj["links"]:
+        for seg in link["segments"]:
+            seg.update({key: table[seg[key]] for key in _MATRIX_SLOTS if key in seg})
+    obj["conjugator"] = obj["links"][0]["segments"][0]["h"]
+    obj["lengths"] = [0.0] * len(obj["links"])
+
+
+def _segment(obj: dict, j: int, i: int) -> dict:
+    return obj["links"][j]["segments"][i]
+
+
+def _resize_flat(obj: dict) -> None:
+    flat = _segment(obj, 0, 1)
+    flat["a"] = flat["b"] = _append_matrix(obj, _SMALL_MATRIX)
+
+
 _MALFORMED_LINKS = {
-    "duration": ("duration", lambda o: o["links"][0]["segments"][0].update(duration="x")),
+    "duration": ("duration", lambda o: _segment(o, 0, 0).update(duration="x")),
     "epsilon_reported": ("epsilon_reported", lambda o: o.update(epsilon_reported=None)),
     "segments": ("segments", lambda o: o["links"][0].update(segments=3)),
-    "lengths": ("lengths", lambda o: o.update(lengths="ab")),
-    "lengths-count": ("lengths", lambda o: o.update(lengths=[])),
-    "lengths-value": ("lengths[0]", lambda o: o.update(lengths=[1.5, 1.5])),
-    "conjugator": ("conjugator", lambda o: o.pop("conjugator")),
-    "conjugator-null": ("conjugator", lambda o: o.update(conjugator=None)),
-    "conjugator-size": ("conjugator", lambda o: o.update(conjugator=_SMALL_MATRIX)),
-    "conjugator-perturbed": ("conjugator", lambda o: o["conjugator"]["im"][0].__setitem__(0, 1e-3)),
     "count": ("count", lambda o: o["x"].pop()),
-    "dimension": ("dimension", lambda o: o["y"].__setitem__(0, _SMALL_MATRIX)),
+    "x-count": ("count", lambda o: o["x"].append(0)),
+    "dimension": ("dimension", lambda o: o["y"].__setitem__(0, _append_matrix(o, _SMALL_MATRIX))),
     "mode": ("mode", lambda o: o.update(mode="bogus")),
+    "matrices": ("matrices", _inline_matrices),
+    "index-range": ("segments[0].base", lambda o: _segment(o, 0, 0).update(base=len(o["matrices"]))),
+    "index-negative": ("y[1]", lambda o: o["y"].__setitem__(1, -1)),
+    "index-bool": ("x[0]", lambda o: o["x"].__setitem__(0, True)),
+    "index-float": ("segments[1].b", lambda o: _segment(o, 0, 1).update(b=2.0)),
+    "index-matrix": ("segments[0].h", lambda o: _segment(o, 1, 0).update(h=_SMALL_MATRIX)),
+    "resized": ("(3, 3) and (2, 2)", _resize_flat),
 }
 
 
@@ -285,10 +314,12 @@ def test_malformed_links_artifact_exits_2(tmp_path, capsys, case):
     argv = ["link", "--input", bundle, "--output", str(cert), "--links-output", str(links)]
     assert main(argv) == 0
     obj = json.loads(_read(links))
+    assert [len(link["segments"]) for link in obj["links"]] == [2, 2]  # conj, then flat
     field, mutate = _MALFORMED_LINKS[case]
     mutate(obj)
     bad = tmp_path / "bad.json"
-    bad.write_text(json_text(obj), encoding="utf-8")
+    # json.dumps keeps 2.0 a float; the canonical writer would print it as 2
+    bad.write_text(json.dumps(obj), encoding="utf-8")
     capsys.readouterr()
     code = main(["certify", "--input", str(bad), "--output", str(tmp_path / "re.json")])
     err = capsys.readouterr().err
@@ -308,6 +339,23 @@ def test_links_and_certificate_decode_encode_identity(tmp_path):
 
     cert_text = _read(cert)
     assert json_text(json.loads(cert_text)) == cert_text
+
+    # n = 16, N = 3, normal mode: x, y, the shared H and the approximants
+    # psi_j are the 3N + 1 distinct matrices; the conjugation bases are the x_j
+    # and the flat ends the y_j (19 matrix objects when each slot held one)
+    loaded = decode_bundle(gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0), "mem")
+    links_text = json_text(encode_links(toral_links(loaded["x"], loaded["y"], seed=0)))
+    obj = json.loads(links_text)
+    assert len(obj["matrices"]) == 10
+    prof = cProfile.Profile()
+    decoded = prof.runcall(decode_links, obj, "mem")
+    calls = {
+        name: stat[1]
+        for (path, _, name), stat in pstats.Stats(prof).stats.items()
+        if (path, name) in ((cli.__file__, "decode_matrix"), (matcore.__file__, "herm_eig"))
+    }
+    assert calls == {"decode_matrix": 10, "herm_eig": 1}
+    assert json_text(encode_links(decoded)) == links_text
 
 
 def test_tampered_bundle_fails_delta_integrity(tmp_path, capsys):
@@ -466,13 +514,14 @@ def test_mutated_artifacts_never_raise(tmp_path, capsys):
     rel = tmp_path / "unitary.rel"
     rel.write_text("u u' - 1 = 0\n", encoding="utf-8")
     assignment = json_text({"type": "assignment", "matrices": {"u": encode_matrix(np.eye(3))}})
+    links_text = _read(links)
     commands = {
         _read(tmp_path / "bundle.json"): [
             ["link"],
             ["bott"],
             ["relcheck", "--preset", "soft_torus", "--delta", "1"],
         ],
-        _read(links): [["certify"], ["project"]],
+        links_text: [["certify"], ["project"]],
         assignment: [["relcheck", "--rel-file", str(rel)]],
     }
     bad = tmp_path / "mutated.json"
@@ -480,13 +529,17 @@ def test_mutated_artifacts_never_raise(tmp_path, capsys):
     for text, argvs in commands.items():
         for path, value, obj in _mutations(text):
             bad.write_text(json.dumps(obj), encoding="utf-8")
+            # a links artifact's matrix slots hold indices into its table, and
+            # no mutated value is a valid index
+            index_slot = text == links_text and (
+                path[-1] in _MATRIX_SLOTS or (path[0] in ("x", "y") and len(path) == 2)
+            )
             for argv in argvs:
                 try:
                     code = main(argv + ["--input", str(bad), "--output", out])
                 except Exception as e:  # any exception is a failure
                     code = repr(e)
-                # a links artifact must carry the generator its Conj segments share
-                if code not in (0, 1, 2) or (path[0] == "conjugator" and code != 2):
+                if code not in (0, 1, 2) or (index_slot and code != 2):
                     failures.append((argv[0], path, "drop" if value is _DROP else value, code))
     capsys.readouterr()
     assert failures == []

@@ -445,6 +445,11 @@ def test_path_checks_each_join_once():
         MatrixPath([Flat(a, b), Flat(b + 2e-9 * np.eye(3), c)])
 
 
+def test_path_refuses_segments_of_different_sizes():
+    with pytest.raises(PreconditionError, match=r"shapes \(3, 3\) and \(2, 2\) differ"):
+        MatrixPath([Flat(np.zeros((3, 3)), np.eye(3)), Flat(np.eye(2), np.zeros((2, 2)))])
+
+
 def test_input_checks_solve_only_where_a_bound_fails():
     # a clock/shift pair is monomial and unitary: its normality and
     # contraction checks pass on Schur's bound, and nothing is solved
@@ -569,15 +574,23 @@ def test_contraction_path_antipodal_cluster_needs_long_arc():
 
 
 def test_ujc_scalar_arc_angle():
+    # What* W = diag(e^{-i phi}, 1) turns the first basis vector by -phi; an X
+    # that this turn moves keeps the curved factor, whose generator is
+    # diag(-phi, 0) (at n = 1 the factor has length 0 and is dropped)
     phi = 0.5
-    w = np.array([[1.0]])
-    w_hat = np.array([[np.exp(1j * phi)]])
-    x = NormalTuple([np.array([[0.5]])])
-    y = NormalTuple([np.array([[0.6]])])
-    bundle = ujc_links(x, y, w, w_hat)
-    assert bundle.conjugator[0, 0] == pytest.approx(-phi)
-    assert bundle.lengths[0] == pytest.approx(0.1)
-    assert certify(bundle, eps=0.2).passed
+    w = np.eye(2)
+    w_hat = np.diag([np.exp(1j * phi), 1.0])
+    x = NormalTuple([0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])])
+    bundle = ujc_links(x, x, w, w_hat)
+    conj, flat = bundle.links[0].segments
+    assert conj.h == pytest.approx(np.diag([-phi, 0.0]))
+    # ||[H, X]|| = phi / 2, and the flat factor undoes the turn of the
+    # off-diagonal entries: ||(e^{i phi} - 1) / 2|| = sin(phi / 2)
+    assert conj.length == pytest.approx(phi / 2)
+    assert flat.length == pytest.approx(np.sin(phi / 2))
+    assert bundle.lengths[0] == pytest.approx(phi / 2 + np.sin(phi / 2))
+    assert certify(bundle, eps=0.3).passed  # the path strays sin(phi / 2) from X
+    assert not certify(bundle, eps=0.2).passed
 
 
 def test_ujc_identical_conjugators_give_flat_motion():

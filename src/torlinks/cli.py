@@ -3,7 +3,8 @@
 Artifacts are JSON with a ``type`` tag and floats written with 17 significant
 digits, so encoding is canonical: re-encoding a decoded artifact reproduces
 the same bytes, and fixed seeds reproduce identical files.  Matrices are
-stored as ``{"n": k, "re": [[...]], "im": [[...]]}`` row-major; a links
+stored as ``{"n": k, "c16": ...}``, the base64 of their row-major
+little-endian complex128 bytes, so they round-trip bit for bit; a links
 artifact stores each distinct matrix once in its ``matrices`` table and refers
 to it by index.  All writes go through a temp file and an atomic rename.
 
@@ -14,8 +15,8 @@ membership, 2 precondition and decode errors.
 from __future__ import annotations
 
 import argparse
+import base64
 import functools
-import itertools
 import json
 import os
 import sys
@@ -168,12 +169,12 @@ def _load_json(path: str):
 
 
 def encode_matrix(a) -> dict:
-    a = as_cmatrix(a)
-    return {
-        "n": a.shape[0],
-        "re": a.real.tolist(),
-        "im": a.imag.tolist(),
-    }
+    """``{"n": n, "c16": payload}``: the payload is the base64 of the
+    row-major little-endian complex128 bytes of ``a + 0.0``, which gives -0
+    the bytes of 0."""
+    a = as_cmatrix(a) + 0.0
+    payload = base64.b64encode(a.astype("<c16", copy=False).tobytes())
+    return {"n": a.shape[0], "c16": payload.decode("ascii")}
 
 
 def _number(v, what: str) -> float:
@@ -184,35 +185,27 @@ def _number(v, what: str) -> float:
     return float(v)
 
 
-def _grid_of_floats(rows, n_rows, n_cols, where: str) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) != n_rows:
-        raise DecodeError(f"{where}: expected {n_rows} rows")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n_cols:
-            raise DecodeError(f"{where}: row {i} is not {n_cols} numbers")
-    if not set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}:
-        for i, row in enumerate(rows):  # name the first entry that is not a number
-            for j, v in enumerate(row):
-                _number(v, f"{where}: entry [{i}][{j}]")
-    try:
-        out = np.array(rows, dtype=float).reshape(n_rows, n_cols)
-        finite = np.isfinite(out).all()
-    except OverflowError:  # an integer literal beyond the float range
-        finite = False
-    if not finite:
-        raise DecodeError(f"{where}: entries must be finite numbers")
-    return out
-
-
 def decode_matrix(obj, where: str) -> np.ndarray:
-    if not isinstance(obj, dict) or set(obj) != {"n", "re", "im"}:
-        raise DecodeError(f"{where}: expected an object with keys n, re, im")
+    """The n x n matrix of an ``encode_matrix`` object: strict base64 of
+    exactly 16 n^2 bytes, all entries finite."""
+    if not isinstance(obj, dict) or set(obj) != {"n", "c16"}:
+        raise DecodeError(f"{where}: expected an object with keys n, c16")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
-        raise DecodeError(f"{where}: n must be a positive integer")
-    re = _grid_of_floats(obj["re"], n, n, f"{where}.re")
-    im = _grid_of_floats(obj["im"], n, n, f"{where}.im")
-    return re + 1j * im
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise DecodeError(f"{where}.n must be a positive integer")
+    payload = obj["c16"]
+    if not isinstance(payload, str):
+        raise DecodeError(f"{where}.c16 is not a string")
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        raise DecodeError(f"{where}.c16 is not strict base64")
+    if len(raw) != 16 * n * n:
+        raise DecodeError(f"{where}.c16 holds {len(raw)} bytes, not the 16 n^2 of n = {n}")
+    a = np.frombuffer(raw, dtype="<c16").astype(np.complex128).reshape(n, n)
+    if not np.isfinite(a).all():
+        raise DecodeError(f"{where}.c16: entries must be finite")
+    return a
 
 
 def _decode_mats(items, where: str) -> list:
@@ -315,6 +308,8 @@ def gen_bundle(
         raise PreconditionError("sizes must be positive")
     if not np.isfinite(delta) or delta < 0:
         raise PreconditionError("delta must be finite and >= 0")
+    if seed < 0:
+        raise PreconditionError("seed must be a non-negative integer")
 
     commuting = True
     if kind == "clock_shift":
@@ -379,9 +374,9 @@ def decode_bundle(obj, where: str) -> dict:
 
     Recomputes delta = max_j ||X_j - Y_j|| and insists it matches the stored
     value to 1e-12, so silently edited matrices are caught on load. The
-    metadata must name a known kind and mode, integer sizes matching the
-    matrices and a boolean ``commuting``; ``perturb`` and ``softness`` are
-    free-form.
+    metadata must name a known kind and mode, a non-negative integer seed,
+    integer sizes matching the matrices and a boolean ``commuting``;
+    ``perturb`` and ``softness`` are free-form.
     """
     _expect_type(obj, "bundle", where)
     meta = _field(obj, "metadata", where)
@@ -391,6 +386,8 @@ def decode_bundle(obj, where: str) -> dict:
     for key in ("seed", "n", "N"):
         if not isinstance(meta[key], int) or isinstance(meta[key], bool):
             raise DecodeError(f"{where}.metadata.{key} is not an integer")
+    if meta["seed"] < 0:
+        raise DecodeError(f"{where}.metadata.seed must be a non-negative integer")
     if meta["kind"] not in GEN_KINDS:
         raise DecodeError(f"{where}.metadata.kind: unknown kind {meta['kind']!r}")
     if not isinstance(meta["commuting"], bool):

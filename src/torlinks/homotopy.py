@@ -529,6 +529,7 @@ def toral_links(
     geodesic instead, so the path stays unitary). Zero-length curved factors
     are dropped, and each link reports its exact length.
     """
+    matcore._check_tolerance("tol", tol)
     _validate_mode(x, mode, tol, "x")
     _validate_mode(y, mode, tol, "y")
     approx = isospectral_approximant(x, y, seed=seed)
@@ -704,6 +705,7 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
 
     Endpoint errors, exact lengths and Lipschitz constants are recorded too.
     """
+    matcore._check_tolerance("epsilon", eps)
     if grid_points < 2:
         raise PreconditionError("grid needs at least two points")
     tols = CertTolerances()

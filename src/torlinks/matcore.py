@@ -242,6 +242,8 @@ def _simdiag_normal(mats, target, seed, cluster_rtol=CLUSTER_RTOL):
     broken by later matrices, and carry canonical phases; ``points`` is the
     n x N array of diagonal entries of Q* mats Q in that basis.
     """
+    if seed < 0:
+        raise PreconditionError("seed must be a non-negative integer")
     parts = _hermitian_parts(mats)
     rng = np.random.default_rng(seed)
     best_q = None
@@ -285,6 +287,13 @@ def normal_eig(a, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
         )
     q, points, _ = _simdiag_normal([a], 10.0 * tol * max(scale, 1e-300), 0)
     return q, points[:, 0]
+
+
+def _check_tolerance(name: str, value: float) -> None:
+    """Reject a NaN, infinite or negative tolerance: every comparison with NaN
+    is false, so a check against a NaN tolerance would never fire."""
+    if not (np.isfinite(value) and value >= 0):
+        raise PreconditionError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def _check_unitary(u: np.ndarray, tol: float) -> None:

@@ -20,6 +20,7 @@ import numpy as np
 from .matcore import (
     PreconditionError,
     TWO_PI,
+    _check_tolerance,
     _check_unitary,
     adjoint,
     as_cmatrix,
@@ -210,6 +211,8 @@ def bott_index(u, v, gap_tol: float = 0.05, tol: float = 1e-10) -> BottResult:
     is only defined when the spectrum of e(u, v) stays gap_tol away from
     1/2; softer pairs raise GapUndefinedError.
     """
+    _check_tolerance("gap_tol", gap_tol)
+    _check_tolerance("tol", tol)
     u = as_cmatrix(u)
     v = as_cmatrix(v)
     _check_unitary(u, tol)

@@ -1,9 +1,10 @@
 """End-to-end tests for the command line: codecs, determinism, exit codes."""
 
+import base64
 import cProfile
-import copy
 import json
 import pstats
+import struct
 
 import numpy as np
 import pytest
@@ -77,13 +78,19 @@ def _float_matrices(draw):
     return a
 
 
-def _reference_rows(rows) -> str:
-    """Rows written one entry at a time, -0 folded to 0, as artifacts store them."""
+def _reencoded(payload: str, edit) -> str:
+    """A matrix payload with ``edit`` applied to its raw bytes."""
+    return base64.b64encode(edit(base64.b64decode(payload))).decode("ascii")
 
-    def fmt(v) -> str:
-        return f"{float(v) if v != 0 else 0.0:.17g}"
 
-    return "[" + ",".join("[" + ",".join(map(fmt, row)) + "]" for row in rows) + "]"
+def _reference_payload(a) -> str:
+    """Entries packed one at a time, row by row, as little-endian (re, im)
+    doubles with -0 folded to 0, then base64."""
+
+    def pack(z) -> bytes:
+        return struct.pack("<dd", *(v if v != 0 else 0.0 for v in (z.real, z.imag)))
+
+    return base64.b64encode(b"".join(pack(z) for row in a for z in row)).decode("ascii")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -91,10 +98,19 @@ def _reference_rows(rows) -> str:
 def test_matrix_rows_match_per_entry_formatting(a):
     text = json_text(encode_matrix(a))
     n = a.shape[0]
-    expected = f'{{"im":{_reference_rows(a.imag)},"n":{n},"re":{_reference_rows(a.real)}}}\n'
-    assert text == expected
+    assert text == f'{{"c16":"{_reference_payload(a)}","n":{n}}}\n'
     assert json_text(json.loads(text)) == text
     assert np.array_equal(decode_matrix(json.loads(text), "mem"), a)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_float_matrices())
+def test_matrix_payload_round_trip_is_bit_exact(a):
+    decoded = decode_matrix(json.loads(json_text(encode_matrix(a))), "mem")
+    # bit for bit, except that -0 is stored, and so read back, as 0
+    assert decoded.tobytes() == (a + 0.0).tobytes()
+    assert encode_matrix(a) == encode_matrix(decoded)
+    assert decoded.dtype == np.complex128 and decoded.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -105,21 +121,26 @@ def test_non_finite_row_cannot_be_serialized(bad):
 
 @pytest.mark.parametrize("bad", [True, "0.5", None, [0.5]])
 def test_matrix_decode_names_the_bad_entry(bad):
-    obj = {"n": 2, "re": [[0.0, 1], [0.5, 0.25]], "im": [[0.0, 0.0], [0.0, bad]]}
-    with pytest.raises(DecodeError, match=r"mem\.im: entry \[1\]\[1\] is not a number"):
+    obj = {"n": 2, "c16": bad}
+    with pytest.raises(DecodeError, match=r"mem\.c16 is not (a string|strict base64)"):
         decode_matrix(obj, "mem")
 
 
 def test_matrix_decode_rows_and_integers():
-    ragged = {"n": 2, "re": [[0.0, 1.0], [0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
-    with pytest.raises(DecodeError, match=r"mem\.re: row 1 is not 2 numbers"):
-        decode_matrix(ragged, "mem")
-    ints = {"n": 2, "re": [[1, 0], [0, 1]], "im": [[0, -3], [2**60, 0]]}
-    expected = np.eye(2) + 1j * np.array([[0.0, -3.0], [2.0**60, 0.0]])
-    assert np.array_equal(decode_matrix(ints, "mem"), expected)
-    ints["im"][0][0] = 10**400
-    with pytest.raises(DecodeError, match="finite"):
-        decode_matrix(ints, "mem")
+    short = encode_matrix(np.eye(2))
+    short["c16"] = _reencoded(short["c16"], lambda raw: raw[:-16])
+    with pytest.raises(DecodeError, match=r"mem\.c16 holds 48 bytes, not the 16 n\^2 of n = 2"):
+        decode_matrix(short, "mem")
+    one = encode_matrix(np.eye(1))
+    for n in (True, 1.0, 0, -1, "1"):
+        with pytest.raises(DecodeError, match=r"mem\.n must be a positive integer"):
+            decode_matrix({**one, "n": n}, "mem")
+    with pytest.raises(DecodeError, match=r"mem\.c16 holds 16 bytes"):
+        decode_matrix({**one, "n": 10**3000}, "mem")  # 16 n^2 has too many digits to print
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        payload = base64.b64encode(struct.pack("<dd", 0.5, bad)).decode("ascii")
+        with pytest.raises(DecodeError, match=r"mem\.c16: entries must be finite"):
+            decode_matrix({"n": 1, "c16": payload}, "mem")
 
 
 def test_links_encoding_formats_rows_in_bulk():
@@ -137,12 +158,22 @@ def test_links_encoding_formats_rows_in_bulk():
 
 
 def test_matrix_codec_rejects_garbage():
+    # there is one reader, and it refuses the older text shape
+    old = {"n": 2, "re": [[0.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+    with pytest.raises(DecodeError, match="keys n, c16"):
+        decode_matrix(old, "mem")
     with pytest.raises(DecodeError):
-        decode_matrix({"n": 2, "re": [[0, 0]], "im": [[0, 0]]}, "mem")
-    with pytest.raises(DecodeError):
-        decode_matrix({"n": 2, "re": [[0, 0], [0, "x"]], "im": [[0, 0], [0, 0]]}, "mem")
+        decode_matrix({**encode_matrix(np.eye(2)), "re": []}, "mem")
     with pytest.raises(DecodeError):
         decode_matrix([1, 2], "mem")
+
+
+def test_bundle_size_is_bounded_by_the_binary_payload(tmp_path):
+    # 17-digit text takes about 11 MB here; base64 of 16 bytes per entry,
+    # plus a little metadata, stays below this bound
+    _gen(tmp_path, n=256, N=2)
+    payload = 4 * -(-16 * 256**2 // 3)
+    assert (tmp_path / "bundle.json").stat().st_size <= 4 * payload + 4096
 
 
 # --- gen -----------------------------------------------------------------------
@@ -245,9 +276,7 @@ def test_certify_saved_links_and_detect_tampering(tmp_path):
     # point one flat segment's end at a moved copy of it; y keeps the original
     tampered = json.loads(text)
     flat = tampered["links"][0]["segments"][-1]
-    moved = copy.deepcopy(tampered["matrices"][flat["b"]])
-    moved["re"][0][0] += 1e-3
-    flat["b"] = _append_matrix(tampered, moved)
+    flat["b"] = _append_matrix(tampered, _edited(tampered["matrices"][flat["b"]], 1e-3))
     bad = tmp_path / "bad.json"
     bad.write_text(json_text(tampered), encoding="utf-8")
     code = main(["certify", "--input", str(bad), "--output", str(recert)])
@@ -255,7 +284,15 @@ def test_certify_saved_links_and_detect_tampering(tmp_path):
     assert json.loads(_read(recert))["passed"] is False
 
 
-_SMALL_MATRIX = {"n": 2, "re": [[0.1, 0.0], [0.0, 0.1]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+_SMALL_MATRIX = encode_matrix(0.1 * np.eye(2))
+
+
+def _edited(matrix: dict, shift: float) -> dict:
+    """An artifact matrix with ``shift`` added to its real [0, 0] entry."""
+    a = decode_matrix(matrix, "mem")
+    a[0, 0] += shift
+    return encode_matrix(a)
+
 
 _MATRIX_SLOTS = ("a", "b", "h", "base")
 
@@ -361,7 +398,7 @@ def test_links_and_certificate_decode_encode_identity(tmp_path):
 def test_tampered_bundle_fails_delta_integrity(tmp_path, capsys):
     bundle = _gen(tmp_path, n=4, N=2, delta=1e-3, seed=0)
     obj = json.loads(_read(tmp_path / "bundle.json"))
-    obj["y"][0]["re"][0][0] += 0.1
+    obj["y"][0] = _edited(obj["y"][0], 0.1)
     bad = tmp_path / "tampered.json"
     bad.write_text(json_text(obj), encoding="utf-8")
     code = main(["link", "--input", str(bad), "--output", str(tmp_path / "c.json")])
@@ -402,12 +439,72 @@ def test_malformed_bundle_exits_2(tmp_path, capsys, field, value):
     assert err.startswith("error: ") and field in err
 
 
+def _put_entry(matrix: dict, value: float) -> None:
+    """Write ``value`` into an artifact matrix's payload as the imaginary part
+    of entry [2, 1]; encode_matrix refuses NaN and infinity."""
+    start = 16 * (2 * matrix["n"] + 1) + 8
+    entry = struct.pack("<d", value)
+    matrix["c16"] = _reencoded(matrix["c16"], lambda raw: raw[:start] + entry + raw[start + 8 :])
+
+
+@pytest.mark.parametrize("command", ["gen", "spectrum", "link", "lift"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    out = ["--output", str(tmp_path / "out.json")]
+    if command == "gen":
+        argv = ["gen", "--n", "3", "--seed", "-1"]
+    elif command == "spectrum":
+        argv = ["spectrum", "--input", _gen(tmp_path, n=3, N=2, seed=0), "--seed", "-1"]
+    else:  # link and lift take their seed from the bundle's metadata
+        _gen(tmp_path, n=3, N=2, delta=1e-3, seed=0)
+        obj = json.loads(_read(tmp_path / "bundle.json"))
+        obj["metadata"]["seed"] = -1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json_text(obj), encoding="utf-8")
+        argv = [command, "--input", str(bad)]
+    capsys.readouterr()
+    assert main(argv + out) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+
+_BAD_TOLERANCES = [
+    # (command, input kind, flag, value, parameter named in the error)
+    ("bott", "commuting_pair", "--tol", "nan", "tol"),  # not unitary: NaN passed it
+    ("bott", "commuting_pair", "--tol", "-1", "tol"),
+    ("bott", "clock_shift", "--gap-tol", "nan", "gap_tol"),
+    ("bott", "clock_shift", "--gap-tol", "-1", "gap_tol"),
+    ("link", "commuting_pair", "--tol", "nan", "tol"),
+    ("link", "commuting_pair", "--tol", "-1", "tol"),
+    ("link", "commuting_pair", "--epsilon", "nan", "epsilon"),
+    ("link", "commuting_pair", "--epsilon", "inf", "epsilon"),
+    ("lift", "commuting_pair", "--epsilon", "nan", "epsilon"),
+    ("certify", "links", "--epsilon", "nan", "epsilon"),
+    ("certify", "links", "--epsilon", "inf", "epsilon"),
+]
+
+
+@pytest.mark.parametrize("command, kind, flag, value, name", _BAD_TOLERANCES)
+def test_bad_tolerance_exits_2(tmp_path, capsys, command, kind, flag, value, name):
+    if kind == "clock_shift":
+        inp = _gen(tmp_path, kind="clock_shift", n=16)
+    else:
+        inp = _gen(tmp_path, n=3, N=2, delta=1e-3, seed=0)
+    if kind == "links":
+        links = str(tmp_path / "links.json")
+        argv = ["link", "--input", inp, "--output", str(tmp_path / "c.json")]
+        assert main(argv + ["--links-output", links]) == 0
+        inp = links
+    capsys.readouterr()
+    code = main([command, "--input", inp, "--output", str(tmp_path / "o.json"), flag, value])
+    assert code == 2
+    assert f"{name} must be finite and >= 0" in capsys.readouterr().err
+
+
 _NON_FINITE = {
-    # json.dumps writes NaN and Infinity; 1e999 parses as inf, and an
-    # integer literal beyond the float range cannot be converted at all
+    # json.dumps writes NaN and Infinity as bare words, and a matrix payload
+    # can hold their bytes
     "bundle-delta": ("bundle", lambda o: o.update(delta=float("nan")), ["link"]),
-    "bundle-entry": ("bundle", lambda o: o["y"][0]["re"][0].__setitem__(0, 1e999), ["link"]),
-    "bundle-long-int": ("bundle", lambda o: o["x"][1]["im"][2].__setitem__(1, 10**400), ["link"]),
+    "bundle-entry": ("bundle", lambda o: _put_entry(o["y"][0], np.inf), ["link"]),
+    "bundle-nan-entry": ("bundle", lambda o: _put_entry(o["x"][1], np.nan), ["link"]),
     "links-epsilon": (
         "links",
         lambda o: o.update(epsilon_reported=float("nan")),
@@ -474,7 +571,7 @@ def test_assignment_matrices_must_be_an_object(tmp_path, capsys, value):
 
 
 def _field_paths(obj, prefix=()):
-    """Every key or index path into obj, except into a matrix's re/im rows."""
+    """Every key or index path into obj."""
     if isinstance(obj, dict):
         items = obj.items()
     elif isinstance(obj, list):
@@ -483,11 +580,16 @@ def _field_paths(obj, prefix=()):
         return
     for key, value in items:
         yield prefix + (key,)
-        if key not in ("re", "im"):
-            yield from _field_paths(value, prefix + (key,))
+        yield from _field_paths(value, prefix + (key,))
 
 
 _DROP = object()
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
 
 
 def _mutations(text: str):
@@ -496,14 +598,35 @@ def _mutations(text: str):
     for path in _field_paths(json.loads(text)):
         for value in (_DROP, None, "x", [], {}, 1.5, True):
             obj = json.loads(text)
-            parent = obj
-            for key in path[:-1]:
-                parent = parent[key]
+            parent = _at(obj, path[:-1])
             if value is _DROP:
                 del parent[path[-1]]
             else:
                 parent[path[-1]] = value
             yield path, value, obj
+
+
+_BAD_PAYLOADS = {
+    "truncated": lambda m: m.update(c16=m["c16"][:-4]),
+    "padded": lambda m: m.update(c16=_reencoded(m["c16"], lambda raw: raw + b"\0")),
+    "non-base64": lambda m: m.update(c16="!" + m["c16"][1:]),
+    "whitespace": lambda m: m.update(c16=m["c16"][:8] + "\n" + m["c16"][8:]),
+    "number": lambda m: m.update(c16=0.5),
+    "list": lambda m: m.update(c16=[m["c16"]]),
+    "n-true": lambda m: m.update(n=True),
+}
+
+
+def _payload_mutations(text: str):
+    """(path, case, artifact) for every matrix of the artifact spoiled in
+    each of the ways of _BAD_PAYLOADS."""
+    for path in _field_paths(json.loads(text)):
+        if path[-1] != "c16":
+            continue
+        for case, spoil in _BAD_PAYLOADS.items():
+            obj = json.loads(text)
+            spoil(_at(obj, path[:-1]))
+            yield path, case, obj
 
 
 def test_mutated_artifacts_never_raise(tmp_path, capsys):
@@ -518,13 +641,22 @@ def test_mutated_artifacts_never_raise(tmp_path, capsys):
     commands = {
         _read(tmp_path / "bundle.json"): [
             ["link"],
+            ["lift"],
             ["bott"],
             ["relcheck", "--preset", "soft_torus", "--delta", "1"],
+            ["spectrum"],
         ],
         links_text: [["certify"], ["project"]],
         assignment: [["relcheck", "--rel-file", str(rel)]],
     }
     bad = tmp_path / "mutated.json"
+
+    def run(argv):
+        try:
+            return main(argv + ["--input", str(bad), "--output", out])
+        except Exception as e:  # any exception is a failure
+            return repr(e)
+
     failures = []
     for text, argvs in commands.items():
         for path, value, obj in _mutations(text):
@@ -535,12 +667,16 @@ def test_mutated_artifacts_never_raise(tmp_path, capsys):
                 path[-1] in _MATRIX_SLOTS or (path[0] in ("x", "y") and len(path) == 2)
             )
             for argv in argvs:
-                try:
-                    code = main(argv + ["--input", str(bad), "--output", out])
-                except Exception as e:  # any exception is a failure
-                    code = repr(e)
+                code = run(argv)
                 if code not in (0, 1, 2) or (index_slot and code != 2):
                     failures.append((argv[0], path, "drop" if value is _DROP else value, code))
+        # every malformed matrix payload is a decode error for every reader
+        for path, case, obj in _payload_mutations(text):
+            bad.write_text(json.dumps(obj), encoding="utf-8")
+            for argv in argvs:
+                code = run(argv)
+                if code != 2:
+                    failures.append((argv[0], path, case, code))
     capsys.readouterr()
     assert failures == []
 

@@ -161,7 +161,11 @@ def _load_json(path: str):
 
     try:
         return json.loads(_read_text(path), parse_constant=reject)
-    except json.JSONDecodeError as e:
+    except DecodeError:
+        raise
+    except ValueError as e:
+        # a JSONDecodeError, or a plain ValueError for an integer literal
+        # longer than Python's int-to-string digit limit
         raise DecodeError(f"{path}: invalid JSON: {e}")
 
 

@@ -495,10 +495,6 @@ def _mode_residual(a: np.ndarray, mode: str) -> np.ndarray:
     return adjoint(a) @ a - np.eye(a.shape[0])
 
 
-def _mode_defect(a: np.ndarray, mode: str) -> float:
-    return op_norm(_mode_residual(a, mode))
-
-
 def _validate_mode(t: NormalTuple, mode: str, tol: float, who: str) -> None:
     if mode not in ("normal", "hermitian", "unitary"):
         raise PreconditionError(f"unknown mode {mode!r}")
@@ -569,8 +565,26 @@ def _quadratic_bound(c0: float, c01: float, c1: float, s: np.ndarray) -> tuple:
     return np.minimum(p, top), top
 
 
-def _normality(a: np.ndarray) -> float:
-    return op_norm(commutator(adjoint(a), a))
+#: A normality, commutator or mode-defect term takes the cheap norm bound of
+#: its matrix only while the weighted bound is at most this share of the
+#: entry's tolerance, so a cheap term cannot decide a verdict by itself.
+_CHEAP_SHARE = 1e-3
+
+
+def _term(m: np.ndarray, tol: float, weight: float = 1.0) -> float:
+    """An upper bound on weight * ||m|| for a term of an entry checked against
+    ``tol``: matcore._norm_upper_bound(m) while weight times it is at most
+    _CHEAP_SHARE * tol, the exact op_norm otherwise."""
+    bound = matcore._norm_upper_bound(m)
+    return weight * (bound if weight * bound <= _CHEAP_SHARE * tol else op_norm(m))
+
+
+def _normality(a: np.ndarray, tol: float) -> float:
+    return _term(commutator(adjoint(a), a), tol)
+
+
+def _mode_defect(a: np.ndarray, mode: str, tol: float) -> float:
+    return _term(_mode_residual(a, mode), tol)
 
 
 def _theta_max(seg) -> float:
@@ -578,17 +592,19 @@ def _theta_max(seg) -> float:
     return max(abs(seg.theta0), abs(seg.theta1))
 
 
-def _normality_bound(seg, s) -> tuple:
+def _normality_bound(seg, s, tol: float) -> tuple:
     if isinstance(seg, Conj):
-        return _const_bound(_normality(seg.base), s)
+        return _const_bound(_normality(seg.base, tol), s)
     if isinstance(seg, Flat):
         a0, a1 = seg.a, seg.b
         mixed = commutator(adjoint(a0), a1) + commutator(adjoint(a1), a0)
-        return _quadratic_bound(_normality(a0), op_norm(mixed), _normality(a1), s)
+        return _quadratic_bound(
+            _normality(a0, tol), _term(mixed, tol), _normality(a1, tol), s
+        )
     # Geo: [a*, a] = e^{-i th H} (B*B) e^{i th H} - BB*
     gram = adjoint(seg.base) @ seg.base
-    drift = _theta_max(seg) * op_norm(commutator(seg.h, gram))
-    return _const_bound(_normality(seg.base) + drift, s)
+    drift = _term(commutator(seg.h, gram), tol, _theta_max(seg))
+    return _const_bound(_normality(seg.base, tol) + drift, s)
 
 
 def _norm_bound(seg, s) -> tuple:
@@ -597,22 +613,26 @@ def _norm_bound(seg, s) -> tuple:
     return _const_bound(op_norm(seg.base), s)
 
 
-def _mode_bound(seg, mode: str, s) -> tuple:
+def _mode_bound(seg, mode: str, s, tol: float) -> tuple:
     if mode == "hermitian":
         if isinstance(seg, Conj):
-            return _const_bound(_mode_defect(seg.base, mode), s)
+            return _const_bound(_mode_defect(seg.base, mode, tol), s)
         if isinstance(seg, Flat):
-            return _convex_bound(_mode_defect(seg.a, mode), _mode_defect(seg.b, mode), s)
+            return _convex_bound(
+                _mode_defect(seg.a, mode, tol), _mode_defect(seg.b, mode, tol), s
+            )
         # Geo: a - a* = (B - B*) + B (e^{i th H} - 1) - (e^{-i th H} - 1) B*
         turn = min(2.0, _theta_max(seg) * op_norm(seg.h))
-        return _const_bound(_mode_defect(seg.base, mode) + 2.0 * op_norm(seg.base) * turn, s)
+        return _const_bound(
+            _mode_defect(seg.base, mode, tol) + 2.0 * op_norm(seg.base) * turn, s
+        )
     if isinstance(seg, Flat):
         a0, a1 = seg.a, seg.b
         mixed = adjoint(a0) @ a1 + adjoint(a1) @ a0 - 2.0 * np.eye(a0.shape[0])
         return _quadratic_bound(
-            _mode_defect(a0, mode), op_norm(mixed), _mode_defect(a1, mode), s
+            _mode_defect(a0, mode, tol), _term(mixed, tol), _mode_defect(a1, mode, tol), s
         )
-    return _const_bound(_mode_defect(seg.base, mode), s)
+    return _const_bound(_mode_defect(seg.base, mode, tol), s)
 
 
 def _distance_bound(seg, y: np.ndarray, eps: float, s) -> tuple:
@@ -623,37 +643,36 @@ def _distance_bound(seg, y: np.ndarray, eps: float, s) -> tuple:
     return tree.at(s), tree.upper
 
 
-def _commutator_bound(sa, sb, s) -> tuple:
+def _commutator_bound(sa, sb, s, norm_a: float, norm_b: float, tol: float) -> tuple:
+    """Commutator bound of two pieces whose norms are at most norm_a, norm_b."""
     if (
         isinstance(sa, Conj)
         and isinstance(sb, Conj)
         and (sa.theta0, sa.theta1) == (sb.theta0, sb.theta1)
         and np.array_equal(sa.h, sb.h)
     ):
-        return _const_bound(op_norm(commutator(sa.base, sb.base)), s)
+        return _const_bound(_term(commutator(sa.base, sb.base), tol), s)
     if isinstance(sa, Flat) and isinstance(sb, Flat):
         mixed = commutator(sa.a, sb.b) + commutator(sa.b, sb.a)
         return _quadratic_bound(
-            op_norm(commutator(sa.a, sb.a)),
-            op_norm(mixed),
-            op_norm(commutator(sa.b, sb.b)),
+            _term(commutator(sa.a, sb.a), tol),
+            _term(mixed, tol),
+            _term(commutator(sa.b, sb.b), tol),
             s,
         )
-    _, norm_a = _norm_bound(sa, s)
-    _, norm_b = _norm_bound(sb, s)
     if isinstance(sa, Geo) and isinstance(sb, Geo):
         # [B1 E1, B2 E2] = [B1, B2] E1 E2 + B2 B1 [E1, E2] + B1 [E1, B2] E2
         # - B2 [E2, B1] E1 with E = e^{i th H}
         ta, tb = _theta_max(sa), _theta_max(sb)
         top = (
-            op_norm(commutator(sa.base, sb.base))
-            + norm_a * norm_b * ta * tb * op_norm(commutator(sa.h, sb.h))
-            + ta * norm_a * op_norm(commutator(sa.h, sb.base))
-            + tb * norm_b * op_norm(commutator(sb.h, sa.base))
+            _term(commutator(sa.base, sb.base), tol)
+            + _term(commutator(sa.h, sb.h), tol, norm_a * norm_b * ta * tb)
+            + _term(commutator(sa.h, sb.base), tol, ta * norm_a)
+            + _term(commutator(sb.h, sa.base), tol, tb * norm_b)
         )
         return _const_bound(top, s)
     # any other pair: ||[a(s), b(s)] - [a(0), b(0)]|| <= 2 s (L_a ||b|| + L_b ||a||)
-    start = op_norm(commutator(sa.start, sb.start))
+    start = _term(commutator(sa.start, sb.start), tol)
     slope = 2.0 * (sa.length * norm_b + sb.length * norm_a)
     return start + slope * s, start + slope
 
@@ -703,6 +722,15 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
       every piece is within eps; a piece left above eps at the depth cap
       fails the check.
 
+    Each matrix norm inside a normality, commutator or mode-defect bound
+    (_term) is matcore._norm_upper_bound while that bound, times the weight
+    the term carries, is at most 1e-3 of the entry's tolerance, and the
+    exact op_norm otherwise. Such a cheap term cannot decide a verdict by
+    itself: each adds at most 0.1% of the tolerance, so a verdict differs
+    from the exact-norm one only when an entry sits that close to its
+    tolerance, and then only from pass to fail. Norms compared with eps or
+    with 1, and norms that multiply other terms, stay exact.
+
     Endpoint errors, exact lengths and Lipschitz constants are recorded too.
     """
     matcore._check_tolerance("epsilon", eps)
@@ -733,19 +761,23 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
         idx = np.flatnonzero(piece_of == i)
         s = (grid[idx] - t0) / (t1 - t0)
         segs = [_cut(link, t0, t1) for link in links]
+        norm_tops = []
         for j, seg in enumerate(segs):
             bounds = {
-                "normality": _normality_bound(seg, s),
+                "normality": _normality_bound(seg, s, tols.normality),
                 "norm": _norm_bound(seg, s),
                 "distance": _distance_bound(seg, bundle.y_mats[j], eps, s),
             }
             if use_mode:
-                bounds["mode"] = _mode_bound(seg, bundle.mode, s)
+                bounds["mode"] = _mode_bound(seg, bundle.mode, s, tols.mode_defect)
             for key, (vals, top) in bounds.items():
                 tables[key][j, idx] = vals
                 sups[key] = max(sups[key], top)
+            norm_tops.append(bounds["norm"][1])
         for p, (j, k) in enumerate(pair_index):
-            vals, top = _commutator_bound(segs[j], segs[k], s)
+            vals, top = _commutator_bound(
+                segs[j], segs[k], s, norm_tops[j], norm_tops[k], tols.commutation
+            )
             commutation[p, idx] = vals
             commutation_sup = max(commutation_sup, top)
 

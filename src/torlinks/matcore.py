@@ -31,7 +31,7 @@ TWO_PI = 2.0 * np.pi
 # one degenerate cluster wherever grouping matters.
 CLUSTER_RTOL = 1e-8
 
-# Relative rounding allowance on the O(n^2) norm bounds of ``_threshold_norm``.
+# Relative rounding allowance on the O(n^2) norm bounds of ``_norm_upper_bound``.
 # Their sums of moduli are off by at most about n * 2^-53 relative, below
 # 1e-12 for n up to several thousand. The allowance must stay below the
 # contraction slack 1e-10, so that exact unitaries pass on the bound.
@@ -90,19 +90,27 @@ def op_norm(a) -> float:
     return float(np.sqrt(max(float(w[-1]), 0.0)))
 
 
+def _norm_upper_bound(a: np.ndarray) -> float:
+    """An O(n^2) upper bound on op_norm(a), with no eigensolve.
+
+    ||A||_2 is at most both the Frobenius norm and Schur's bound
+    sqrt(||A||_1 ||A||_inf); the smaller of the two is widened by
+    ``_BOUND_RTOL`` to cover its own rounding.
+    """
+    mod = np.abs(a)
+    schur = np.sqrt(float(mod.sum(axis=0).max()) * float(mod.sum(axis=1).max()))
+    return min(float(np.linalg.norm(mod)), schur) * (1.0 + _BOUND_RTOL)
+
+
 def _threshold_norm(a: np.ndarray, tol: float) -> float:
     """A stand-in for op_norm(a) in the test ``> tol``, without an eigensolve
     when a cheap bound already settles it.
 
-    ||A||_2 is at most both the Frobenius norm and Schur's bound
-    sqrt(||A||_1 ||A||_inf). When the smaller of the two, widened by
-    ``_BOUND_RTOL``, is at most ``tol``, it is returned and the test fails
-    as it would on the exact norm. Otherwise the exact op_norm is returned,
-    so a rejection reports the exact value. Never store the result.
+    When ``_norm_upper_bound(a)`` is at most ``tol``, it is returned and the
+    test fails as it would on the exact norm. Otherwise the exact op_norm is
+    returned, so a rejection reports the exact value. Never store the result.
     """
-    mod = np.abs(a)
-    schur = np.sqrt(float(mod.sum(axis=0).max()) * float(mod.sum(axis=1).max()))
-    bound = min(float(np.linalg.norm(mod)), schur) * (1.0 + _BOUND_RTOL)
+    bound = _norm_upper_bound(a)
     return bound if bound <= tol else op_norm(a)
 
 

@@ -538,6 +538,25 @@ def test_malformed_json_names_the_file(tmp_path, capsys):
     assert "broken.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "literal, message",
+    [("9" * 5000, "invalid JSON"), ("NaN", "non-finite number NaN in JSON")],
+    ids=["5000-digit-int", "nan"],
+)
+def test_unreadable_number_exits_2_naming_the_file(tmp_path, capsys, literal, message):
+    # json.loads refuses an integer literal longer than Python's 4300-digit
+    # limit with a plain ValueError; parse_constant refuses NaN itself
+    obj = json.loads(_read(tmp_path / _gen(tmp_path, n=3, N=2, delta=1e-3, seed=0)))
+    obj["delta"] = "LITERAL"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj).replace('"LITERAL"', literal), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["link", "--input", str(bad), "--output", str(tmp_path / "c.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and message in err
+
+
 def test_missing_input_exits_2(tmp_path, capsys):
     code = main(["link", "--input", str(tmp_path / "nope.json"), "--output", "x.json"])
     assert code == 2

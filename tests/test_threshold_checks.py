@@ -6,6 +6,12 @@ back to ``op_norm`` otherwise. These property tests put each check's defect
 at tol * (1 +- 1e-6) on the shapes where a bound is tight -- rank one
 (Frobenius), diagonal unitaries and permutations (Schur), zero -- and on
 dense Hermitian unitaries, where the fallback decides.
+
+Certificate entries follow the same idea one step removed: a normality,
+commutator or mode-defect term takes the cheap bound only while the bound,
+times the term's weight, is at most 1e-3 of its tolerance. Hand-built
+bundles put that weighted bound just below and just above the cut, and an
+exact defect at the tolerance itself.
 """
 
 from __future__ import annotations
@@ -18,7 +24,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torlinks import homotopy, matcore
-from torlinks.homotopy import JOIN_TOL, Flat, MatrixPath
+from torlinks.homotopy import (
+    JOIN_TOL,
+    CertTolerances,
+    Conj,
+    Flat,
+    Geo,
+    LinkBundle,
+    MatrixPath,
+    certify,
+)
 from torlinks.jointspec import CONTRACTION_SLACK, NormalTuple
 from torlinks.matcore import (
     DiagnosticsError,
@@ -190,3 +205,72 @@ def test_zero_norm_needs_no_eigensolve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     assert op_norm(np.zeros((4, 4))) == 0.0
     assert matcore._threshold_norm(np.zeros((4, 4)), 0.0) == 0.0
+
+
+# --- certificate terms ---------------------------------------------------------
+
+
+def _frozen(base: np.ndarray) -> MatrixPath:
+    """A motionless link: the orbit of ``base`` under the generator 0."""
+    return MatrixPath([Conj(np.zeros_like(base), base)])
+
+
+def _term_case(term: str, s: float):
+    """(bundle, table, m, weight, tol): every entry of the certificate table
+    ``table`` bounds weight * ||m|| for a hand-built bundle, m is s times a
+    fixed matrix, and the entry is checked against ``tol``."""
+    rng = np.random.default_rng(7)
+    n = 4
+    a0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h0 = _hermitize(a0)
+    h1 = _hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    tols = CertTolerances()
+    if term == "normality":  # [a*, a] is quadratic in a, with no cancellation
+        a = np.sqrt(s) * a0
+        bundle = LinkBundle([_frozen(a)], [a], [a], 0.0)
+        return bundle, "normality", commutator(adjoint(a), a), 1.0, tols.normality
+    if term == "commutation":  # exactly Hermitian, hence normal, bases
+        a, b = s * h0, h1 / op_norm(h1)
+        bundle = LinkBundle([_frozen(a), _frozen(b)], [a, b], [a, b], 0.0)
+        return bundle, "commutation", commutator(a, b), 1.0, tols.commutation
+    if term == "mode_defect":
+        a = s * a0
+        bundle = LinkBundle([_frozen(a)], [a], [a], 0.0, mode="hermitian")
+        return bundle, "mode_defects", a - adjoint(a), 1.0, tols.mode_defect
+    # two Geo pieces 1 e^{i th H}: of the four commutator terms only
+    # ||1|| ||1|| th th ||[Ha, Hb]|| is nonzero, with weight th^2 = 4
+    eye = np.eye(n, dtype=np.complex128)
+    ga, gb = Geo(eye, s * h0, 0.0, 2.0), Geo(eye, h1, 0.0, 2.0)
+    bundle = LinkBundle([MatrixPath([ga]), MatrixPath([gb])], [eye, eye], [ga.end, gb.end], 0.0)
+    return bundle, "commutation", commutator(ga.h, gb.h), 4.0, tols.commutation
+
+
+TERMS = ("normality", "commutation", "mode_defect", "geo_weighted")
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+@pytest.mark.parametrize("term", TERMS)
+def test_certificate_term_is_cheap_only_below_a_thousandth_of_its_tolerance(term, side):
+    *_, m1, weight, tol = _term_case(term, 1.0)
+    limit = 1e-3 * tol
+    s = limit * (1.0 + side * 1e-6) / (weight * matcore._norm_upper_bound(m1))
+    bundle, table, m, weight, tol = _term_case(term, s)
+    cheap = weight * matcore._norm_upper_bound(m)
+    exact = weight * op_norm(m)
+    assert (cheap <= limit) == (side < 0)
+    assert cheap > 1.01 * exact  # the two paths give different entries
+    entries = getattr(certify(bundle, 1.0), table)
+    if side < 0:
+        assert np.all(entries == cheap)
+        assert np.all(entries >= exact) and np.all(entries <= limit)
+    else:
+        assert np.all(entries == exact)
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+@pytest.mark.parametrize("term", ["normality", "commutation"])
+def test_certificate_verdict_at_the_tolerance_follows_the_exact_norm(term, side):
+    *_, m1, weight, tol = _term_case(term, 1.0)
+    bundle, _, m, weight, tol = _term_case(term, tol * (1.0 + side * 1e-6) / (weight * op_norm(m1)))
+    assert (weight * op_norm(m) <= tol) == (side < 0)
+    assert certify(bundle, 1.0).passed == (side < 0)

@@ -1,8 +1,10 @@
 """Command-line pipelines: generate tuples, build links, certify, export.
 
-Artifacts are JSON with a ``type`` tag and floats written with 17 significant
-digits, so encoding is canonical: re-encoding a decoded artifact reproduces
-the same bytes, and fixed seeds reproduce identical files.  Matrices are
+Artifacts are JSON with a ``type`` tag, written by ``json.dumps`` with sorted
+keys and no spaces, so every float is Python's shortest round-trip text
+(``repr``, the text ``ncrel`` prints) and a scalar -0.0 stays ``-0.0``.
+Encoding is canonical: re-encoding a decoded artifact reproduces the same
+bytes, and fixed seeds reproduce identical files.  Matrices are
 stored as ``{"n": k, "c16": ...}``, the base64 of their row-major
 little-endian complex128 bytes, so they round-trip bit for bit; a links
 artifact stores each distinct matrix once in its ``matrices`` table and refers
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import base64
-import functools
 import json
 import os
 import sys
@@ -73,76 +74,32 @@ class DecodeError(PreconditionError):
 # --- canonical JSON ----------------------------------------------------------
 
 
-def _fmt_float(x: float) -> str:
-    x = float(x)
-    if not np.isfinite(x):
-        raise PreconditionError("cannot serialize non-finite float")
-    if x == 0.0:  # avoid '-0', which would not survive a decode/encode cycle
-        x = 0.0
-    return f"{x:.17g}"
-
-
-@functools.lru_cache(maxsize=64)
-def _row_template(k: int) -> str:
-    return "[" + ",".join(["%.17g"] * k) + "]"
-
-
-def _emit(x, out: list):
-    if x is None:
-        out.append("null")
-    elif isinstance(x, bool):
-        out.append("true" if x else "false")
-    elif isinstance(x, (int, np.integer)):
-        out.append(str(int(x)))
-    elif isinstance(x, (float, np.floating)):
-        out.append(_fmt_float(x))
-    elif isinstance(x, str):
-        out.append(json.dumps(x))
-    elif isinstance(x, (list, tuple)) and set(map(type, x)) == {float}:
-        a = np.array(x) + 0.0  # -0.0 + 0.0 is 0.0: the row as _fmt_float writes it
-        if not np.isfinite(a).all():
-            raise PreconditionError("cannot serialize non-finite float")
-        out.append(_row_template(len(x)) % tuple(a.tolist()))
-    elif isinstance(x, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(x):
-            if i:
-                out.append(",")
-            _emit(v, out)
-        out.append("]")
-    elif isinstance(x, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(x)):
-            if i:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
-            _emit(x[key], out)
-        out.append("}")
-    else:
-        raise PreconditionError(f"cannot serialize {type(x).__name__}")
-
-
 def json_text(obj) -> str:
-    """Canonical single-line JSON: sorted keys, 17-significant-digit floats."""
-    out: list = []
-    _emit(obj, out)
-    out.append("\n")
-    return "".join(out)
+    """Canonical single-line JSON: sorted keys, no spaces, and every float in
+    Python's shortest round-trip text (its ``repr``), -0.0 included."""
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    except ValueError:
+        raise PreconditionError("cannot serialize non-finite float") from None
+    except TypeError as e:
+        raise PreconditionError(f"cannot serialize: {e}") from None
 
 
 def write_artifact(path: str, text: str) -> None:
-    """Write text to `path` atomically (temp file in place, then rename)."""
+    """Write text to `path` atomically (temp file in place, then rename); an
+    OSError becomes a PreconditionError naming `path`."""
     parent = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp-artifact-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp-artifact-")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as e:
+        raise PreconditionError(f"{path}: cannot write: {e.strerror or e}") from None
+    finally:  # after the rename there is no temp file left to remove
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _read_text(path: str) -> str:
@@ -747,19 +704,8 @@ def _cmd_project(args) -> int:
         path = bundle.links[args.link_index]
     rows = project_solid_torus(path, samples=args.samples)
     lines = ["t,k,re,im,angle_re,angle_im"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt_float(row[0]),
-                    str(int(round(row[1]))),
-                    _fmt_float(row[2]),
-                    _fmt_float(row[3]),
-                    _fmt_float(row[4]),
-                    _fmt_float(row[5]),
-                ]
-            )
-        )
+    for t, k, *rest in rows.tolist():
+        lines.append(",".join([repr(t), str(round(k)), *map(repr, rest)]))
     write_artifact(args.output, "\n".join(lines) + "\n")
     print(f"wrote {args.output}: {rows.shape[0]} flow samples")
     return 0
@@ -767,9 +713,10 @@ def _cmd_project(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     loaded = decode_bundle(_load_json(args.input), args.input)
-    _require_commuting(loaded["metadata"], args.input)
+    meta = loaded["metadata"]
+    _require_commuting(meta, args.input)
     tup = loaded["y"] if args.which == "y" else loaded["x"]
-    points = joint_spectrum(tup, seed=args.seed)
+    points = joint_spectrum(tup, seed=int(meta["seed"]))
     artifact = {
         "type": "spectrum",
         "n": points.shape[0],
@@ -856,7 +803,6 @@ def _build_parser() -> argparse.ArgumentParser:
     spec = sub.add_parser("spectrum", help="joint spectrum of a commuting bundle")
     spec.add_argument("--input", required=True)
     spec.add_argument("--which", choices=("x", "y"), default="x")
-    spec.add_argument("--seed", type=int, default=0)
     spec.add_argument("--output", required=True)
     spec.set_defaults(func=_cmd_spectrum)
 
@@ -867,7 +813,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PreconditionError, DiagnosticsError, FileNotFoundError) as e:
+    except (PreconditionError, DiagnosticsError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -5,6 +5,7 @@ import cProfile
 import json
 import pstats
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from torlinks.cli import (
     main,
 )
 from torlinks.homotopy import toral_links
+from torlinks.jointspec import joint_diagonalize
 from torlinks.matcore import PreconditionError, op_norm
 
 
@@ -47,6 +49,75 @@ def test_json_text_is_idempotent_under_reload():
     obj = {"a": 1.0, "b": [0.1, -0.0, 12345678901234567.0, 1e-300], "c": {"x": True}}
     text = json_text(obj)
     assert json_text(json.loads(text)) == text
+
+
+_FLOAT_FIELDS = {
+    "bound",
+    "defect",
+    "delta",
+    "duration",
+    "epsilon",
+    "epsilon_reported",
+    "gap",
+    "slack",
+    "softness",
+    "theta0",
+    "theta1",
+}
+
+
+def _float_fields(obj):
+    """(key, value) for every value stored under a key of _FLOAT_FIELDS."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if key in _FLOAT_FIELDS:
+                yield key, value
+            yield from _float_fields(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _float_fields(value)
+
+
+def test_every_artifact_is_canonical_and_reads_floats_back_as_floats(tmp_path):
+    bundle = _gen(tmp_path, n=3, N=2, delta=1e-3, seed=0)
+    clock = _gen(tmp_path, "clock.json", kind="clock_shift", n=16)
+    names = ("cert", "links", "lift", "report", "bott", "member", "spec")
+    out = {name: str(tmp_path / f"{name}.json") for name in names}
+    link = ["link", "--input", bundle, "--output", out["cert"], "--links-output", out["links"]]
+    assert main(link) == 0
+    lift = ["lift", "--input", bundle, "--output", out["lift"], "--report-output", out["report"]]
+    assert main(lift) == 0
+    assert main(["bott", "--input", clock, "--output", out["bott"]]) == 0
+    relcheck = ["relcheck", "--input", clock, "--preset", "soft_torus", "--delta", "1.1"]
+    assert main(relcheck + ["--output", out["member"]]) == 0
+    assert main(["spectrum", "--input", bundle, "--output", out["spec"]]) == 0
+
+    texts = {path: _read(Path(path)) for path in [bundle, clock, *out.values()]}
+    seen = set()
+    for path, text in texts.items():
+        assert json_text(json.loads(text)) == text
+        for key, value in _float_fields(json.loads(text)):
+            assert type(value) is float, (path, key, value)
+            seen.add(key)
+    assert {"theta0", "softness", "bound", "defect"} <= seen
+    report = json.loads(texts[out["report"]])
+    assert all(type(v) is float for k, v in report.items() if k != "type")
+    spec = json.loads(texts[out["spec"]])
+    assert all(type(v) is float for row in spec["re"] + spec["im"] for v in row)
+
+    # a bound prints the digits its relation text prints
+    relations = json.loads(texts[out["member"]])["relations"]
+    normed = [r["relation"] for r in relations if r["relation"].startswith("norm(")]
+    assert normed == ["norm(u v - v u) <= 1.1"]
+    assert '"bound":1.1,' in texts[out["member"]]
+
+
+def test_json_text_keeps_negative_zero_and_refuses_other_types():
+    text = '{"a":-0.0,"b":0.0,"c":1.0,"d":0.1}\n'
+    assert json_text({"a": -0.0, "b": 0.0, "c": 1.0, "d": 0.1}) == text
+    for bad in (np.int64(1), np.float32(0.5), {1, 2}, 1j):
+        with pytest.raises(PreconditionError, match="cannot serialize"):
+            json_text({"x": [bad]})
 
 
 def test_matrix_codec_round_trip_is_exact():
@@ -143,20 +214,6 @@ def test_matrix_decode_rows_and_integers():
             decode_matrix({"n": 1, "c16": payload}, "mem")
 
 
-def test_links_encoding_formats_rows_in_bulk():
-    # n = 16, N = 3: one _fmt_float call per matrix entry made 9744 calls
-    loaded = decode_bundle(gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0), "mem")
-    bundle = toral_links(loaded["x"], loaded["y"], seed=0)
-    prof = cProfile.Profile()
-    prof.runcall(json_text, encode_links(bundle))
-    calls = sum(
-        stat[1]
-        for (path, _, name), stat in pstats.Stats(prof).stats.items()
-        if path == cli.__file__ and name == "_fmt_float"
-    )
-    assert calls <= 20
-
-
 def test_matrix_codec_rejects_garbage():
     # there is one reader, and it refuses the older text shape
     old = {"n": 2, "re": [[0.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
@@ -169,7 +226,7 @@ def test_matrix_codec_rejects_garbage():
 
 
 def test_bundle_size_is_bounded_by_the_binary_payload(tmp_path):
-    # 17-digit text takes about 11 MB here; base64 of 16 bytes per entry,
+    # matrix entries as decimal text took about 11 MB here; base64 of 16 bytes per entry,
     # plus a little metadata, stays below this bound
     _gen(tmp_path, n=256, N=2)
     payload = 4 * -(-16 * 256**2 // 3)
@@ -452,9 +509,7 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
     out = ["--output", str(tmp_path / "out.json")]
     if command == "gen":
         argv = ["gen", "--n", "3", "--seed", "-1"]
-    elif command == "spectrum":
-        argv = ["spectrum", "--input", _gen(tmp_path, n=3, N=2, seed=0), "--seed", "-1"]
-    else:  # link and lift take their seed from the bundle's metadata
+    else:  # link, lift and spectrum take their seed from the bundle's metadata
         _gen(tmp_path, n=3, N=2, delta=1e-3, seed=0)
         obj = json.loads(_read(tmp_path / "bundle.json"))
         obj["metadata"]["seed"] = -1
@@ -567,6 +622,25 @@ def test_directory_input_exits_2(tmp_path, capsys):
     code = main(["certify", "--input", str(tmp_path), "--output", str(tmp_path / "c.json")])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {tmp_path}")
+
+
+@pytest.mark.parametrize("command", ["gen", "link", "gen-missing-directory"])
+def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    if command == "gen":
+        target, argv = taken, ["gen", "--n", "3"]
+    elif command == "link":
+        bundle = _gen(tmp_path, n=3, N=2, delta=1e-3, seed=0)
+        target = taken
+        argv = ["link", "--input", bundle, "--links-output", str(taken)]
+        argv += ["--output", str(tmp_path / "cert.json")]
+    else:
+        target, argv = tmp_path / "nowhere" / "bundle.json", ["gen", "--n", "3"]
+    capsys.readouterr()
+    assert main(argv + ["--output", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {target}: cannot write")
+    assert not list(tmp_path.rglob(".tmp-artifact-*"))
 
 
 def test_relation_file_that_is_not_utf8_exits_2(tmp_path, capsys):
@@ -843,6 +917,20 @@ def test_project_from_saved_links(tmp_path):
     assert code == 0
     lines = _read(out).strip().split("\n")
     assert len(lines) == 1 + 3 * 33
+
+
+def test_spectrum_uses_the_bundle_seed(tmp_path):
+    bundle = _gen(tmp_path, n=4, N=2, delta=1e-2, seed=7)
+    loaded = decode_bundle(json.loads(_read(tmp_path / "bundle.json")), bundle)
+    for which in ("x", "y"):
+        out = tmp_path / f"spec-{which}.json"
+        assert main(["spectrum", "--input", bundle, "--which", which, "--output", str(out)]) == 0
+        obj = json.loads(_read(out))
+        points = joint_diagonalize(loaded[which], seed=7).points
+        assert np.array(obj["re"]).tobytes() == points.real.tobytes()
+        assert np.array(obj["im"]).tobytes() == points.imag.tobytes()
+    # the seed decides the last bits, so seed 0 would not have matched
+    assert joint_diagonalize(loaded["y"], seed=0).points.tobytes() != points.tobytes()
 
 
 def test_spectrum_of_hermitian_bundle(tmp_path):

@@ -48,6 +48,7 @@ def _gen(tmp_path, name="bundle.json", **kw) -> str:
 def test_json_text_is_idempotent_under_reload():
     obj = {"a": 1.0, "b": [0.1, -0.0, 12345678901234567.0, 1e-300], "c": {"x": True}}
     text = json_text(obj)
+    assert text == '{"a":1.0,"b":[0.1,-0.0,1.2345678901234568e+16,1e-300],"c":{"x":true}}\n'
     assert json_text(json.loads(text)) == text
 
 
@@ -112,9 +113,7 @@ def test_every_artifact_is_canonical_and_reads_floats_back_as_floats(tmp_path):
     assert '"bound":1.1,' in texts[out["member"]]
 
 
-def test_json_text_keeps_negative_zero_and_refuses_other_types():
-    text = '{"a":-0.0,"b":0.0,"c":1.0,"d":0.1}\n'
-    assert json_text({"a": -0.0, "b": 0.0, "c": 1.0, "d": 0.1}) == text
+def test_json_text_refuses_unsupported_types():
     for bad in (np.int64(1), np.float32(0.5), {1, 2}, 1j):
         with pytest.raises(PreconditionError, match="cannot serialize"):
             json_text({"x": [bad]})

@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import copy
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -312,6 +312,10 @@ class LinkBundle:
     y_mats: list
     epsilon_reported: float
     mode: str = "normal"
+    #: {id(segment): (segment, y, {s: f(s)})} from the distance trees behind
+    #: epsilon_reported, so certify need not evaluate them again; never
+    #: encoded, so a decoded bundle has none
+    _distance_samples: dict | None = field(init=False, default=None, repr=False, compare=False)
 
     @property
     def lengths(self) -> list:
@@ -381,21 +385,23 @@ class _DistanceTree:
     its local coordinate), so on a leaf [a, b] it stays below
     (f(a) + f(b))/2 + L (b - a)/2. Leaves are bisected at their midpoints,
     worst bound first, so the tree depends only on the segment, y and when
-    the caller stops splitting.
+    the caller stops splitting. ``known`` holds values f(s) computed before,
+    which are read instead of evaluated again.
     """
 
-    def __init__(self, seg, y: np.ndarray):
+    def __init__(self, seg, y: np.ndarray, known: dict | None = None):
         self._seg = seg
         self._y = y
-        self._f: dict = {}
-        self.lower = 0.0  # largest sampled value
+        self._f: dict = dict(known or {})
+        self.lower = 0.0  # largest value the tree has read
         self._heap = [self._leaf(0.0, 1.0, 0)]
 
     def _value(self, s: float) -> float:
-        if s not in self._f:
-            self._f[s] = op_norm(self._seg.value(s) - self._y)
-            self.lower = max(self.lower, self._f[s])
-        return self._f[s]
+        f = self._f.get(s)
+        if f is None:
+            f = self._f[s] = op_norm(self._seg.value(s) - self._y)
+        self.lower = max(self.lower, f)
+        return f
 
     def _leaf(self, a: float, b: float, depth: int) -> tuple:
         fa, fb = self._value(a), self._value(b)
@@ -441,7 +447,7 @@ def _distance(a: np.ndarray, y: np.ndarray) -> float:
     return 0.0 if np.array_equal(a, y) else op_norm(a - y)
 
 
-def _sup_distance(links, y_mats) -> float:
+def _sup_distance(links, y_mats) -> tuple[float, dict]:
     """Upper bound on max_j sup_t ||link_j(t) - y_j||, tight to about 0.1%.
 
     Along a Flat segment the distance is convex, so its endpoints give the
@@ -450,7 +456,8 @@ def _sup_distance(links, y_mats) -> float:
     1 + 1e-3 of the largest sampled distance or reaches the depth cap. The
     result includes the _ROUNDOFF allowance, so no computed sample exceeds it.
     certify(bundle, epsilon_reported) repeats a subset of the same bisections,
-    so it always passes its distance check.
+    so it always passes its distance check. Also returns each tree's samples
+    in the form of LinkBundle._distance_samples.
     """
     exact = 0.0
     trees = []
@@ -465,7 +472,8 @@ def _sup_distance(links, y_mats) -> float:
         lower = max([exact] + [tree.lower for tree in trees])
         if worst.upper <= (1.0 + _EPS_RTOL) * lower + _ROUNDOFF or not worst.split():
             break
-    return float(max([exact] + [tree.upper for tree in trees]) + _ROUNDOFF)
+    eps = float(max([exact] + [tree.upper for tree in trees]) + _ROUNDOFF)
+    return eps, {id(tree._seg): (tree._seg, tree._y, tree._f) for tree in trees}
 
 
 def _link_bundle(curved_parts, flat_parts, x_mats, y_mats, mode) -> LinkBundle:
@@ -479,13 +487,12 @@ def _link_bundle(curved_parts, flat_parts, x_mats, y_mats, mode) -> LinkBundle:
         links = [MatrixPath([f]) for f in flat_parts]
     else:
         links = [MatrixPath([c, f]) for c, f in zip(curved_parts, flat_parts)]
-    return LinkBundle(
-        links=links,
-        x_mats=list(x_mats),
-        y_mats=list(y_mats),
-        epsilon_reported=_sup_distance(links, y_mats),
-        mode=mode,
+    eps, samples = _sup_distance(links, y_mats)
+    bundle = LinkBundle(
+        links=links, x_mats=list(x_mats), y_mats=list(y_mats), epsilon_reported=eps, mode=mode
     )
+    bundle._distance_samples = samples
+    return bundle
 
 
 def _mode_residual(a: np.ndarray, mode: str) -> np.ndarray:
@@ -635,10 +642,11 @@ def _mode_bound(seg, mode: str, s, tol: float) -> tuple:
     return _const_bound(_mode_defect(seg.base, mode, tol), s)
 
 
-def _distance_bound(seg, y: np.ndarray, eps: float, s) -> tuple:
+def _distance_bound(seg, y: np.ndarray, eps: float, s, samples: dict) -> tuple:
     if isinstance(seg, Flat):
         return _convex_bound(_distance(seg.a, y), _distance(seg.b, y), s)
-    tree = _DistanceTree(seg, y)
+    known_seg, known_y, known = samples.get(id(seg), (None, None, None))
+    tree = _DistanceTree(seg, y, known if known_seg is seg and known_y is y else None)
     tree.prove(eps)
     return tree.at(s), tree.upper
 
@@ -720,7 +728,9 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
       Lipschitz growth, which fails unless both pieces are static.
     * Distance along Conj and Geo: Lipschitz bisection (_DistanceTree) until
       every piece is within eps; a piece left above eps at the depth cap
-      fails the check.
+      fails the check. A whole segment whose tree gave the bundle's
+      epsilon_reported starts from that tree's samples, so a bundle in
+      memory and the same bundle decoded get the same certificate.
 
     Each matrix norm inside a normality, commutator or mode-defect bound
     (_term) is matcore._norm_upper_bound while that bound, times the weight
@@ -755,6 +765,7 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
     commutation = np.empty((len(pair_index), m))
     commutation_sup = 0.0
 
+    samples = bundle._distance_samples or {}
     cuts = reduce(np.union1d, [link.joints() for link in links])
     piece_of = np.searchsorted(cuts[1:], grid, side="left")
     for i, (t0, t1) in enumerate(zip(cuts, cuts[1:])):
@@ -766,7 +777,7 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
             bounds = {
                 "normality": _normality_bound(seg, s, tols.normality),
                 "norm": _norm_bound(seg, s),
-                "distance": _distance_bound(seg, bundle.y_mats[j], eps, s),
+                "distance": _distance_bound(seg, bundle.y_mats[j], eps, s, samples),
             }
             if use_mode:
                 bounds["mode"] = _mode_bound(seg, bundle.mode, s, tols.mode_defect)

@@ -83,7 +83,12 @@ class NormalTuple:
 
 @dataclass
 class JointSpectrum:
-    """Unitary Q and the n x N array of joint eigenvalue points."""
+    """Unitary Q and the n x N array of joint eigenvalue points.
+
+    ``residual`` is at least max_j ||offdiag(Q* x_j Q)|| (up to rounding) and
+    at most the diagonalization target: it is the cheap norm bound, exact
+    only where that bound misses the target.
+    """
 
     q: np.ndarray
     points: np.ndarray

@@ -98,7 +98,7 @@ def _norm_upper_bound(a: np.ndarray) -> float:
     ``_BOUND_RTOL`` to cover its own rounding.
     """
     mod = np.abs(a)
-    schur = np.sqrt(float(mod.sum(axis=0).max()) * float(mod.sum(axis=1).max()))
+    schur = float(np.sqrt(float(mod.sum(axis=0).max()) * float(mod.sum(axis=1).max())))
     return min(float(np.linalg.norm(mod)), schur) * (1.0 + _BOUND_RTOL)
 
 
@@ -127,16 +127,12 @@ def _canonical_column_phases(q: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-modulus entry is real positive.
 
     Makes eigenvector output reproducible across equivalent decompositions.
+    Each factor is one scalar conj(z) / |z|: a vectorized division rounds
+    differently in the last bit.
     """
-    q = q.copy()
-    for k in range(q.shape[1]):
-        col = q[:, k]
-        i = int(np.argmax(np.abs(col)))
-        z = col[i]
-        r = abs(z)
-        if r > 0.0:
-            col *= np.conj(z) / r
-    return q
+    z = q[np.argmax(np.abs(q), axis=0), np.arange(q.shape[1])]
+    phases = [np.conj(zk) / abs(zk) if abs(zk) > 0.0 else 1.0 for zk in z]
+    return q * np.array(phases, dtype=q.dtype)
 
 
 def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
@@ -236,19 +232,24 @@ def _hermitian_parts(mats) -> list[np.ndarray]:
     return parts
 
 
-def _offdiag_norm(m: np.ndarray) -> float:
-    return op_norm(m - np.diag(np.diag(m)))
+def _offdiag(m: np.ndarray) -> np.ndarray:
+    return m - np.diag(np.diag(m))
 
 
 def _simdiag_normal(mats, target, seed, cluster_rtol=CLUSTER_RTOL):
     """Common eigenbasis (Q, points, residual) of commuting normal ``mats``.
 
     Draws up to six bases from ``_simdiag_hermitian`` on the Hermitian parts
-    and keeps the one with the smallest off-diagonal residual, raising a
-    DiagnosticsError if it exceeds ``target``. Columns are sorted ascending
-    lexicographically by (Re, Im) of the first matrix's eigenvalues, ties
-    broken by later matrices, and carry canonical phases; ``points`` is the
-    n x N array of diagonal entries of Q* mats Q in that basis.
+    and keeps the first whose off-diagonal residual is within ``target``,
+    raising a DiagnosticsError with the smallest residual if none is. Each
+    residual is taken by ``_threshold_norm``, so an accepted one is an upper
+    bound, exact only where the cheap bound misses ``target``; a draw is
+    chosen exactly as by exact norms, which never exceed the bound.
+
+    Columns are sorted ascending lexicographically by (Re, Im) of the first
+    matrix's eigenvalues, ties broken by later matrices, and carry canonical
+    phases; ``points`` is the n x N array of diagonal entries of Q* mats Q
+    in that basis.
     """
     if seed < 0:
         raise PreconditionError("seed must be a non-negative integer")
@@ -258,7 +259,7 @@ def _simdiag_normal(mats, target, seed, cluster_rtol=CLUSTER_RTOL):
     best_res = np.inf
     for _ in range(6):
         q = _simdiag_hermitian(parts, rng, cluster_rtol)
-        res = max(_offdiag_norm(adjoint(q) @ m @ q) for m in mats)
+        res = max(_threshold_norm(_offdiag(adjoint(q) @ m @ q), target) for m in mats)
         if res < best_res:
             best_q, best_res = q, res
         if res <= target:

@@ -537,6 +537,23 @@ _UNITARY = "{0} {0}' - 1 = 0\n{0}' {0} - 1 = 0"
 _HERMITIAN_CONTRACTION = "{0} - {0}' = 0\nnorm({0}) <= 1"
 
 
+#: name -> (relations, the commutator a soft preset bounds by its parameter)
+_PRESETS = {
+    "interval": (_HERMITIAN_CONTRACTION.format("h"), None),
+    "circle": (_UNITARY.format("u"), None),
+    "free_pair": (_UNITARY.format("u") + "\n" + _UNITARY.format("v"), None),
+    "soft_torus": (_UNITARY.format("u") + "\n" + _UNITARY.format("v"), "u v - v u"),
+    "soft_cylinder": (
+        _HERMITIAN_CONTRACTION.format("h") + "\n" + _UNITARY.format("u"),
+        "h u - u h",
+    ),
+    "soft_z2xz": (
+        _UNITARY.format("u") + "\nu u - 1 = 0\n" + _UNITARY.format("v"),
+        "u v - v u",
+    ),
+}
+
+
 def preset(name: str, parameter: float | None = None) -> RelationSet:
     """Relation sets for the standard soft/exact generator-and-relation algebras.
 
@@ -546,43 +563,18 @@ def preset(name: str, parameter: float | None = None) -> RelationSet:
     contraction + unitary), and ``soft_z2xz(epsilon)`` (adds u^2 = 1) which
     bound the commutator norm by the parameter.
     """
-    soft = name in ("soft_torus", "soft_cylinder", "soft_z2xz")
-    if soft:
+    if name not in _PRESETS:
+        raise PreconditionError(f"unknown preset {name!r}")
+    text, bounded = _PRESETS[name]
+    if bounded is None:
+        if parameter is not None:
+            raise PreconditionError(f"preset {name!r} takes no parameter")
+    else:
         if parameter is None:
             raise PreconditionError(f"preset {name!r} needs a commutator bound")
         parameter = float(parameter)
         if not np.isfinite(parameter) or parameter < 0:
             raise PreconditionError("preset parameter must be finite and >= 0")
-    elif parameter is not None:
-        raise PreconditionError(f"preset {name!r} takes no parameter")
-    if name == "interval":
-        text = _HERMITIAN_CONTRACTION.format("h")
-    elif name == "circle":
-        text = _UNITARY.format("u")
-    elif name == "free_pair":
-        text = _UNITARY.format("u") + "\n" + _UNITARY.format("v")
-    elif name == "soft_torus":
-        text = (
-            _UNITARY.format("u")
-            + "\n"
-            + _UNITARY.format("v")
-            + f"\nnorm(u v - v u) <= {parameter!r}"
-        )
-    elif name == "soft_cylinder":
-        text = (
-            _HERMITIAN_CONTRACTION.format("h")
-            + "\n"
-            + _UNITARY.format("u")
-            + f"\nnorm(h u - u h) <= {parameter!r}"
-        )
-    elif name == "soft_z2xz":
-        text = (
-            _UNITARY.format("u")
-            + "\nu u - 1 = 0\n"
-            + _UNITARY.format("v")
-            + f"\nnorm(u v - v u) <= {parameter!r}"
-        )
-    else:
-        raise PreconditionError(f"unknown preset {name!r}")
+        text += f"\nnorm({bounded}) <= {parameter!r}"
     rset = parse(text)
     return dataclasses.replace(rset, name=name)

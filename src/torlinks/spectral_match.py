@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .jointspec import NormalTuple, joint_diagonalize
 from .matcore import PreconditionError, adjoint
@@ -60,19 +58,19 @@ def spectral_cost_matrix(points_x: np.ndarray, points_y: np.ndarray) -> np.ndarr
     return np.sqrt(np.sum(np.abs(diff) ** 2, axis=2))
 
 
-def _has_perfect_matching(mask: np.ndarray) -> bool:
-    graph = csr_matrix(mask)
-    match = maximum_bipartite_matching(graph, perm_type="column")
-    return not np.any(match == -1)
-
-
 def bottleneck_assign(cost) -> Matching:
     """Permutation minimizing the maximum matched cost.
 
-    Binary search over the distinct cost values, with a maximum bipartite
-    matching feasibility test at each threshold. Among bottleneck-optimal
-    permutations, the one with minimal total cost is selected, and among
-    those the lexicographically smallest, so the result is deterministic.
+    The bottleneck b* is at least max(max_i min_j c_ij, max_j min_i c_ij),
+    since every row and every column needs an edge, and at most the largest
+    matched cost of one min-sum linear_sum_assignment (LSAP) of c, which is
+    a permutation. Only the distinct costs between these are binary
+    searched; a threshold v is feasible iff the LSAP of the indicator c > v
+    has optimal cost 0. Among bottleneck-optimal permutations, the one with
+    minimal total cost is selected, and among those the lexicographically
+    smallest, so the result is deterministic. That last pass keeps an
+    optimal completion as a witness: a row takes the witness's column with
+    no solve, and a sub-LSAP runs only for a smaller candidate column.
     """
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -80,52 +78,50 @@ def bottleneck_assign(cost) -> Matching:
     if not np.isfinite(c).all() or np.any(c < 0):
         raise PreconditionError("costs must be finite and nonnegative")
     n = c.shape[0]
-    values = np.unique(c)
+    rows, cols = linear_sum_assignment(c)
+    lower = max(c.min(axis=1).max(), c.min(axis=0).max())
+    upper = c[rows, cols].max()
+    values = np.unique(c[(c >= lower) & (c <= upper)])
     lo, hi = 0, len(values) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _has_perfect_matching(c <= values[mid]):
+        over = (c > values[mid]).astype(float)
+        if over[linear_sum_assignment(over)].sum() == 0.0:
             hi = mid
         else:
             lo = mid + 1
     bstar = float(values[lo])
 
-    big = float(n * values[-1] + 1.0)
+    big = float(n * c.max() + 1.0)
     masked = np.where(c <= bstar, c, big)
     rows, cols = linear_sum_assignment(masked)
     sstar = float(masked[rows, cols].sum())
     tol = 1e-9 * (1.0 + abs(sstar))
 
-    # lexicographically smallest permutation achieving (bstar, sstar)
-    tau = np.empty(n, dtype=int)
+    # lexicographically smallest permutation achieving (bstar, sstar): rows
+    # before k are fixed, and cols[k:] is an optimal completion of them
     avail = list(range(n))
     acc = 0.0
     for k in range(n):
         rest_rows = np.arange(k + 1, n)
-        chosen = -1
         for j in avail:
             if c[k, j] > bstar:
                 continue
-            rest_cols = [x for x in avail if x != j]
-            if len(rest_rows) == 0:
-                sub = 0.0
-            else:
-                block = masked[np.ix_(rest_rows, rest_cols)]
-                rr, cc = linear_sum_assignment(block)
-                sub = float(block[rr, cc].sum())
-                if sub >= big:
-                    continue
-            if acc + c[k, j] + sub <= sstar + tol:
-                chosen = j
+            if j == cols[k]:
                 break
-        if chosen < 0:  # pragma: no cover - guarded by the feasibility search
-            raise RuntimeError("assignment refinement lost feasibility")
-        tau[k] = chosen
-        acc += c[k, chosen]
-        avail.remove(chosen)
+            rest_cols = np.array([x for x in avail if x != j])
+            block = masked[np.ix_(rest_rows, rest_cols)]
+            rr, cc = linear_sum_assignment(block)
+            sub = float(block[rr, cc].sum())
+            if sub < big and acc + c[k, j] + sub <= sstar + tol:
+                cols[k] = j
+                cols[rest_rows[rr]] = rest_cols[cc]
+                break
+        acc += c[k, cols[k]]
+        avail.remove(cols[k])
 
-    matched = c[np.arange(n), tau]
-    return Matching(tau=tau, bottleneck=float(matched.max()), sum_cost=float(matched.sum()))
+    matched = c[rows, cols]
+    return Matching(tau=cols, bottleneck=float(matched.max()), sum_cost=float(matched.sum()))
 
 
 def isospectral_approximant(

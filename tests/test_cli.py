@@ -868,6 +868,13 @@ def test_relcheck_requires_exactly_one_source(tmp_path, capsys):
     assert "preset" in capsys.readouterr().err
 
 
+def test_relcheck_unknown_preset_with_parameter_exits_2(tmp_path, capsys):
+    bundle = _gen(tmp_path, kind="clock_shift", n=4)
+    argv = ["relcheck", "--input", bundle, "--preset", "nosuch", "--delta", "1"]
+    assert main(argv + ["--output", str(tmp_path / "r.json")]) == 2
+    assert "unknown preset 'nosuch'" in capsys.readouterr().err
+
+
 # --- project / spectrum ---------------------------------------------------------------
 
 

@@ -154,6 +154,20 @@ def test_joint_diagonalize_residuals_random():
             assert np.allclose(np.diag(d), js.points[:, j])
 
 
+def test_joint_diagonalize_residual_bounds_the_exact_one():
+    # a draw is accepted on the cheap off-diagonal bound, which is reported:
+    # never below the exact off-diagonal norm, never above the target
+    rng = np.random.default_rng(29)
+    for n, count in ((1, 2), (4, 2), (16, 3), (32, 2)):
+        t = _commuting_tuple(n, count, rng)
+        js = joint_diagonalize(t)
+        exact = 0.0
+        for m in t.mats:
+            d = adjoint(js.q) @ m @ js.q
+            exact = max(exact, op_norm(d - np.diag(np.diag(d))))
+        assert exact <= js.residual <= max(1e-8, 100.0 * t.commutation_tol)
+
+
 def test_joint_diagonalize_row_order_deterministic():
     rng = np.random.default_rng(26)
     t = _commuting_tuple(9, 2, rng)

@@ -353,6 +353,12 @@ def test_preset_validation():
         preset("soft_torus", -0.5)
 
 
+def test_unknown_preset_is_named_before_its_parameter():
+    # a parameter on an unknown name was refused as "takes no parameter"
+    with pytest.raises(PreconditionError, match="unknown preset 'nosuch'"):
+        preset("nosuch", 1.0)
+
+
 def test_relation_validation():
     with pytest.raises(PreconditionError):
         Relation(parse("u"), EQ0, bound=0.5)

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from torlinks.jointspec import NormalTuple, joint_spectrum
@@ -110,6 +112,48 @@ def test_bottleneck_matches_brute_force():
         assert m.bottleneck == pytest.approx(bb, abs=1e-12)
         assert m.sum_cost == pytest.approx(bs, abs=1e-9)
         assert tuple(m.tau) == bp
+
+
+@st.composite
+def _cost_matrices(draw):
+    """n x n costs for n <= 7 on a 1e-6 grid, or quantized to quarters to
+    force ties."""
+    n = draw(st.integers(1, 7))
+    steps = 4 if draw(st.booleans()) else 10**6
+    flat = draw(st.lists(st.integers(0, steps), min_size=n * n, max_size=n * n))
+    return np.array(flat, dtype=float).reshape(n, n) / steps
+
+
+def _lexicographic_bottleneck(cost: np.ndarray) -> tuple:
+    """Oracle of the documented order: least bottleneck, then the first
+    permutation whose total is within 1e-9 (relative) of the least total."""
+    perms = list(itertools.permutations(range(cost.shape[0])))
+    matched = [[cost[i, p[i]] for i in range(len(p))] for p in perms]
+    b = min(max(m) for m in matched)
+    s = min(sum(m) for m in matched if max(m) == b)
+    tol = 1e-9 * (1.0 + s)
+    return b, s, next(p for p, m in zip(perms, matched) if max(m) == b and sum(m) <= s + tol)
+
+
+def test_bottleneck_property_against_brute_force():
+    # the lexicographic pass starts from one min-sum assignment under the
+    # bottleneck and moves it only when a smaller column also completes
+    # optimally; some example must take that path
+    moved = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_cost_matrices())
+    def check(c):
+        m = bottleneck_assign(c)
+        b, s, perm = _lexicographic_bottleneck(c)
+        assert m.bottleneck == b
+        assert m.sum_cost == pytest.approx(s, abs=1e-9)
+        assert tuple(m.tau) == perm
+        _, cols = linear_sum_assignment(np.where(c <= b, c, c.shape[0] * c.max() + 1.0))
+        moved.append(tuple(cols) != perm)
+
+    check()
+    assert any(moved)
 
 
 def test_bottleneck_rejects_bad_cost():

@@ -377,7 +377,7 @@ def decode_bundle(obj, where: str) -> dict:
 
 def _encode_segment(seg, ref) -> dict:
     if isinstance(seg, Flat):
-        return {"kind": "flat", "a": ref(seg.a), "b": ref(seg.b), "duration": float(seg.duration)}
+        return {"kind": "flat", "a": ref(seg.a), "b": ref(seg.b)}
     if isinstance(seg, (Conj, Geo)):
         return {
             "kind": "conj" if isinstance(seg, Conj) else "geo",
@@ -385,7 +385,6 @@ def _encode_segment(seg, ref) -> dict:
             "base": ref(seg.base),
             "theta0": float(seg.theta0),
             "theta1": float(seg.theta1),
-            "duration": float(seg.duration),
         }
     raise PreconditionError(f"cannot serialize segment {type(seg).__name__}")
 
@@ -396,28 +395,39 @@ def _index(value, size: int, where: str) -> int:
     return value
 
 
+#: the keys a segment of each kind carries, exactly as _encode_segment writes them
+_SEGMENT_KEYS = {
+    "flat": {"kind", "a", "b"},
+    "conj": {"kind", "h", "base", "theta0", "theta1"},
+    "geo": {"kind", "h", "base", "theta0", "theta1"},
+}
+
+
 def _decode_segment(obj, where: str, matrices: list, shared: dict):
-    """Decode one segment; Conj segments with the same ``h`` index share the
-    eigendecomposition of the first one, kept in ``shared``."""
+    """Decode one segment, which carries exactly the keys of its kind; Conj
+    segments with the same ``h`` index share the eigendecomposition of the
+    first one, kept in ``shared``."""
     kind = _field(obj, "kind", where)
-    duration = _number_field(obj, "duration", where)
+    if not isinstance(kind, str) or kind not in _SEGMENT_KEYS:
+        raise DecodeError(f"{where}: unknown segment kind {kind!r}")
+    extra = sorted(set(obj) - _SEGMENT_KEYS[kind])
+    if extra:
+        raise DecodeError(f"{where}: unexpected key {extra[0]!r} in a {kind} segment")
 
     def slot(key: str) -> int:
         return _index(_field(obj, key, where), len(matrices), f"{where}.{key}")
 
     if kind == "flat":
-        return Flat(matrices[slot("a")], matrices[slot("b")], duration)
-    if kind in ("conj", "geo"):
-        h, base = slot("h"), matrices[slot("base")]
-        theta0 = _number_field(obj, "theta0", where)
-        theta1 = _number_field(obj, "theta1", where)
-        if kind == "geo":
-            return Geo(base, matrices[h], theta0, theta1, duration)
-        if h in shared:
-            return shared[h]._same_generator(base, theta0, theta1, duration)
-        shared[h] = Conj(matrices[h], base, theta0, theta1, duration)
-        return shared[h]
-    raise DecodeError(f"{where}: unknown segment kind {kind!r}")
+        return Flat(matrices[slot("a")], matrices[slot("b")])
+    h, base = slot("h"), matrices[slot("base")]
+    theta0 = _number_field(obj, "theta0", where)
+    theta1 = _number_field(obj, "theta1", where)
+    if kind == "geo":
+        return Geo(base, matrices[h], theta0, theta1)
+    if h in shared:
+        return shared[h]._same_generator(base, theta0, theta1)
+    shared[h] = Conj(matrices[h], base, theta0, theta1)
+    return shared[h]
 
 
 def encode_links(bundle: LinkBundle) -> dict:
@@ -449,12 +459,9 @@ def decode_links(obj, where: str) -> LinkBundle:
     every matrix slot must be an index into that table."""
     _expect_type(obj, "links", where)
     matrices = _decode_mats(_field(obj, "matrices", where), f"{where}.matrices")
-    raw_links = _field(obj, "links", where)
-    if not isinstance(raw_links, list) or not raw_links:
-        raise DecodeError(f"{where}.links: expected a nonempty array")
     links = []
     shared: dict = {}
-    for j, entry in enumerate(raw_links):
+    for j, entry in enumerate(_array_field(obj, "links", where)):
         segs = _array_field(entry, "segments", f"{where}.links[{j}]")
         links.append(
             MatrixPath(
@@ -469,19 +476,10 @@ def decode_links(obj, where: str) -> LinkBundle:
         slots = enumerate(_array_field(obj, key, where))
         return [matrices[_index(v, len(matrices), f"{where}.{key}[{j}]")] for j, v in slots]
 
-    x_mats, y_mats = resolve("x"), resolve("y")
-    n = links[0].n
-    if (
-        len(x_mats) != len(links)
-        or len(y_mats) != len(links)
-        or any(m.shape[0] != n for m in x_mats + y_mats)
-        or any(link.n != n for link in links)
-    ):
-        raise DecodeError(f"{where}: links, x and y disagree in count or dimension")
     return LinkBundle(
         links=links,
-        x_mats=x_mats,
-        y_mats=y_mats,
+        x_mats=resolve("x"),
+        y_mats=resolve("y"),
         epsilon_reported=_number_field(obj, "epsilon_reported", where),
         mode=_mode_field(obj, where),
     )

@@ -2,7 +2,8 @@
 
 A path is a list of segments, each with an exact arc length and an exact
 speed bound, so certificates can bound behaviour between grid points
-without sampling tricks. Three segment kinds cover everything needed:
+without sampling tricks. A path of k segments gives each the share 1/k of
+the clock [0, 1]. Three segment kinds cover everything needed:
 
 * ``Flat(a, b)``      - affine interpolation (1-s) a + s b
 * ``Conj(h, base)``   - conjugation orbit exp(-i th H) base exp(i th H)
@@ -19,7 +20,6 @@ import bisect
 import copy
 import heapq
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -65,15 +65,13 @@ class Flat:
 
     a: np.ndarray
     b: np.ndarray
-    duration: float = 1.0
 
     def __post_init__(self):
         self.a = as_cmatrix(self.a)
         self.b = as_cmatrix(self.b)
         if self.a.shape != self.b.shape:
             raise PreconditionError("flat segment endpoints differ in shape")
-        if not self.duration > 0:
-            raise PreconditionError("segment duration must be positive")
+        self.n = self.a.shape[0]
         self.length = op_norm(self.b - self.a)
 
     def value(self, s: float) -> np.ndarray:
@@ -99,7 +97,6 @@ class Conj:
     base: np.ndarray
     theta0: float = 0.0
     theta1: float = 1.0
-    duration: float = 1.0
 
     def __post_init__(self):
         self.h = as_cmatrix(self.h)
@@ -110,16 +107,15 @@ class Conj:
         self.base = as_cmatrix(self.base)
         if self.h.shape != self.base.shape:
             raise PreconditionError("conjugation generator and base differ in shape")
-        if not self.duration > 0:
-            raise PreconditionError("segment duration must be positive")
+        self.n = self.h.shape[0]
         self.length = abs(self.theta1 - self.theta0) * op_norm(
             commutator(self.h, self.base)
         )
 
-    def _same_generator(self, base, theta0, theta1, duration=1.0) -> Conj:
+    def _same_generator(self, base, theta0, theta1) -> Conj:
         """A Conj around this one's H that reuses its eigendecomposition."""
         seg = copy.copy(self)
-        seg.base, seg.theta0, seg.theta1, seg.duration = base, theta0, theta1, duration
+        seg.base, seg.theta0, seg.theta1 = base, theta0, theta1
         seg._measure()
         return seg
 
@@ -152,15 +148,13 @@ class Geo:
     h: np.ndarray
     theta0: float = 0.0
     theta1: float = 1.0
-    duration: float = 1.0
 
     def __post_init__(self):
         self.base = as_cmatrix(self.base)
         self.h = as_cmatrix(self.h)
         if self.h.shape != self.base.shape:
             raise PreconditionError("geodesic generator and base differ in shape")
-        if not self.duration > 0:
-            raise PreconditionError("segment duration must be positive")
+        self.n = self.h.shape[0]
         self._q, self._w = herm_eig(self.h)
         self.length = abs(self.theta1 - self.theta0) * op_norm(self.base @ self.h)
 
@@ -177,13 +171,6 @@ class Geo:
         return self.value(1.0)
 
 
-def _with_duration(seg, duration: float):
-    """The same segment on a rescaled clock; nothing is recomputed."""
-    out = copy.copy(seg)
-    out.duration = duration
-    return out
-
-
 def _conj_family(h, bases, theta0: float, theta1: float) -> list:
     """One Conj per base around the shared generator H, decomposed once."""
     first = Conj(h, bases[0], theta0, theta1)
@@ -192,15 +179,14 @@ def _conj_family(h, bases, theta0: float, theta1: float) -> list:
 
 @dataclass
 class MatrixPath:
-    """Continuous piecewise path on the normalized clock [0, 1]."""
+    """Continuous piecewise path on the normalized clock [0, 1]: each of its
+    k segments runs for the share 1/k, segment i on [i/k, (i+1)/k]."""
 
     segments: list
 
     def __post_init__(self):
         if not self.segments:
             raise PreconditionError("path needs at least one segment")
-        total = sum(s.duration for s in self.segments)
-        self.segments = [_with_duration(s, s.duration / total) for s in self.segments]
         for a, b in zip(self.segments, self.segments[1:]):
             end, start = a.end, b.start
             if end.shape != start.shape:
@@ -210,13 +196,12 @@ class MatrixPath:
                 raise PreconditionError(
                     f"consecutive segments do not meet within 1e-9: gap {gap:.3e}"
                 )
-        bounds = np.cumsum([s.duration for s in self.segments])
-        bounds[-1] = 1.0
-        self._bounds = bounds
+        k = len(self.segments)
+        self._bounds = np.arange(1, k + 1) / k
 
     @property
     def n(self) -> int:
-        return self.segments[0].start.shape[0]
+        return self.segments[0].n
 
     @property
     def start(self) -> np.ndarray:
@@ -235,11 +220,9 @@ class MatrixPath:
         if not (-1e-12 <= t <= 1.0 + 1e-12):
             raise PreconditionError(f"path time {t!r} outside [0, 1]")
         t = min(max(t, 0.0), 1.0)
-        i = int(np.searchsorted(self._bounds, t, side="left"))
-        if i >= len(self.segments):
-            i = len(self.segments) - 1
-        t0 = 0.0 if i == 0 else self._bounds[i - 1]
-        return i, (t - t0) / self.segments[i].duration
+        k = len(self.segments)
+        i = int(np.searchsorted(self._bounds, t, side="left"))  # _bounds[-1] is 1.0, so i < k
+        return i, (t - i / k) * k
 
     def value(self, t: float) -> np.ndarray:
         i, s = self.locate(t)
@@ -250,38 +233,43 @@ class MatrixPath:
 
     def max_speed(self) -> float:
         """Lipschitz constant on the normalized clock."""
-        return float(max(s.length / s.duration for s in self.segments))
+        return float(len(self.segments) * max(s.length for s in self.segments))
 
 
-def path_length(path: MatrixPath, cross_check: bool = True, samples: int = 1000) -> float:
-    """Exact arc length; optionally cross-checked against a polygonal sum.
+#: uniform clock times of the polygonal cross-check in path_length
+_LENGTH_SAMPLES = 1000
+#: stencil width of path_curvature's central differences
+_CURVATURE_STEP = 1e-3
 
-    The polygonal estimate over ``samples`` uniform points must agree with
-    the exact per-segment value within 1e-3 relative, otherwise a
+
+def path_length(path: MatrixPath) -> float:
+    """Exact arc length, cross-checked against a polygonal sum.
+
+    The polygonal estimate over _LENGTH_SAMPLES uniform points must agree
+    with the exact per-segment value within 1e-3 relative, otherwise a
     DiagnosticsError is raised.
     """
     exact = path.exact_length()
-    if cross_check:
-        ts = np.linspace(0.0, 1.0, samples)
-        vals = [path.value(t) for t in ts]
-        poly = float(sum(op_norm(b - a) for a, b in zip(vals, vals[1:])))
-        if abs(poly - exact) > 1e-3 * exact + 1e-12:
-            raise DiagnosticsError(
-                f"polygonal length {poly!r} disagrees with exact {exact!r}",
-                worst_residual=abs(poly - exact),
-            )
+    ts = np.linspace(0.0, 1.0, _LENGTH_SAMPLES)
+    vals = [path.value(t) for t in ts]
+    poly = float(sum(op_norm(b - a) for a, b in zip(vals, vals[1:])))
+    if abs(poly - exact) > 1e-3 * exact + 1e-12:
+        raise DiagnosticsError(
+            f"polygonal length {poly!r} disagrees with exact {exact!r}",
+            worst_residual=abs(poly - exact),
+        )
     return exact
 
 
-def path_curvature(path: MatrixPath, t: float, h: float = 1e-3) -> float:
+def path_curvature(path: MatrixPath, t: float) -> float:
     """Curvature ||d/dt (gamma'/||gamma'||)|| / ||gamma'|| by central differences.
 
-    The five-point stencil must stay inside one segment; near joints (or with
-    t closer than 2h to 0 or 1) the quantity is not defined and an error is
-    raised. Returns 0 for stationary points (speed below 1e-12).
+    The five-point stencil of width h = _CURVATURE_STEP must stay inside one
+    segment; near joints (or with t closer than 2h to 0 or 1) the quantity is
+    not defined and an error is raised. Returns 0 for stationary points
+    (speed below 1e-12).
     """
-    if h <= 0:
-        raise PreconditionError("stencil width must be positive")
+    h = _CURVATURE_STEP
     i_lo, _ = path.locate(max(t - 2 * h, 0.0))
     i_hi, _ = path.locate(min(t + 2 * h, 1.0))
     if t - 2 * h < 0 or t + 2 * h > 1 or i_lo != i_hi:
@@ -305,7 +293,11 @@ def path_curvature(path: MatrixPath, t: float, h: float = 1e-3) -> float:
 
 @dataclass
 class LinkBundle:
-    """N links (matrix paths) from the X endpoints to the Y endpoints."""
+    """N links (matrix paths) from the X endpoints to the Y endpoints.
+
+    All links and endpoints share one dimension, and all links one segment
+    count, so segment i of every link runs on the same share of the clock.
+    """
 
     links: list
     x_mats: list
@@ -316,6 +308,22 @@ class LinkBundle:
     #: epsilon_reported, so certify need not evaluate them again; never
     #: encoded, so a decoded bundle has none
     _distance_samples: dict | None = field(init=False, default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        counts = (len(self.links), len(self.x_mats), len(self.y_mats))
+        if counts[0] == 0 or len(set(counts)) > 1:
+            raise PreconditionError(
+                f"a bundle needs at least one link and one x and one y per link; "
+                f"links, x and y count {counts}"
+            )
+        n = self.links[0].n
+        if any(link.n != n for link in self.links) or any(
+            m.shape[0] != n for m in [*self.x_mats, *self.y_mats]
+        ):
+            raise PreconditionError(f"links, x and y disagree in dimension: link 0 is {n} x {n}")
+        segment_counts = [len(link.segments) for link in self.links]
+        if len(set(segment_counts)) > 1:
+            raise PreconditionError(f"links have different segment counts {segment_counts}")
 
     @property
     def lengths(self) -> list:
@@ -479,9 +487,10 @@ def _sup_distance(links, y_mats) -> tuple[float, dict]:
 def _link_bundle(curved_parts, flat_parts, x_mats, y_mats, mode) -> LinkBundle:
     """Join each curved factor to its flat factor and measure the bundle.
 
-    Degenerate curved factors are dropped only all-or-none: a per-link drop
-    would desynchronize the shared conjugation schedule and lose pairwise
-    commutation mid-path for mixed scalar/non-scalar tuples.
+    Degenerate curved factors are dropped only all-or-none, so every link has
+    the same segment count, as LinkBundle requires: a per-link drop would put
+    one link's flat factor against another's conjugation on the shared clock
+    and lose pairwise commutation mid-path for mixed scalar/non-scalar tuples.
     """
     if all(c.length == 0.0 for c in curved_parts):
         links = [MatrixPath([f]) for f in flat_parts]
@@ -652,7 +661,7 @@ def _distance_bound(seg, y: np.ndarray, eps: float, s, samples: dict) -> tuple:
 
 
 def _commutator_bound(sa, sb, s, norm_a: float, norm_b: float, tol: float) -> tuple:
-    """Commutator bound of two pieces whose norms are at most norm_a, norm_b."""
+    """Commutator bound of two segments whose norms are at most norm_a, norm_b."""
     if (
         isinstance(sa, Conj)
         and isinstance(sb, Conj)
@@ -685,34 +694,15 @@ def _commutator_bound(sa, sb, s, norm_a: float, norm_b: float, tol: float) -> tu
     return start + slope * s, start + slope
 
 
-def _cut(link: MatrixPath, t0: float, t1: float):
-    """The part of ``link`` on [t0, t1], which lies in one of its segments,
-    as a segment on [0, 1]; a whole segment is returned as it is."""
-    k = int(np.searchsorted(link._bounds, t0, side="right"))
-    seg = link.segments[k]
-    lo, hi = link.joints()[k : k + 2]
-    s0 = 0.0 if t0 == lo else (t0 - lo) / (hi - lo)
-    s1 = 1.0 if t1 == hi else (t1 - lo) / (hi - lo)
-    if (s0, s1) == (0.0, 1.0):
-        return seg
-    if isinstance(seg, Flat):
-        return Flat(seg.value(s0), seg.value(s1))
-    out = copy.copy(seg)
-    out.theta0 = (1.0 - s0) * seg.theta0 + s0 * seg.theta1
-    out.theta1 = (1.0 - s1) * seg.theta0 + s1 * seg.theta1
-    out.length = seg.length * (s1 - s0)
-    return out
-
-
 def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certificate:
     """Certify a bundle segment by segment and tabulate the bounds on a grid.
 
-    All links are cut at the union of their joints, so on every piece each
-    link is one segment (or part of one). Every table entry (normality,
-    contraction excess, distance to the target, pairwise commutator, mode
-    defect) is an upper bound on its quantity at its grid time, and
-    ``passed`` compares per-piece suprema, which bound every entry, with
-    CertTolerances() and with eps:
+    Every link has the same k segments on the one clock, segment i on
+    [i/k, (i+1)/k], so segment i of every link is bounded together. Every
+    table entry (normality, contraction excess, distance to the target,
+    pairwise commutator, mode defect) is an upper bound on its quantity at
+    its grid time, and ``passed`` compares per-segment suprema, which bound
+    every entry, with CertTolerances() and with eps:
 
     * Conj: normality, norm and mode defect are those of the base (unitary
       invariance); two links with the same generator and angles keep the
@@ -722,13 +712,13 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
       are (1-s)^2 C0 + s(1-s) C01 + s^2 C1 and bounded by the same form in
       the norms of the C's.
     * Geo B e^{i th H}: norm and unitarity defect are those of B; normality,
-      hermiticity and commutators of two Geo pieces follow from
+      hermiticity and commutators of two Geo segments follow from
       ||[e^{i th H}, M]|| <= |th| ||[H, M]||.
-    * Any other pair: the commutator at the piece's start plus its
-      Lipschitz growth, which fails unless both pieces are static.
+    * Any other pair: the commutator at the segments' start plus its
+      Lipschitz growth, which fails unless both segments are static.
     * Distance along Conj and Geo: Lipschitz bisection (_DistanceTree) until
-      every piece is within eps; a piece left above eps at the depth cap
-      fails the check. A whole segment whose tree gave the bundle's
+      every leaf is within eps; a leaf left above eps at the depth cap
+      fails the check. A segment whose tree gave the bundle's
       epsilon_reported starts from that tree's samples, so a bundle in
       memory and the same bundle decoded get the same certificate.
 
@@ -766,12 +756,12 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
     commutation_sup = 0.0
 
     samples = bundle._distance_samples or {}
-    cuts = reduce(np.union1d, [link.joints() for link in links])
-    piece_of = np.searchsorted(cuts[1:], grid, side="left")
-    for i, (t0, t1) in enumerate(zip(cuts, cuts[1:])):
-        idx = np.flatnonzero(piece_of == i)
+    joints = links[0].joints()
+    segment_of = np.searchsorted(joints[1:], grid, side="left")
+    for i, (t0, t1) in enumerate(zip(joints, joints[1:])):
+        idx = np.flatnonzero(segment_of == i)
         s = (grid[idx] - t0) / (t1 - t0)
-        segs = [_cut(link, t0, t1) for link in links]
+        segs = [link.segments[i] for link in links]
         norm_tops = []
         for j, seg in enumerate(segs):
             bounds = {
@@ -861,26 +851,19 @@ def ujc_links(x: NormalTuple, y: NormalTuple, w, w_hat) -> LinkBundle:
     return _link_bundle(curved_parts, flat_parts, x.mats, y.mats, "normal")
 
 
-def project_solid_torus(path: MatrixPath, w=None, samples: int = 101) -> np.ndarray:
+def project_solid_torus(path: MatrixPath, samples: int = 101) -> np.ndarray:
     """Diagonal flow rows (t, k, Re d_k, Im d_k, cos 2 pi t, sin 2 pi t).
 
-    d_k(t) is the k-th diagonal entry of W path(t) W*; for contraction paths
-    every d_k stays in the closed unit disk. W defaults to the identity and
-    must be unitary.
+    d_k(t) is the k-th diagonal entry of path(t); for contraction paths
+    every d_k stays in the closed unit disk.
     """
     if samples < 2:
         raise PreconditionError("need at least two samples")
     n = path.n
-    if w is None:
-        w = np.eye(n, dtype=np.complex128)
-    w = as_cmatrix(w)
-    matcore._check_unitary(w, 1e-10)
-    if w.shape[0] != n:
-        raise PreconditionError("projection unitary has wrong dimension")
     rows = np.empty((samples * n, 6))
     ts = np.linspace(0.0, 1.0, samples)
     for i, t in enumerate(ts):
-        d = np.diag(w @ path.value(t) @ adjoint(w))
+        d = np.diag(path.value(t))
         if np.max(np.abs(d)) > 1.0 + 1e-9:
             raise PreconditionError(
                 "diagonal flow leaves the closed unit disk; input path is "

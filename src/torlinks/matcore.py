@@ -59,13 +59,16 @@ class DiagnosticsError(RuntimeError):
 def as_cmatrix(a) -> np.ndarray:
     """Validate and return ``a`` as a square complex128 matrix.
 
-    Scalars become 1x1 matrices. Non-square or non-finite input is rejected.
+    Scalars become 1x1 matrices. Non-square, empty or non-finite input is
+    rejected.
     """
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim == 0:
         m = m.reshape(1, 1)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise PreconditionError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[0] == 0:
+        raise PreconditionError("expected a nonempty matrix, got shape (0, 0)")
     if not np.isfinite(m).all():
         raise PreconditionError("matrix has non-finite entries")
     return m

@@ -75,6 +75,8 @@ def bottleneck_assign(cost) -> Matching:
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise PreconditionError(f"cost matrix must be square, got {c.shape}")
+    if c.shape[0] == 0:
+        raise PreconditionError("cost matrix is empty: nothing to match (n = 0)")
     if not np.isfinite(c).all() or np.any(c < 0):
         raise PreconditionError("costs must be finite and nonnegative")
     n = c.shape[0]

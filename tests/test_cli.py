@@ -2,6 +2,7 @@
 
 import base64
 import cProfile
+import dataclasses
 import json
 import pstats
 import struct
@@ -24,7 +25,7 @@ from torlinks.cli import (
     json_text,
     main,
 )
-from torlinks.homotopy import toral_links
+from torlinks.homotopy import Conj, Flat, Geo, toral_links
 from torlinks.jointspec import joint_diagonalize
 from torlinks.matcore import PreconditionError, op_norm
 
@@ -56,7 +57,6 @@ _FLOAT_FIELDS = {
     "bound",
     "defect",
     "delta",
-    "duration",
     "epsilon",
     "epsilon_reported",
     "gap",
@@ -382,7 +382,7 @@ def _resize_flat(obj: dict) -> None:
 
 
 _MALFORMED_LINKS = {
-    "duration": ("duration", lambda o: _segment(o, 0, 0).update(duration="x")),
+    "duration": ("unexpected key 'duration'", lambda o: _segment(o, 0, 1).update(duration=0.5)),
     "epsilon_reported": ("epsilon_reported", lambda o: o.update(epsilon_reported=None)),
     "segments": ("segments", lambda o: o["links"][0].update(segments=3)),
     "count": ("count", lambda o: o["x"].pop()),
@@ -396,6 +396,7 @@ _MALFORMED_LINKS = {
     "index-float": ("segments[1].b", lambda o: _segment(o, 0, 1).update(b=2.0)),
     "index-matrix": ("segments[0].h", lambda o: _segment(o, 1, 0).update(h=_SMALL_MATRIX)),
     "resized": ("(3, 3) and (2, 2)", _resize_flat),
+    "segment-count": ("segment counts [1, 2]", lambda o: o["links"][0]["segments"].pop(0)),
 }
 
 
@@ -418,6 +419,34 @@ def test_malformed_links_artifact_exits_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and field in err
+
+
+def test_segment_keys_are_the_dataclass_fields():
+    # the encoder writes every field of a segment kind, and the decoder
+    # accepts exactly those keys, so a field cannot drop out of the format
+    h, base = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    segments = {
+        "flat": Flat(base, h),
+        "conj": Conj(h, base, 0.0, 1.0),
+        "geo": Geo(base, h, 0.0, 1.0),
+    }
+    for kind, seg in segments.items():
+        table = []
+
+        def ref(a) -> int:
+            table.append(a)
+            return len(table) - 1
+
+        written = cli._encode_segment(seg, ref)
+        fields = {f.name for f in dataclasses.fields(seg)}
+        assert written["kind"] == kind and set(written) - {"kind"} == fields
+        assert type(cli._decode_segment(written, "mem", table, {})) is type(seg)
+        for key in fields:
+            dropped = {k: v for k, v in written.items() if k != key}
+            with pytest.raises(DecodeError, match=f"missing field '{key}'"):
+                cli._decode_segment(dropped, "mem", table, {})
+        with pytest.raises(DecodeError, match=f"unexpected key 'extra' in a {kind} segment"):
+            cli._decode_segment({**written, "extra": 0.0}, "mem", table, {})
 
 
 def test_links_and_certificate_decode_encode_identity(tmp_path):

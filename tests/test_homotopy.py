@@ -138,9 +138,7 @@ def test_geo_segment_is_scalar_circle():
     assert seg.length == pytest.approx(2 * np.pi)
 
 
-def test_segment_rejects_bad_duration_and_shapes():
-    with pytest.raises(PreconditionError):
-        Flat(np.eye(2), np.eye(2), duration=0.0)
+def test_segment_rejects_mismatched_shapes():
     with pytest.raises(PreconditionError):
         Flat(np.eye(2), np.eye(3))
     with pytest.raises(PreconditionError):
@@ -234,9 +232,9 @@ def test_curvature_rejects_segment_joints():
     with pytest.raises(PreconditionError):
         path_curvature(p, 0.5)
     with pytest.raises(PreconditionError):
-        path_curvature(p, 0.5004, h=1e-3)
+        path_curvature(p, 0.5004)
     with pytest.raises(PreconditionError):
-        path_curvature(p, 0.001, h=1e-3)
+        path_curvature(p, 0.001)
 
 
 def test_curvature_of_stationary_path_is_zero():
@@ -489,7 +487,7 @@ def test_path_checks_each_join_once():
     p, q = MatrixPath([Flat(a, b)]), MatrixPath([Flat(b, c)])
     path, calls = _matcore_calls(MatrixPath, p.segments + q.segments)
     assert calls["op_norm"] == 0 and calls["eigvalsh"] == 0
-    assert [seg.duration for seg in path.segments] == [0.5, 0.5]
+    assert list(path.joints()) == [0.0, 0.5, 1.0]
     with pytest.raises(PreconditionError, match="gap 2.000e-09"):
         MatrixPath([Flat(a, b), Flat(b + 2e-9 * np.eye(3), c)])
 
@@ -518,41 +516,37 @@ def test_input_checks_solve_only_where_a_bound_fails():
     assert calls["eigvalsh"] <= 4
 
 
-def test_rescaling_reuses_segment_data():
+def test_path_keeps_the_callers_segments():
     h = np.diag([1.0, -1.0])
-    seg = Conj(h, np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0, 1.0)
-    path = MatrixPath([seg, Flat(seg.end, np.zeros((2, 2)))])
-    first = path.segments[0]
-    assert first.duration == 0.5
-    assert first._q is seg._q and first.length == seg.length
-    assert seg.duration == 1.0  # the original is not modified
+    segs = [Conj(h, np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0, 1.0)]
+    segs.append(Flat(segs[0].end, np.zeros((2, 2))))
+    path = MatrixPath(list(segs))
+    assert all(kept is seg for kept, seg in zip(path.segments, segs))
+    # each of the k = 2 segments runs for 1/2 of the clock
+    assert path.locate(0.75) == (1, 0.5)
+    assert path.max_speed() == 2 * max(seg.length for seg in segs)
 
 
-def test_certify_grid_samples_unrecognised_pairs():
-    # links on different schedules are cut at the union of their joints, so
-    # each piece is a pair of Flat segments, and the distance stays proven
+def test_bundle_refuses_links_with_different_segment_counts():
     a, b = np.diag([0.5, -0.5]), np.diag([0.25, 0.1])
     lone = MatrixPath([Flat(a, b)])
-    split = MatrixPath([Flat(a, (a + b) / 2, 0.3), Flat((a + b) / 2, b, 0.7)])
-    bundle = LinkBundle([lone, split], [a, a], [b, b], 0.0)
-    cert = certify(bundle, eps=0.6)  # ||a - b|| = 0.6
-    assert cert.passed
-    assert cert.commutation.shape == (1, 101)
-    assert cert.commutation.max() == 0.0
-    assert not certify(bundle, eps=0.59).passed
+    split = MatrixPath([Flat(a, (a + b) / 2), Flat((a + b) / 2, b)])
+    with pytest.raises(PreconditionError, match=r"segment counts \[1, 2\]"):
+        LinkBundle([lone, split], [a, a], [b, b], 0.0)
 
 
-def test_certify_cuts_a_whole_conj_at_the_other_links_joint():
-    h = np.diag([1.0, -0.5, 0.25])
-    a = np.array([[0.2, 0.1, 0.0], [0.1, -0.3, 0.05], [0.0, 0.05, 0.1]])
-    b = a @ a
-    whole = MatrixPath([Conj(h, a, 0.0, 1.0)])
-    split = MatrixPath([Conj(h, b, 0.0, 0.3, 0.3), Conj(h, b, 0.3, 1.0, 0.7)])
-    ends = [whole.end, split.end]
-    bundle = LinkBundle([whole, split], [a, b], ends, 0.0)
-    cert = certify(bundle, eps=2.0)
-    assert cert.passed
-    assert cert.commutation.max() <= 1e-12
+def test_bundle_checks_its_shape():
+    a = np.diag([0.5, -0.5])
+    link = MatrixPath([Flat(a, a)])
+    # an empty bundle is refused before certify reads its first link
+    with pytest.raises(PreconditionError, match=r"count \(0, 0, 0\)"):
+        certify(LinkBundle([], [], [], 0.0), 1.0)
+    with pytest.raises(PreconditionError, match=r"count \(1, 2, 1\)"):
+        LinkBundle([link], [a, a], [a], 0.0)
+    with pytest.raises(PreconditionError, match="dimension: link 0 is 2 x 2"):
+        LinkBundle([link], [a], [np.eye(3)], 0.0)
+    with pytest.raises(PreconditionError, match="dimension"):
+        LinkBundle([link, MatrixPath([Flat(np.eye(3), np.eye(3))])], [a, a], [a, a], 0.0)
 
 
 def test_certify_mixed_kind_pair_is_conservative():
@@ -724,10 +718,6 @@ def test_projection_of_zero_matrix_sits_at_center():
 
 
 def test_projection_rejects_bad_inputs():
-    z = np.zeros((2, 2))
-    p = MatrixPath([Flat(z, z)])
-    with pytest.raises(PreconditionError):
-        project_solid_torus(p, w=np.diag([2.0, 1.0]))
     q = MatrixPath([Flat(1.5 * np.eye(2), 1.5 * np.eye(2))])
     with pytest.raises(PreconditionError):
         project_solid_torus(q)

@@ -61,6 +61,11 @@ def test_infinite_commutation_tolerance_measures_no_commutator():
         NormalTuple([omega, sigma], commutation_tol=1.0)
 
 
+def test_tuple_validation_rejects_an_empty_matrix():
+    with pytest.raises(PreconditionError, match=r"nonempty matrix, got shape \(0, 0\)"):
+        NormalTuple([np.zeros((0, 0))])
+
+
 def test_tuple_validation_rejects_noncontraction():
     with pytest.raises(PreconditionError):
         NormalTuple([np.diag([2.0, 0.0])])

@@ -80,6 +80,11 @@ def test_bottleneck_prefers_swap():
     assert m.bottleneck == pytest.approx(0.2, abs=1e-14)
 
 
+def test_bottleneck_refuses_an_empty_cost_matrix():
+    with pytest.raises(PreconditionError, match="cost matrix is empty"):
+        bottleneck_assign(np.zeros((0, 0)))
+
+
 def test_bottleneck_zero_diagonal():
     m = bottleneck_assign(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert list(m.tau) == [0, 1]

@@ -238,8 +238,8 @@ def _perturb_diag(d: np.ndarray, mode: str, delta: float, rng) -> np.ndarray:
 
 
 def _displacement(x_mats: list, y_mats: list) -> float:
-    """max_j ||X_j - Y_j||, with 0.0 and no norm for an equal pair."""
-    return max(0.0 if np.array_equal(x, y) else op_norm(x - y) for x, y in zip(x_mats, y_mats))
+    """max_j ||X_j - Y_j||."""
+    return max(op_norm(x - y) for x, y in zip(x_mats, y_mats))
 
 
 def gen_bundle(
@@ -383,8 +383,6 @@ def _encode_segment(seg, ref) -> dict:
             "kind": "conj" if isinstance(seg, Conj) else "geo",
             "h": ref(seg.h),
             "base": ref(seg.base),
-            "theta0": float(seg.theta0),
-            "theta1": float(seg.theta1),
         }
     raise PreconditionError(f"cannot serialize segment {type(seg).__name__}")
 
@@ -398,8 +396,8 @@ def _index(value, size: int, where: str) -> int:
 #: the keys a segment of each kind carries, exactly as _encode_segment writes them
 _SEGMENT_KEYS = {
     "flat": {"kind", "a", "b"},
-    "conj": {"kind", "h", "base", "theta0", "theta1"},
-    "geo": {"kind", "h", "base", "theta0", "theta1"},
+    "conj": {"kind", "h", "base"},
+    "geo": {"kind", "h", "base"},
 }
 
 
@@ -420,13 +418,11 @@ def _decode_segment(obj, where: str, matrices: list, shared: dict):
     if kind == "flat":
         return Flat(matrices[slot("a")], matrices[slot("b")])
     h, base = slot("h"), matrices[slot("base")]
-    theta0 = _number_field(obj, "theta0", where)
-    theta1 = _number_field(obj, "theta1", where)
     if kind == "geo":
-        return Geo(base, matrices[h], theta0, theta1)
+        return Geo(base, matrices[h])
     if h in shared:
-        return shared[h]._same_generator(base, theta0, theta1)
-    shared[h] = Conj(matrices[h], base, theta0, theta1)
+        return shared[h]._same_generator(base)
+    shared[h] = Conj(matrices[h], base)
     return shared[h]
 
 
@@ -462,27 +458,33 @@ def decode_links(obj, where: str) -> LinkBundle:
     links = []
     shared: dict = {}
     for j, entry in enumerate(_array_field(obj, "links", where)):
-        segs = _array_field(entry, "segments", f"{where}.links[{j}]")
-        links.append(
-            MatrixPath(
-                [
-                    _decode_segment(s, f"{where}.links[{j}].segments[{i}]", matrices, shared)
-                    for i, s in enumerate(segs)
-                ]
+        at = f"{where}.links[{j}]"
+        segs = _array_field(entry, "segments", at)
+        try:  # a segment or path check names the link it failed in
+            links.append(
+                MatrixPath(
+                    [
+                        _decode_segment(s, f"{at}.segments[{i}]", matrices, shared)
+                        for i, s in enumerate(segs)
+                    ]
+                )
             )
-        )
+        except DecodeError:
+            raise
+        except PreconditionError as e:
+            raise DecodeError(f"{at}: {e}") from None
 
     def resolve(key: str) -> list:
         slots = enumerate(_array_field(obj, key, where))
         return [matrices[_index(v, len(matrices), f"{where}.{key}[{j}]")] for j, v in slots]
 
-    return LinkBundle(
-        links=links,
-        x_mats=resolve("x"),
-        y_mats=resolve("y"),
-        epsilon_reported=_number_field(obj, "epsilon_reported", where),
-        mode=_mode_field(obj, where),
-    )
+    x_mats, y_mats = resolve("x"), resolve("y")
+    epsilon_reported = _number_field(obj, "epsilon_reported", where)
+    mode = _mode_field(obj, where)
+    try:
+        return LinkBundle(links, x_mats, y_mats, epsilon_reported, mode)
+    except PreconditionError as e:
+        raise DecodeError(f"{where}: {e}") from None
 
 
 # --- certificate codec -----------------------------------------------------------
@@ -670,7 +672,7 @@ def _cmd_relcheck(args) -> int:
 def _demo_path(name: str) -> MatrixPath:
     if name == "helix":
         return MatrixPath(
-            [Geo(0.75 * np.eye(1, dtype=complex), 2.0 * np.pi * np.eye(1), 0.0, 1.0)]
+            [Geo(0.75 * np.eye(1, dtype=complex), 2.0 * np.pi * np.eye(1))]
         )
     if name == "m3":
         # unitary u3 = exp(2*pi*i/3 f(number)) and a fixed basis rotation,
@@ -684,7 +686,7 @@ def _demo_path(name: str) -> MatrixPath:
             ],
             dtype=complex,
         )
-        return MatrixPath([Conj(k, u3, 0.0, 1.0)])
+        return MatrixPath([Conj(k, u3)])
     raise PreconditionError(f"unknown demo {name!r}")
 
 

@@ -6,12 +6,15 @@ without sampling tricks. A path of k segments gives each the share 1/k of
 the clock [0, 1]. Three segment kinds cover everything needed:
 
 * ``Flat(a, b)``      - affine interpolation (1-s) a + s b
-* ``Conj(h, base)``   - conjugation orbit exp(-i th H) base exp(i th H)
-* ``Geo(base, h)``    - one-sided exponential base exp(i th H)
+* ``Conj(h, base)``   - conjugation orbit exp(-i s H) base exp(i s H)
+* ``Geo(base, h)``    - one-sided exponential base exp(i s H)
 
-``Conj`` cannot express one-sided motion (in particular any 1x1 path is
-frozen under conjugation), which is why ``Geo`` exists: it carries unitary
-geodesics, circles and helices with exact constant speed |th1-th0|*||base H||.
+Every segment runs over its local coordinate s in [0, 1]; any other angle
+range [a, b] is the same path with H scaled by b - a and the start folded
+into ``base``. ``Conj`` cannot express one-sided motion (in particular any
+1x1 path is frozen under conjugation), which is why ``Geo`` exists: it
+carries unitary geodesics, circles and helices with exact constant speed
+||base H||.
 """
 
 from __future__ import annotations
@@ -88,15 +91,11 @@ class Flat:
 
 @dataclass
 class Conj:
-    """Conjugation orbit exp(-i th(s) H) base exp(i th(s) H), th affine.
-
-    Exact arc length |th1 - th0| * ||[H, base]||.
-    """
+    """Conjugation orbit exp(-i s H) base exp(i s H), of exact arc length
+    ||[H, base]||."""
 
     h: np.ndarray
     base: np.ndarray
-    theta0: float = 0.0
-    theta1: float = 1.0
 
     def __post_init__(self):
         self.h = as_cmatrix(self.h)
@@ -108,23 +107,17 @@ class Conj:
         if self.h.shape != self.base.shape:
             raise PreconditionError("conjugation generator and base differ in shape")
         self.n = self.h.shape[0]
-        self.length = abs(self.theta1 - self.theta0) * op_norm(
-            commutator(self.h, self.base)
-        )
+        self.length = op_norm(commutator(self.h, self.base))
 
-    def _same_generator(self, base, theta0, theta1) -> Conj:
+    def _same_generator(self, base) -> Conj:
         """A Conj around this one's H that reuses its eigendecomposition."""
         seg = copy.copy(self)
-        seg.base, seg.theta0, seg.theta1 = base, theta0, theta1
+        seg.base = base
         seg._measure()
         return seg
 
-    def _unitary(self, theta: float) -> np.ndarray:
-        return (self._q * np.exp(-1j * theta * self._w)) @ adjoint(self._q)
-
     def value(self, s: float) -> np.ndarray:
-        theta = self.theta0 + s * (self.theta1 - self.theta0)
-        u = self._unitary(theta)
+        u = (self._q * np.exp(-1j * s * self._w)) @ adjoint(self._q)
         return u @ self.base @ adjoint(u)
 
     @property
@@ -138,16 +131,14 @@ class Conj:
 
 @dataclass
 class Geo:
-    """One-sided exponential base * exp(i th(s) H), th affine.
+    """One-sided exponential base * exp(i s H).
 
-    Since exp(i th H) is unitary and commutes with H, the speed is the
-    constant |th1 - th0| * ||base H|| and the arc length is exact.
+    Since exp(i s H) is unitary and commutes with H, the speed is the
+    constant ||base H|| and the arc length is exact.
     """
 
     base: np.ndarray
     h: np.ndarray
-    theta0: float = 0.0
-    theta1: float = 1.0
 
     def __post_init__(self):
         self.base = as_cmatrix(self.base)
@@ -156,11 +147,10 @@ class Geo:
             raise PreconditionError("geodesic generator and base differ in shape")
         self.n = self.h.shape[0]
         self._q, self._w = herm_eig(self.h)
-        self.length = abs(self.theta1 - self.theta0) * op_norm(self.base @ self.h)
+        self.length = op_norm(self.base @ self.h)
 
     def value(self, s: float) -> np.ndarray:
-        theta = self.theta0 + s * (self.theta1 - self.theta0)
-        return self.base @ (self._q * np.exp(1j * theta * self._w)) @ adjoint(self._q)
+        return self.base @ (self._q * np.exp(1j * s * self._w)) @ adjoint(self._q)
 
     @property
     def start(self) -> np.ndarray:
@@ -171,10 +161,10 @@ class Geo:
         return self.value(1.0)
 
 
-def _conj_family(h, bases, theta0: float, theta1: float) -> list:
+def _conj_family(h, bases) -> list:
     """One Conj per base around the shared generator H, decomposed once."""
-    first = Conj(h, bases[0], theta0, theta1)
-    return [first] + [first._same_generator(b, theta0, theta1) for b in bases[1:]]
+    first = Conj(h, bases[0])
+    return [first] + [first._same_generator(b) for b in bases[1:]]
 
 
 @dataclass
@@ -451,10 +441,6 @@ class _DistanceTree:
         return out
 
 
-def _distance(a: np.ndarray, y: np.ndarray) -> float:
-    return 0.0 if np.array_equal(a, y) else op_norm(a - y)
-
-
 def _sup_distance(links, y_mats) -> tuple[float, dict]:
     """Upper bound on max_j sup_t ||link_j(t) - y_j||, tight to about 0.1%.
 
@@ -472,7 +458,7 @@ def _sup_distance(links, y_mats) -> tuple[float, dict]:
     for link, y in zip(links, y_mats):
         for seg in link.segments:
             if isinstance(seg, Flat):
-                exact = max(exact, _distance(seg.a, y), _distance(seg.b, y))
+                exact = max(exact, op_norm(seg.a - y), op_norm(seg.b - y))
             else:
                 trees.append(_DistanceTree(seg, y))
     while trees:
@@ -484,21 +470,33 @@ def _sup_distance(links, y_mats) -> tuple[float, dict]:
     return eps, {id(tree._seg): (tree._seg, tree._y, tree._f) for tree in trees}
 
 
-def _link_bundle(curved_parts, flat_parts, x_mats, y_mats, mode) -> LinkBundle:
-    """Join each curved factor to its flat factor and measure the bundle.
+def _link_bundle(curved_parts, starts, y_mats, mode) -> LinkBundle:
+    """Links x_j -> y_j: curved factor j, which starts at x_j = its base, then
+    a flat factor from starts[j] to y_j (in unitary mode the unitary geodesic
+    instead, so the path stays unitary), and the measured bundle.
 
     Degenerate curved factors are dropped only all-or-none, so every link has
     the same segment count, as LinkBundle requires: a per-link drop would put
     one link's flat factor against another's conjugation on the shared clock
     and lose pairwise commutation mid-path for mixed scalar/non-scalar tuples.
     """
+    if mode == "unitary":
+        flat_parts = [
+            Geo(a, principal_log_unitary(adjoint(a) @ b)) for a, b in zip(starts, y_mats)
+        ]
+    else:
+        flat_parts = [Flat(a, b) for a, b in zip(starts, y_mats)]
     if all(c.length == 0.0 for c in curved_parts):
         links = [MatrixPath([f]) for f in flat_parts]
     else:
         links = [MatrixPath([c, f]) for c, f in zip(curved_parts, flat_parts)]
     eps, samples = _sup_distance(links, y_mats)
     bundle = LinkBundle(
-        links=links, x_mats=list(x_mats), y_mats=list(y_mats), epsilon_reported=eps, mode=mode
+        links=links,
+        x_mats=[c.base for c in curved_parts],
+        y_mats=list(y_mats),
+        epsilon_reported=eps,
+        mode=mode,
     )
     bundle._distance_samples = samples
     return bundle
@@ -545,17 +543,8 @@ def toral_links(
     _validate_mode(x, mode, tol, "x")
     _validate_mode(y, mode, tol, "y")
     approx = isospectral_approximant(x, y, seed=seed)
-    h = gap_branch_log(approx.v)
-
-    curved_parts = _conj_family(h, x.mats, 0.0, 1.0)
-    flat_parts: list[Flat | Geo] = []
-    for pj, yj in zip(approx.psi, y.mats):
-        if mode == "unitary":
-            flat_parts.append(Geo(pj, principal_log_unitary(adjoint(pj) @ yj), 0.0, 1.0))
-        else:
-            flat_parts.append(Flat(pj, yj))
-
-    return _link_bundle(curved_parts, flat_parts, x.mats, y.mats, mode)
+    curved_parts = _conj_family(gap_branch_log(approx.v), x.mats)
+    return _link_bundle(curved_parts, approx.psi, y.mats, mode)
 
 
 def _const_bound(c: float, s: np.ndarray) -> tuple:
@@ -603,11 +592,6 @@ def _mode_defect(a: np.ndarray, mode: str, tol: float) -> float:
     return _term(_mode_residual(a, mode), tol)
 
 
-def _theta_max(seg) -> float:
-    """max |th| over the segment: ||[e^{i th H}, M]|| <= that * ||[H, M]||."""
-    return max(abs(seg.theta0), abs(seg.theta1))
-
-
 def _normality_bound(seg, s, tol: float) -> tuple:
     if isinstance(seg, Conj):
         return _const_bound(_normality(seg.base, tol), s)
@@ -617,9 +601,10 @@ def _normality_bound(seg, s, tol: float) -> tuple:
         return _quadratic_bound(
             _normality(a0, tol), _term(mixed, tol), _normality(a1, tol), s
         )
-    # Geo: [a*, a] = e^{-i th H} (B*B) e^{i th H} - BB*
+    # Geo: [a*, a] = e^{-i s H} (B*B) e^{i s H} - BB*, and
+    # ||[e^{i s H}, M]|| <= s ||[H, M]|| with s <= 1
     gram = adjoint(seg.base) @ seg.base
-    drift = _term(commutator(seg.h, gram), tol, _theta_max(seg))
+    drift = _term(commutator(seg.h, gram), tol)
     return _const_bound(_normality(seg.base, tol) + drift, s)
 
 
@@ -637,8 +622,8 @@ def _mode_bound(seg, mode: str, s, tol: float) -> tuple:
             return _convex_bound(
                 _mode_defect(seg.a, mode, tol), _mode_defect(seg.b, mode, tol), s
             )
-        # Geo: a - a* = (B - B*) + B (e^{i th H} - 1) - (e^{-i th H} - 1) B*
-        turn = min(2.0, _theta_max(seg) * op_norm(seg.h))
+        # Geo: a - a* = (B - B*) + B (e^{i s H} - 1) - (e^{-i s H} - 1) B*
+        turn = min(2.0, op_norm(seg.h))
         return _const_bound(
             _mode_defect(seg.base, mode, tol) + 2.0 * op_norm(seg.base) * turn, s
         )
@@ -653,7 +638,7 @@ def _mode_bound(seg, mode: str, s, tol: float) -> tuple:
 
 def _distance_bound(seg, y: np.ndarray, eps: float, s, samples: dict) -> tuple:
     if isinstance(seg, Flat):
-        return _convex_bound(_distance(seg.a, y), _distance(seg.b, y), s)
+        return _convex_bound(op_norm(seg.a - y), op_norm(seg.b - y), s)
     known_seg, known_y, known = samples.get(id(seg), (None, None, None))
     tree = _DistanceTree(seg, y, known if known_seg is seg and known_y is y else None)
     tree.prove(eps)
@@ -662,12 +647,7 @@ def _distance_bound(seg, y: np.ndarray, eps: float, s, samples: dict) -> tuple:
 
 def _commutator_bound(sa, sb, s, norm_a: float, norm_b: float, tol: float) -> tuple:
     """Commutator bound of two segments whose norms are at most norm_a, norm_b."""
-    if (
-        isinstance(sa, Conj)
-        and isinstance(sb, Conj)
-        and (sa.theta0, sa.theta1) == (sb.theta0, sb.theta1)
-        and np.array_equal(sa.h, sb.h)
-    ):
+    if isinstance(sa, Conj) and isinstance(sb, Conj) and np.array_equal(sa.h, sb.h):
         return _const_bound(_term(commutator(sa.base, sb.base), tol), s)
     if isinstance(sa, Flat) and isinstance(sb, Flat):
         mixed = commutator(sa.a, sb.b) + commutator(sa.b, sb.a)
@@ -679,13 +659,12 @@ def _commutator_bound(sa, sb, s, norm_a: float, norm_b: float, tol: float) -> tu
         )
     if isinstance(sa, Geo) and isinstance(sb, Geo):
         # [B1 E1, B2 E2] = [B1, B2] E1 E2 + B2 B1 [E1, E2] + B1 [E1, B2] E2
-        # - B2 [E2, B1] E1 with E = e^{i th H}
-        ta, tb = _theta_max(sa), _theta_max(sb)
+        # - B2 [E2, B1] E1 with E = e^{i s H}
         top = (
             _term(commutator(sa.base, sb.base), tol)
-            + _term(commutator(sa.h, sb.h), tol, norm_a * norm_b * ta * tb)
-            + _term(commutator(sa.h, sb.base), tol, ta * norm_a)
-            + _term(commutator(sb.h, sa.base), tol, tb * norm_b)
+            + _term(commutator(sa.h, sb.h), tol, norm_a * norm_b)
+            + _term(commutator(sa.h, sb.base), tol, norm_a)
+            + _term(commutator(sb.h, sa.base), tol, norm_b)
         )
         return _const_bound(top, s)
     # any other pair: ||[a(s), b(s)] - [a(0), b(0)]|| <= 2 s (L_a ||b|| + L_b ||a||)
@@ -705,15 +684,15 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
     every entry, with CertTolerances() and with eps:
 
     * Conj: normality, norm and mode defect are those of the base (unitary
-      invariance); two links with the same generator and angles keep the
-      commutator norm of their bases.
+      invariance); two links with the same generator keep the commutator
+      norm of their bases.
     * Flat: distance, norm and hermiticity defect are convex in s, so they
       peak at an endpoint; normality, commutators and the unitarity defect
       are (1-s)^2 C0 + s(1-s) C01 + s^2 C1 and bounded by the same form in
       the norms of the C's.
-    * Geo B e^{i th H}: norm and unitarity defect are those of B; normality,
+    * Geo B e^{i s H}: norm and unitarity defect are those of B; normality,
       hermiticity and commutators of two Geo segments follow from
-      ||[e^{i th H}, M]|| <= |th| ||[H, M]||.
+      ||[e^{i s H}, M]|| <= s ||[H, M]|| with s <= 1.
     * Any other pair: the commutator at the segments' start plus its
       Lipschitz growth, which fails unless both segments are static.
     * Distance along Conj and Geo: Lipschitz bisection (_DistanceTree) until
@@ -809,15 +788,14 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
 
 
 def unitary_contraction_path(u) -> tuple[MatrixPath, dict]:
-    """Unitary path u(t) = exp(i (1-t) H) from u to the identity.
+    """Unitary path u(t) = u exp(-i t H) from u to the identity.
 
     H is the branch logarithm of u, so the path is a function of u and
     commutes with everything u commutes with. The report gives its length
     ||H|| (< 2*pi) and the bound 2*pi - 2*pi/n on the spectral interval of H.
     """
     u = as_cmatrix(u)
-    h = gap_branch_log(u)
-    path = MatrixPath([Geo(np.eye(u.shape[0], dtype=np.complex128), h, 1.0, 0.0)])
+    path = MatrixPath([Geo(u, -gap_branch_log(u))])
     report = {
         "length": path.exact_length(),
         "gap_interval_bound": 2 * np.pi - 2 * np.pi / u.shape[0],
@@ -828,11 +806,11 @@ def unitary_contraction_path(u) -> tuple[MatrixPath, dict]:
 def ujc_links(x: NormalTuple, y: NormalTuple, w, w_hat) -> LinkBundle:
     """Links through a unitary Z = What* W with ||W - What|| < 1.
 
-    The curved factor conjugates all of X by exp(-i pi t H_Z) with
-    H_Z = (1/pi) log Z (principal branch, well defined since ||1 - Z|| < 1),
-    which preserves commutation exactly; a flat factor then lands on Y.
-    When W equals What, Z is exactly 1 and H_Z exactly 0, so the curved
-    factors have length 0.0 and only the flat factors remain.
+    The curved factor conjugates all of X by exp(-i t H) with H = log Z
+    (principal branch, well defined since ||1 - Z|| < 1), which preserves
+    commutation exactly; a flat factor then lands on Y. When W equals What,
+    Z is exactly 1 and H exactly 0, so the curved factors have length 0.0
+    and only the flat factors remain.
     """
     w = as_cmatrix(w)
     w_hat = as_cmatrix(w_hat)
@@ -842,13 +820,12 @@ def ujc_links(x: NormalTuple, y: NormalTuple, w, w_hat) -> LinkBundle:
     if nu >= 1.0:
         raise PreconditionError(f"||W - What|| = {nu!r} >= 1; no common branch")
     if np.array_equal(w, w_hat):
-        hz = np.zeros(w.shape, dtype=np.complex128)
+        h = np.zeros(w.shape, dtype=np.complex128)
     else:
-        hz = principal_log_unitary(adjoint(w_hat) @ w) / np.pi
+        h = principal_log_unitary(adjoint(w_hat) @ w)
 
-    curved_parts = _conj_family(np.pi * hz, x.mats, 0.0, 1.0)
-    flat_parts = [Flat(c.end, yj) for c, yj in zip(curved_parts, y.mats)]
-    return _link_bundle(curved_parts, flat_parts, x.mats, y.mats, "normal")
+    curved = _conj_family(h, x.mats)
+    return _link_bundle(curved, [c.end for c in curved], y.mats, "normal")
 
 
 def project_solid_torus(path: MatrixPath, samples: int = 101) -> np.ndarray:

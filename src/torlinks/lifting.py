@@ -4,7 +4,8 @@ The lift sends x to the block matrix diag(x, V*^2 x V^2), which equals
 Ad[What_s](x' ⊕ x') for x' = V* x V conjugated by the Hermitian unitary
 What_s = [[0, V], [V*, 0]]. Building the blocks directly keeps the upper-left
 compression of the lift literally equal to x (no floating error), while the
-conjugation form drives the curved factors of the lifted links.
+conjugation form drives the curved factors of the lifted links: the orbit of
+Phi(x_j) under e^{-isH}, with e^{iH} = What_s, ends on iota2(V* x_j V).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .homotopy import Flat, LinkBundle, _conj_family, _link_bundle
+from .homotopy import LinkBundle, _conj_family, _link_bundle
 from .jointspec import NormalTuple
 from .matcore import (
     PreconditionError,
@@ -117,8 +118,9 @@ def lifted_links(
 ) -> tuple[LiftedHom, LinkBundle, dict]:
     """Links in the doubled space from Phi(x_j) to y_j ⊕ y_j.
 
-    The curved factor conjugates iota2(V* x_j V) by e^{i(1-t)H} with
-    H = (pi/2)(What_s - 1); it starts at Phi(x_j) (t=0, conjugator What_s)
+    The curved factor conjugates Phi(x_j) by e^{-itH} with
+    H = (pi/2)(What_s - 1), which is e^{i(1-t)H} iota2(V* x_j V) e^{-i(1-t)H}
+    since e^{iH} = What_s: it starts at Phi(x_j) (t=0, conjugator What_s)
     and ends at iota2(V* x_j V) (t=1, conjugator 1). A flat factor then
     lands on iota2(y_j).
 
@@ -132,14 +134,10 @@ def lifted_links(
     """
     approx = isospectral_approximant(x, y, seed=seed)
     lift = LiftedHom(approx.v)
-    h = lift.generator()
-
-    bases = [iota2(pj) for pj in approx.psi]
-    curved_parts = _conj_family(h, bases, -1.0, 0.0)
-    flat_parts = [Flat(base, iota2(yj)) for base, yj in zip(bases, y.mats)]
     x_mats = [lift.apply(xj) for xj in x.mats]
-    y_mats = [iota2(yj) for yj in y.mats]
-    bundle = _link_bundle(curved_parts, flat_parts, x_mats, y_mats, "normal")
+    curved_parts = _conj_family(lift.generator(), x_mats)
+    starts = [iota2(pj) for pj in approx.psi]
+    bundle = _link_bundle(curved_parts, starts, [iota2(yj) for yj in y.mats], "normal")
 
     q, w = curved_parts[0]._q, curved_parts[0]._w  # the shared decomposition of H
     v2, eye = lift._v2, np.eye(lift.n)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .jointspec import NormalTuple, joint_diagonalize
 from .matcore import PreconditionError, adjoint
@@ -79,6 +78,9 @@ def bottleneck_assign(cost) -> Matching:
         raise PreconditionError("cost matrix is empty: nothing to match (n = 0)")
     if not np.isfinite(c).all() or np.any(c < 0):
         raise PreconditionError("costs must be finite and nonnegative")
+    # imported here so that commands which match no spectra never load scipy
+    from scipy.optimize import linear_sum_assignment
+
     n = c.shape[0]
     rows, cols = linear_sum_assignment(c)
     lower = max(c.min(axis=1).max(), c.min(axis=0).max())

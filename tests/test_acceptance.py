@@ -309,11 +309,11 @@ def test_criterion_6_soft_torus_and_bott():
 def test_criterion_7_path_functionals():
     x, y = _tuples("commuting_pair", 8, 2, 1e-2, 0)
     link = toral_links(x, y, seed=0).links[0]
-    circle = MatrixPath([Geo(np.eye(1, dtype=complex), 2 * np.pi * np.eye(1), 0.0, 1.0)])
+    circle = MatrixPath([Geo(np.eye(1, dtype=complex), 2 * np.pi * np.eye(1))])
     flat = MatrixPath([Flat(np.zeros((3, 3)), np.eye(3))])
     rng = np.random.default_rng(7)
     k = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    arc = MatrixPath([Conj(k + adjoint(k), np.diag(rng.random(4)).astype(complex), 0.0, 1.0)])
+    arc = MatrixPath([Conj(k + adjoint(k), np.diag(rng.random(4)).astype(complex))])
 
     worst_rel = 0.0
     for path in (link, circle, flat, arc):

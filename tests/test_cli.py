@@ -4,8 +4,11 @@ import base64
 import cProfile
 import dataclasses
 import json
+import os
 import pstats
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torlinks
 from torlinks import cli, matcore
 from torlinks.cli import (
     DecodeError,
@@ -62,8 +66,6 @@ _FLOAT_FIELDS = {
     "gap",
     "slack",
     "softness",
-    "theta0",
-    "theta1",
 }
 
 
@@ -100,7 +102,7 @@ def test_every_artifact_is_canonical_and_reads_floats_back_as_floats(tmp_path):
         for key, value in _float_fields(json.loads(text)):
             assert type(value) is float, (path, key, value)
             seen.add(key)
-    assert {"theta0", "softness", "bound", "defect"} <= seen
+    assert {"epsilon_reported", "softness", "bound", "defect"} <= seen
     report = json.loads(texts[out["report"]])
     assert all(type(v) is float for k, v in report.items() if k != "type")
     spec = json.loads(texts[out["spec"]])
@@ -381,13 +383,27 @@ def _resize_flat(obj: dict) -> None:
     flat["a"] = flat["b"] = _append_matrix(obj, _SMALL_MATRIX)
 
 
+def _open_gap(obj: dict) -> None:
+    flat = _segment(obj, 1, 1)
+    flat["a"] = _append_matrix(obj, _edited(obj["matrices"][flat["a"]], 0.5))
+
+
 _MALFORMED_LINKS = {
     "duration": ("unexpected key 'duration'", lambda o: _segment(o, 0, 1).update(duration=0.5)),
+    "theta0": ("unexpected key 'theta0' in a conj", lambda o: _segment(o, 0, 0).update(theta0=0.0)),
     "epsilon_reported": ("epsilon_reported", lambda o: o.update(epsilon_reported=None)),
     "segments": ("segments", lambda o: o["links"][0].update(segments=3)),
-    "count": ("count", lambda o: o["x"].pop()),
-    "x-count": ("count", lambda o: o["x"].append(0)),
-    "dimension": ("dimension", lambda o: o["y"].__setitem__(0, _append_matrix(o, _SMALL_MATRIX))),
+    "count": ("bad.json: a bundle needs", lambda o: o["x"].pop()),
+    "x-count": ("bad.json: a bundle needs", lambda o: o["x"].append(0)),
+    "dimension": (
+        "bad.json: links, x and y disagree in dimension",
+        lambda o: o["y"].__setitem__(0, _append_matrix(o, _SMALL_MATRIX)),
+    ),
+    "join-gap": ("bad.json.links[1]: consecutive segments do not meet", _open_gap),
+    "conj-shape": (
+        "bad.json.links[0]: conjugation generator and base differ",
+        lambda o: _segment(o, 0, 0).update(h=_append_matrix(o, _SMALL_MATRIX)),
+    ),
     "mode": ("mode", lambda o: o.update(mode="bogus")),
     "matrices": ("matrices", _inline_matrices),
     "index-range": ("segments[0].base", lambda o: _segment(o, 0, 0).update(base=len(o["matrices"]))),
@@ -395,8 +411,11 @@ _MALFORMED_LINKS = {
     "index-bool": ("x[0]", lambda o: o["x"].__setitem__(0, True)),
     "index-float": ("segments[1].b", lambda o: _segment(o, 0, 1).update(b=2.0)),
     "index-matrix": ("segments[0].h", lambda o: _segment(o, 1, 0).update(h=_SMALL_MATRIX)),
-    "resized": ("(3, 3) and (2, 2)", _resize_flat),
-    "segment-count": ("segment counts [1, 2]", lambda o: o["links"][0]["segments"].pop(0)),
+    "resized": ("bad.json.links[0]: segment shapes (3, 3) and (2, 2)", _resize_flat),
+    "segment-count": (
+        "bad.json: links have different segment counts [2, 1]",
+        lambda o: o["links"][1]["segments"].pop(0),
+    ),
 }
 
 
@@ -427,8 +446,8 @@ def test_segment_keys_are_the_dataclass_fields():
     h, base = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
     segments = {
         "flat": Flat(base, h),
-        "conj": Conj(h, base, 0.0, 1.0),
-        "geo": Geo(base, h, 0.0, 1.0),
+        "conj": Conj(h, base),
+        "geo": Geo(base, h),
     }
     for kind, seg in segments.items():
         table = []
@@ -800,6 +819,29 @@ def test_mutated_artifacts_never_raise(tmp_path, capsys):
                     failures.append((argv[0], path, case, code))
     capsys.readouterr()
     assert failures == []
+
+
+def test_gen_and_certify_never_import_scipy(tmp_path):
+    # only spectral matching needs scipy, so a command that matches no
+    # spectra must not pay for loading it
+    bundle = _gen(tmp_path, n=3, N=2, delta=1e-3, seed=0)
+    links = str(tmp_path / "links.json")
+    link = ["link", "--input", bundle, "--output", str(tmp_path / "c.json")]
+    assert main(link + ["--links-output", links]) == 0
+    gen = ["gen", "--n", "3", "--output", str(tmp_path / "g.json")]
+    certify = ["certify", "--input", links, "--output", str(tmp_path / "r.json")]
+    script = "\n".join(
+        [
+            "import sys",
+            "from torlinks.cli import main",
+            f"assert main({gen!r}) == 0 and main({certify!r}) == 0",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ]
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(torlinks.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 # --- lift -------------------------------------------------------------------------

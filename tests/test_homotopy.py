@@ -116,7 +116,7 @@ def test_conj_segment_orbit_and_exact_length():
     h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = (h + adjoint(h)) / 2
     b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    seg = Conj(h, b, 0.0, 1.0)
+    seg = Conj(h, b)
     assert seg.length == pytest.approx(op_norm(commutator(h, b)))
     # spot check the orbit formula at s = 0.37
     u = _rot(h, -0.37)
@@ -126,13 +126,13 @@ def test_conj_segment_orbit_and_exact_length():
 def test_conj_of_commuting_base_is_constant():
     h = np.diag([1.0, 2.0])
     b = np.diag([5.0, -3.0])
-    seg = Conj(h, b, 0.0, 1.0)
+    seg = Conj(h, b)
     assert seg.length == 0.0
     assert np.allclose(seg.value(0.9), b)
 
 
 def test_geo_segment_is_scalar_circle():
-    seg = Geo(np.array([[1.0]]), np.array([[2 * np.pi]]), 0.0, 1.0)
+    seg = Geo(np.array([[1.0]]), np.array([[2 * np.pi]]))
     for t in (0.0, 0.25, 0.5):
         assert abs(seg.value(t)[0, 0] - np.exp(2j * np.pi * t)) < 1e-14
     assert seg.length == pytest.approx(2 * np.pi)
@@ -190,7 +190,7 @@ def test_path_length_conj_matches_commutator_norm():
     h = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     h = (h + adjoint(h)) / 2
     b = rng.standard_normal((5, 5))
-    p = MatrixPath([Conj(h, b, 0.0, 1.0)])
+    p = MatrixPath([Conj(h, b)])
     # the polygonal cross-check inside path_length validates constant speed
     assert path_length(p) == pytest.approx(op_norm(commutator(h, b)))
 
@@ -200,7 +200,7 @@ def test_path_length_polygonal_agreement_on_mixed_path():
     h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     h = (h + adjoint(h)) / 2
     b = np.diag([0.5, -0.2, 0.1j])
-    curved = Conj(h, b, 0.0, 0.8)
+    curved = Conj(0.8 * h, b)
     p = MatrixPath([curved, Flat(curved.end, np.zeros((3, 3)))])
     exact = p.exact_length()
     ts = np.linspace(0, 1, 1000)
@@ -216,13 +216,13 @@ def test_curvature_of_flat_segment_is_zero():
 
 
 def test_curvature_of_unit_circle_is_one():
-    p = MatrixPath([Geo(np.array([[1.0]]), np.array([[2 * np.pi]]), 0.0, 1.0)])
+    p = MatrixPath([Geo(np.array([[1.0]]), np.array([[2 * np.pi]]))])
     assert path_curvature(p, 0.5) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_curvature_of_radius_r_circle_is_reciprocal():
     for r in (0.5, 2.0):
-        p = MatrixPath([Geo(np.array([[r]]), np.array([[2 * np.pi]]), 0.0, 1.0)])
+        p = MatrixPath([Geo(np.array([[r]]), np.array([[2 * np.pi]]))])
         assert path_curvature(p, 0.3) == pytest.approx(1.0 / r, rel=1e-3)
 
 
@@ -248,7 +248,7 @@ def test_curved_factor_curvature_length_product_logged():
     t, q, diags = _commuting_pair(5, rng)
     h = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     h = 0.3 * (h + adjoint(h))
-    p = MatrixPath([Conj(h, t.mats[0], 0.0, 1.0)])
+    p = MatrixPath([Conj(h, t.mats[0])])
     kappa = path_curvature(p, 0.5)
     log.info("curved factor: kappa=%.4f length=%.4f kappa*length=%.4f",
              kappa, p.exact_length(), kappa * p.exact_length())
@@ -518,7 +518,7 @@ def test_input_checks_solve_only_where_a_bound_fails():
 
 def test_path_keeps_the_callers_segments():
     h = np.diag([1.0, -1.0])
-    segs = [Conj(h, np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0, 1.0)]
+    segs = [Conj(h, np.array([[0.0, 1.0], [1.0, 0.0]]))]
     segs.append(Flat(segs[0].end, np.zeros((2, 2))))
     path = MatrixPath(list(segs))
     assert all(kept is seg for kept, seg in zip(path.segments, segs))
@@ -553,7 +553,7 @@ def test_certify_mixed_kind_pair_is_conservative():
     # both links stay diagonal, so they commute; a Geo against a Flat has no
     # closed form, and its Lipschitz bound fails once both move
     d = np.diag([0.6, -0.4])
-    geo = MatrixPath([Geo(d, np.diag([1.0, 2.0]), 0.0, 0.1)])
+    geo = MatrixPath([Geo(d, 0.1 * np.diag([1.0, 2.0]))])
     flat = MatrixPath([Flat(d, 0.5 * d)])
     bundle = LinkBundle([geo, flat], [d, d], [geo.end, flat.end], 0.0)
     cert = certify(bundle, eps=1.0)
@@ -680,6 +680,28 @@ def test_ujc_rejects_antipodal_conjugators():
         )
 
 
+def test_every_builder_starts_its_shared_conjugation_at_x():
+    # toral, lifted and ujc links all run Conj(H, x_j) and then a flat
+    # factor, one H for the whole bundle, so each link starts at its x_j
+    rng = np.random.default_rng(17)
+    x, q, diags = _commuting_pair(4, rng)
+    y = _perturb_in_basis(q, diags, 1e-2, rng)
+    w = _haar_unitary(4, rng)
+    k = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    w_hat = w @ _rot((k + adjoint(k)) / op_norm(k + adjoint(k)), 0.05)
+    bundles = {
+        "toral": toral_links(x, y),
+        "lifted": lifted_links(x, y)[1],
+        "ujc": ujc_links(x, y, w, w_hat),
+    }
+    for name, bundle in bundles.items():
+        first = [link.segments[0] for link in bundle.links]
+        assert all(isinstance(c, Conj) for c in first), name
+        assert all(c.base is xj for c, xj in zip(first, bundle.x_mats)), name
+        assert all(c.h is first[0].h for c in first), name
+        assert first[0].length > 0.0, name
+
+
 # ---------------------------------------------------------------------------
 # solid-torus projection
 # ---------------------------------------------------------------------------
@@ -687,7 +709,7 @@ def test_ujc_rejects_antipodal_conjugators():
 
 def test_projection_of_scalar_circle_is_helix():
     r = 0.5
-    p = MatrixPath([Geo(np.array([[r]]), np.array([[2 * np.pi]]), 0.0, 1.0)])
+    p = MatrixPath([Geo(np.array([[r]]), np.array([[2 * np.pi]]))])
     rows = project_solid_torus(p, samples=5)
     assert rows.shape == (5, 6)
     for row in rows:

@@ -237,12 +237,12 @@ def _term_case(term: str, s: float):
         a = s * a0
         bundle = LinkBundle([_frozen(a)], [a], [a], 0.0, mode="hermitian")
         return bundle, "mode_defects", a - adjoint(a), 1.0, tols.mode_defect
-    # two Geo pieces 1 e^{i th H}: of the four commutator terms only
-    # ||1|| ||1|| th th ||[Ha, Hb]|| is nonzero, with weight th^2 = 4
-    eye = np.eye(n, dtype=np.complex128)
-    ga, gb = Geo(eye, s * h0, 0.0, 2.0), Geo(eye, h1, 0.0, 2.0)
-    bundle = LinkBundle([MatrixPath([ga]), MatrixPath([gb])], [eye, eye], [ga.end, gb.end], 0.0)
-    return bundle, "commutation", commutator(ga.h, gb.h), 4.0, tols.commutation
+    # two Geo pieces B e^{i s H} with B = 1/2: of the four commutator terms
+    # only ||B1|| ||B2|| ||[Ha, Hb]|| is nonzero, with weight 1/4
+    half = 0.5 * np.eye(n, dtype=np.complex128)
+    ga, gb = Geo(half, 2.0 * s * h0), Geo(half, 2.0 * h1)
+    bundle = LinkBundle([MatrixPath([ga]), MatrixPath([gb])], [half, half], [ga.end, gb.end], 0.0)
+    return bundle, "commutation", commutator(ga.h, gb.h), 0.25, tols.commutation
 
 
 TERMS = ("normality", "commutation", "mode_defect", "geo_weighted")

@@ -515,11 +515,7 @@ def _validate_mode(t: NormalTuple, mode: str, tol: float, who: str) -> None:
     if mode == "normal":
         return
     for j, m in enumerate(t.mats):
-        d = matcore._threshold_norm(_mode_residual(m, mode), tol)
-        if d > tol:
-            raise PreconditionError(
-                f"{who}[{j}] has {mode} defect {d:.3e} > {tol:.3e}"
-            )
+        matcore._check_within(_mode_residual(m, mode), tol, f"{who}[{j}] has {mode} defect")
 
 
 def toral_links(

@@ -51,12 +51,11 @@ class NormalTuple:
         for j, m in enumerate(mats):
             if m.shape[0] != n:
                 raise PreconditionError("all matrices must share one dimension")
-            defect = matcore._threshold_norm(adjoint(m) @ m - m @ adjoint(m), self.normality_tol)
-            if defect > self.normality_tol:
-                raise PreconditionError(
-                    f"matrix {j} has normality defect {defect:.3e} "
-                    f"> {self.normality_tol:.3e}"
-                )
+            matcore._check_within(
+                adjoint(m) @ m - m @ adjoint(m),
+                self.normality_tol,
+                f"matrix {j} has normality defect",
+            )
             nrm = matcore._threshold_norm(m, 1.0 + CONTRACTION_SLACK)
             if nrm > 1.0 + CONTRACTION_SLACK:
                 raise PreconditionError(
@@ -64,12 +63,11 @@ class NormalTuple:
                 )
         for j in range(len(mats) if self.commutation_tol < np.inf else 0):  # no norm exceeds inf
             for k in range(j + 1, len(mats)):
-                d = matcore._threshold_norm(commutator(mats[j], mats[k]), self.commutation_tol)
-                if d > self.commutation_tol:
-                    raise PreconditionError(
-                        f"matrices {j},{k} have commutator norm {d:.3e} "
-                        f"> {self.commutation_tol:.3e}"
-                    )
+                matcore._check_within(
+                    commutator(mats[j], mats[k]),
+                    self.commutation_tol,
+                    f"matrices {j},{k} have commutator norm",
+                )
         self.mats = mats
 
     @property

@@ -117,6 +117,13 @@ def _threshold_norm(a: np.ndarray, tol: float) -> float:
     return bound if bound <= tol else op_norm(a)
 
 
+def _check_within(a: np.ndarray, tol: float, what: str) -> None:
+    """Raise ``PreconditionError("{what} {norm} > {tol}")`` when op_norm(a) > tol."""
+    norm = _threshold_norm(a, tol)
+    if norm > tol:
+        raise PreconditionError(f"{what} {norm:.3e} > {tol:.3e}")
+
+
 def commutator(a, b) -> np.ndarray:
     """[A, B] = AB - BA."""
     a = as_cmatrix(a)
@@ -147,11 +154,7 @@ def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     a = as_cmatrix(a)
     scale = op_norm(a)
     tol = 1e-10 * max(scale, 1e-300)
-    defect = _threshold_norm(a - adjoint(a), tol)
-    if defect > tol:
-        raise PreconditionError(
-            f"input is not Hermitian within tolerance: ||A - A*|| = {defect:.3e} > {tol:.3e}"
-        )
+    _check_within(a - adjoint(a), tol, "input is not Hermitian within tolerance: ||A - A*|| =")
     w, q = np.linalg.eigh((a + adjoint(a)) / 2.0)
     return _canonical_column_phases(q), w
 
@@ -187,7 +190,16 @@ def _nearly_scalar(mats: list[np.ndarray], tol: float) -> bool:
     return True
 
 
-def _simdiag_recurse(parts, rng, cluster_rtol, depth):
+def _simdiag(parts, rng, cluster_rtol):
+    """One unitary (approximately) diagonalizing all Hermitian ``parts``.
+
+    Eigendecomposes a random positive combination of the parts. A cluster of
+    eigenvalues within ``cluster_rtol`` (relative) whose compressed parts are
+    not scalar is refined recursively with fresh coefficients; each such
+    block is strictly smaller than its parent, so the recursion ends. A
+    combination that splits nothing returns its eigenbasis as it is: the
+    caller verifies the residual and draws again.
+    """
     m = parts[0].shape[0]
     if m == 1:
         return np.eye(1, dtype=np.complex128)
@@ -199,33 +211,16 @@ def _simdiag_recurse(parts, rng, cluster_rtol, depth):
     scale = max(1.0, float(np.max(np.abs(w))))
     groups = _split_clusters(w, cluster_rtol * scale)
     if len(groups) == 1:
-        # The random combination separated nothing: the block is either
-        # genuinely scalar for every part, or we were unlucky and retry.
-        if _nearly_scalar(parts, cluster_rtol * scale) or depth <= 0:
-            return v
-        return _simdiag_recurse(parts, rng, cluster_rtol, depth - 1)
+        return v
     q = v.copy()
     for i0, i1 in groups:
         if i1 - i0 == 1:
             continue
         vc = v[:, i0:i1]
         sub = [_hermitize(adjoint(vc) @ p @ vc) for p in parts]
-        if _nearly_scalar(sub, cluster_rtol * scale) or depth <= 0:
-            continue
-        qsub = _simdiag_recurse(sub, rng, cluster_rtol, depth - 1)
-        q[:, i0:i1] = vc @ qsub
+        if not _nearly_scalar(sub, cluster_rtol * scale):
+            q[:, i0:i1] = vc @ _simdiag(sub, rng, cluster_rtol)
     return q
-
-
-def _simdiag_hermitian(parts, rng, cluster_rtol):
-    """One unitary (approximately) diagonalizing all Hermitian ``parts``.
-
-    Eigendecomposes a random positive combination of the parts and recurses
-    into degenerate clusters with fresh coefficients. Callers are expected to
-    verify residuals and retry with more draws from ``rng`` if needed.
-    """
-    parts = [_hermitize(as_cmatrix(p)) for p in parts]
-    return _simdiag_recurse(parts, rng, cluster_rtol, 16)
 
 
 def _hermitian_parts(mats) -> list[np.ndarray]:
@@ -242,12 +237,13 @@ def _offdiag(m: np.ndarray) -> np.ndarray:
 def _simdiag_normal(mats, target, seed, cluster_rtol=CLUSTER_RTOL):
     """Common eigenbasis (Q, points, residual) of commuting normal ``mats``.
 
-    Draws up to six bases from ``_simdiag_hermitian`` on the Hermitian parts
-    and keeps the first whose off-diagonal residual is within ``target``,
-    raising a DiagnosticsError with the smallest residual if none is. Each
-    residual is taken by ``_threshold_norm``, so an accepted one is an upper
-    bound, exact only where the cheap bound misses ``target``; a draw is
-    chosen exactly as by exact norms, which never exceed the bound.
+    This is the one retry loop of joint diagonalization. It draws up to six
+    bases from ``_simdiag`` on the Hermitian parts and accepts the first
+    whose off-diagonal residual is within ``target``, raising a
+    DiagnosticsError with the smallest residual if none is. Each residual is
+    taken by ``_threshold_norm``, so an accepted one is an upper bound, exact
+    only where the cheap bound misses ``target``; a draw is chosen exactly as
+    by exact norms, which never exceed the bound.
 
     Columns are sorted ascending lexicographically by (Re, Im) of the first
     matrix's eigenvalues, ties broken by later matrices, and carry canonical
@@ -258,28 +254,26 @@ def _simdiag_normal(mats, target, seed, cluster_rtol=CLUSTER_RTOL):
         raise PreconditionError("seed must be a non-negative integer")
     parts = _hermitian_parts(mats)
     rng = np.random.default_rng(seed)
-    best_q = None
     best_res = np.inf
     for _ in range(6):
-        q = _simdiag_hermitian(parts, rng, cluster_rtol)
-        res = max(_threshold_norm(_offdiag(adjoint(q) @ m @ q), target) for m in mats)
-        if res < best_res:
-            best_q, best_res = q, res
+        q = _simdiag(parts, rng, cluster_rtol)
+        rotated = [adjoint(q) @ m @ q for m in mats]
+        res = max(_threshold_norm(_offdiag(d), target) for d in rotated)
         if res <= target:
             break
-    if best_res > target:
+        best_res = min(best_res, res)
+    else:
         raise DiagnosticsError(
             "joint diagonalization residual exceeds the target",
             worst_residual=best_res,
         )
-    points = np.column_stack([np.diag(adjoint(best_q) @ m @ best_q) for m in mats])
     keys = []
-    for j in reversed(range(len(mats))):
-        keys.append(points[:, j].imag)
-        keys.append(points[:, j].real)
-    q = _canonical_column_phases(best_q[:, np.lexsort(tuple(keys))])
+    for d in reversed(rotated):
+        keys.append(np.diag(d).imag)
+        keys.append(np.diag(d).real)
+    q = _canonical_column_phases(q[:, np.lexsort(tuple(keys))])
     points = np.column_stack([np.diag(adjoint(q) @ m @ q) for m in mats])
-    return q, points, best_res
+    return q, points, res
 
 
 def normal_eig(a, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
@@ -292,11 +286,9 @@ def normal_eig(a, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     a = as_cmatrix(a)
     scale = op_norm(a)
     limit = tol * max(scale, 1e-300)
-    defect = _threshold_norm(commutator(adjoint(a), a), limit)
-    if defect > limit:
-        raise PreconditionError(
-            f"matrix is not normal within tolerance: ||[A*, A]|| = {defect:.3e} > {limit:.3e}"
-        )
+    _check_within(
+        commutator(adjoint(a), a), limit, "matrix is not normal within tolerance: ||[A*, A]|| ="
+    )
     q, points, _ = _simdiag_normal([a], 10.0 * tol * max(scale, 1e-300), 0)
     return q, points[:, 0]
 
@@ -309,11 +301,11 @@ def _check_tolerance(name: str, value: float) -> None:
 
 
 def _check_unitary(u: np.ndarray, tol: float) -> None:
-    defect = _threshold_norm(adjoint(u) @ u - np.eye(u.shape[0]), tol)
-    if defect > tol:
-        raise PreconditionError(
-            f"matrix is not unitary within tolerance: ||U*U - 1|| = {defect:.3e} > {tol:.3e}"
-        )
+    _check_within(
+        adjoint(u) @ u - np.eye(u.shape[0]),
+        tol,
+        "matrix is not unitary within tolerance: ||U*U - 1|| =",
+    )
 
 
 def gap_branch_log(u) -> np.ndarray:

@@ -8,12 +8,13 @@ must lie between the sampled maximum and the sampler's own epsilon.
 """
 
 import numpy as np
+import pytest
 from dense_oracle import dense_passed, dense_tables, sampled_epsilon
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torlinks.cli import decode_bundle, gen_bundle
-from torlinks.homotopy import certify, toral_links, ujc_links
+from torlinks.homotopy import Flat, Geo, LinkBundle, MatrixPath, certify, toral_links, ujc_links
 from torlinks.jointspec import NormalTuple
 from torlinks.matcore import adjoint, exp_i_herm, op_norm
 
@@ -113,3 +114,53 @@ def test_criterion_1_grid_verdicts_match_dense_oracle():
             below = 0.99 * oracle["distance_to_target"].max()
             for e in (eps, below):
                 assert certify(bundle, e).passed == dense_passed(oracle, e), (mode, n, N, seed, e)
+
+
+# The two mode bounds below are reached by no bundle that toral_links builds,
+# so each gets a hand-built one.
+
+
+def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def _certify_mode_against_oracle(seg, mode: str):
+    bundle = LinkBundle([MatrixPath([seg])], [seg.start], [seg.end], 0.0, mode=mode)
+    cert = certify(bundle, 2.0)
+    assert np.all(cert.mode_defects >= dense_tables(bundle)["mode_defects"] - 1e-12)
+    return cert
+
+
+@pytest.mark.parametrize("turn", [0.3, 5.0])
+def test_hermitian_mode_bound_of_a_geodesic(turn):
+    # B e^{isH} - (B e^{isH})* = (B - B*) + B (e^{isH} - 1) - (e^{-isH} - 1) B*,
+    # bounded by ||B - B*|| + 2 ||B|| min(2, ||H||); turn = 5 takes the 2
+    rng = np.random.default_rng(43)
+    w = _haar_unitary(4, rng)
+    b = 0.5 * (w * np.array([1.0, -1.0, 1.0, -1.0])) @ adjoint(w)
+    b = b + 1e-3 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = turn * (h + adjoint(h)) / op_norm(h + adjoint(h))
+    cert = _certify_mode_against_oracle(Geo(b, h), "hermitian")
+    expected = op_norm(b - adjoint(b)) + 2.0 * op_norm(b) * min(2.0, turn)
+    assert np.allclose(cert.mode_defects, expected, rtol=1e-12, atol=0.0)
+
+
+def test_unitary_mode_bound_of_a_flat():
+    # the chord between two unitaries leaves the unitary group in its middle;
+    # its defect is bounded by the quadratic in s through the endpoint
+    # defects and ||U0* U1 + U1* U0 - 2||
+    rng = np.random.default_rng(44)
+    cert = _certify_mode_against_oracle(
+        Flat(_haar_unitary(4, rng), _haar_unitary(4, rng)), "unitary"
+    )
+    assert cert.mode_defects.max() > 0.1
+
+
+def test_static_unitary_flat_passes():
+    u = _haar_unitary(4, np.random.default_rng(45))
+    bundle = LinkBundle([MatrixPath([Flat(u, u)])], [u], [u], 0.0, mode="unitary")
+    assert certify(bundle, 1e-12).passed
+    assert dense_passed(dense_tables(bundle), 1e-12)

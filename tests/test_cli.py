@@ -876,6 +876,18 @@ def test_lift_pipeline_certifies(tmp_path):
     assert rep["decay_max_error"] <= 1e-10
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_lift_links_output_recertifies_to_the_same_bytes(tmp_path, seed):
+    bundle = _gen(tmp_path, n=12, N=2, delta=1e-2, seed=seed)
+    cert, links, again = (tmp_path / f for f in ("cert.json", "links.json", "again.json"))
+    argv = ["lift", "--input", bundle, "--output", str(cert), "--links-output", str(links)]
+    assert main(argv) == 0
+    lifted = decode_links(json.loads(_read(links)), "links")
+    assert lifted.links[0].n == 24
+    assert main(["certify", "--input", str(links), "--output", str(again)]) == 0
+    assert _read(again) == _read(cert)
+
+
 # --- bott -------------------------------------------------------------------------
 
 
@@ -893,6 +905,22 @@ def test_bott_gap_gating_exits_2(tmp_path, capsys):
     code = main(["bott", "--input", bundle, "--output", str(tmp_path / "b.json")])
     assert code == 2
     assert "gap" in capsys.readouterr().err.lower()
+
+
+def test_gen_soft_pair_and_its_bott_index(tmp_path, capsys):
+    bundle = _gen(tmp_path, kind="soft_pair", n=32, delta=0.3)
+    obj = json.loads(_read(Path(bundle)))
+    assert obj["metadata"]["mode"] == "unitary"
+    assert obj["metadata"]["commuting"] is False
+    assert obj["metadata"]["softness"] == 0.3
+    assert obj["delta"] == 0.0
+    out = tmp_path / "bott.json"
+    assert main(["bott", "--input", bundle, "--output", str(out)]) == 0
+    bott = json.loads(_read(out))
+    assert bott["index"] == 1 and bott["winding"] == 1
+    argv = ["gen", "--kind", "soft_pair", "--n", "32", "--N", "3", "--output", str(out)]
+    assert main(argv) == 2
+    assert "N = 2" in capsys.readouterr().err
 
 
 # --- relcheck -----------------------------------------------------------------------

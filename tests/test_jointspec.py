@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cProfile
 import pstats
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -190,6 +191,42 @@ def test_joint_diagonalize_rejects_soft_tuple():
     t = NormalTuple([omega, sigma], commutation_tol=2.1)
     with pytest.raises(PreconditionError):
         joint_diagonalize(t)
+
+
+def _near_collision(seed: int) -> tuple[np.ndarray, NormalTuple]:
+    """Six joint points in C^2 and the commuting pair that has them, rotated
+    by a Haar unitary. Points 0 and 1 differ by 2.2e-8 * (1, -1).
+
+    A random positive combination of the Hermitian parts separates those two
+    by |c_1 - c_2| * 2.2e-8, often within the cluster threshold 1e-8, while
+    the compressed real parts are not scalar within 1e-8: the cluster has to
+    be refined by a recursive draw.
+    """
+    rng = np.random.default_rng(seed)
+    pts = 0.1 * (rng.uniform(-1.0, 1.0, (6, 2)) + 1j * rng.uniform(-1.0, 1.0, (6, 2)))
+    pts[1] = pts[0] + 2.2e-8 * np.array([1.0, -1.0])
+    q = _haar_unitary(6, rng)
+    return pts, NormalTuple([(q * pts[:, j]) @ adjoint(q) for j in range(2)])
+
+
+def test_joint_diagonalize_refines_a_near_collision():
+    recursed = 0
+    for seed in range(8):
+        pts, t = _near_collision(seed)
+        with mock.patch.object(matcore, "_simdiag", wraps=matcore._simdiag) as spy:
+            js = joint_diagonalize(t, seed=seed)
+        recursed += any(c.args[0][0].shape[0] < 6 for c in spy.call_args_list)
+        exact = 0.0
+        for m in t.mats:
+            d = adjoint(js.q) @ m @ js.q
+            exact = max(exact, op_norm(d - np.diag(np.diag(d))))
+        assert exact <= js.residual <= 1e-8
+        # the same multiset: each constructed point has its own nearest row
+        dist = np.abs(pts[:, None, :] - js.points[None, :, :]).max(axis=2)
+        nearest = dist.argmin(axis=1)
+        assert sorted(nearest) == list(range(6))
+        assert dist[np.arange(6), nearest].max() < 1e-12
+    assert recursed > 0
 
 
 # ---------------------------------------------------------------- clifford

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from torlinks import matcore
 from torlinks.matcore import (
     BranchPointError,
+    DiagnosticsError,
     PreconditionError,
     adjoint,
     as_cmatrix,
@@ -183,6 +186,19 @@ def test_normal_eig_residual_bound():
 def test_normal_eig_rejects_nonnormal():
     with pytest.raises(PreconditionError):
         normal_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_simdiag_normal_raises_after_six_draws():
+    # distinct eigenvalues, so no draw recurses; rounding leaves every
+    # off-diagonal residual above a zero target
+    rng = np.random.default_rng(16)
+    u = _haar_unitary(8, rng)
+    a = (u * (rng.standard_normal(8) + 1j * rng.standard_normal(8))) @ adjoint(u)
+    with mock.patch.object(matcore, "_simdiag", wraps=matcore._simdiag) as spy:
+        with pytest.raises(DiagnosticsError, match="exceeds the target") as err:
+            matcore._simdiag_normal([a], 0.0, 0)
+    assert spy.call_count == 6
+    assert err.value.worst_residual > 0.0
 
 
 # ---------------------------------------------------------------- gap_branch_log

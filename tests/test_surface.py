@@ -35,6 +35,50 @@ def test_every_parameter_is_read():
     assert unread == [], "parameters accepted and then ignored: " + ", ".join(unread)
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _defined_names(stmt: ast.stmt) -> set:
+    """Names a module-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = []
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+        targets = [stmt.target]
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def _referenced_names(stmt: ast.stmt) -> set:
+    """Names a statement reads: bare, as ``module.name``, or imported."""
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_private_module_name_is_used():
+    # a private helper that only its own definition mentions is dead code
+    statements = [
+        stmt for path in SOURCES for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    reads = [_referenced_names(stmt) for stmt in statements]
+    orphans = [
+        name
+        for i, stmt in enumerate(statements)
+        for name in filter(_is_private, _defined_names(stmt))
+        if not any(name in names for j, names in enumerate(reads) if j != i)
+    ]
+    assert orphans == [], "private module-level names never used: " + ", ".join(orphans)
+
+
 def test_package_namespace_matches_module_exports():
     names = ("matcore", "jointspec", "spectral_match", "homotopy", "lifting", "softtorus", "ncrel")
     modules = [getattr(torlinks, name) for name in names]

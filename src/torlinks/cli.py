@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import functools
 import json
 import os
 import sys
@@ -732,6 +733,7 @@ def _cmd_spectrum(args) -> int:
 # --- argument parsing ------------------------------------------------------------
 
 
+@functools.cache  # parse_args leaves the parser as it is
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torlinks",

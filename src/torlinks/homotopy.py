@@ -441,6 +441,14 @@ class _DistanceTree:
         return out
 
 
+def _flat_distances(seg: Flat, y: np.ndarray) -> tuple:
+    """||seg.a - y|| and ||seg.b - y||. A flat factor that ends on y has them
+    from its length, ||b - a|| = ||a - b||, with no eigensolve."""
+    if seg.b is y or np.array_equal(seg.b, y):
+        return seg.length, 0.0
+    return op_norm(seg.a - y), op_norm(seg.b - y)
+
+
 def _sup_distance(links, y_mats) -> tuple[float, dict]:
     """Upper bound on max_j sup_t ||link_j(t) - y_j||, tight to about 0.1%.
 
@@ -458,7 +466,7 @@ def _sup_distance(links, y_mats) -> tuple[float, dict]:
     for link, y in zip(links, y_mats):
         for seg in link.segments:
             if isinstance(seg, Flat):
-                exact = max(exact, op_norm(seg.a - y), op_norm(seg.b - y))
+                exact = max(exact, *_flat_distances(seg, y))
             else:
                 trees.append(_DistanceTree(seg, y))
     while trees:
@@ -634,7 +642,7 @@ def _mode_bound(seg, mode: str, s, tol: float) -> tuple:
 
 def _distance_bound(seg, y: np.ndarray, eps: float, s, samples: dict) -> tuple:
     if isinstance(seg, Flat):
-        return _convex_bound(op_norm(seg.a - y), op_norm(seg.b - y), s)
+        return _convex_bound(*_flat_distances(seg, y), s)
     known_seg, known_y, known = samples.get(id(seg), (None, None, None))
     tree = _DistanceTree(seg, y, known if known_seg is seg and known_y is y else None)
     tree.prove(eps)

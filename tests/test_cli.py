@@ -821,20 +821,30 @@ def test_mutated_artifacts_never_raise(tmp_path, capsys):
     assert failures == []
 
 
-def test_gen_and_certify_never_import_scipy(tmp_path):
-    # only spectral matching needs scipy, so a command that matches no
-    # spectra must not pay for loading it
+def test_no_command_imports_scipy(tmp_path):
+    # spectral matching has its own assignment solver, so numpy is the only
+    # package a command loads
     bundle = _gen(tmp_path, n=3, N=2, delta=1e-3, seed=0)
+    clock = _gen(tmp_path, "clock.json", kind="clock_shift", n=8)
+    out = str(tmp_path / "out")
     links = str(tmp_path / "links.json")
-    link = ["link", "--input", bundle, "--output", str(tmp_path / "c.json")]
-    assert main(link + ["--links-output", links]) == 0
-    gen = ["gen", "--n", "3", "--output", str(tmp_path / "g.json")]
-    certify = ["certify", "--input", links, "--output", str(tmp_path / "r.json")]
+    argvs = [
+        ["gen", "--n", "3", "--output", out],
+        ["link", "--input", bundle, "--output", out, "--links-output", links],
+        ["lift", "--input", bundle, "--output", out],
+        ["certify", "--input", links, "--output", out],
+        ["spectrum", "--input", bundle, "--output", out],
+        ["bott", "--input", clock, "--output", out],
+        ["relcheck", "--input", clock, "--preset", "soft_torus", "--delta", "1", "--output", out],
+        ["project", "--input", links, "--output", out],
+    ]
+    commands = cli._build_parser()._subparsers._group_actions[0].choices
+    assert {argv[0] for argv in argvs} == set(commands)
     script = "\n".join(
         [
             "import sys",
             "from torlinks.cli import main",
-            f"assert main({gen!r}) == 0 and main({certify!r}) == 0",
+            f"assert [main(argv) for argv in {argvs!r}] == {[0] * len(argvs)!r}",
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         ]
     )
@@ -842,6 +852,23 @@ def test_gen_and_certify_never_import_scipy(tmp_path):
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    # parsing leaves the parser as it is, so one parser serves every call: a
+    # repeated command writes the same bytes, also after a bad argument
+    assert cli._build_parser() is cli._build_parser()
+    bundle = _gen(tmp_path, n=3, N=2, delta=1e-3, seed=0)
+    texts = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        assert main(["link", "--input", bundle, "--output", str(out)]) == 0
+        texts.append(_read(out))
+        with pytest.raises(SystemExit) as bad:
+            main(["link", "--input", bundle, "--output", str(out), "--grid", "x"])
+        assert bad.value.code == 2
+    assert texts[0] == texts[1]
+    assert "invalid int value: 'x'" in capsys.readouterr().err
 
 
 # --- lift -------------------------------------------------------------------------

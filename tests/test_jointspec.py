@@ -135,14 +135,17 @@ def test_joint_diagonalize_single_matrix_matches_normal_eig():
 
 
 def test_joint_diagonalize_degenerate_first_matrix():
-    # first matrix cannot separate the basis; the cluster recursion must
-    # fall through to the second one
+    # the first matrix alone cannot separate the basis, but one random
+    # combination of all the parts separates the three points: one _simdiag
+    # call, with no cluster recursion and no redraw
     rng = np.random.default_rng(24)
     q = _haar_unitary(3, rng)
     x1 = (q * np.array([0.5, 0.5, -0.25])) @ adjoint(q)
     x2 = (q * np.array([0.1, 0.7, 0.9])) @ adjoint(q)
     t = NormalTuple([x1, x2], commutation_tol=1e-12)
-    js = joint_diagonalize(t)
+    with mock.patch.object(matcore, "_simdiag", wraps=matcore._simdiag) as spy:
+        js = joint_diagonalize(t)
+    assert spy.call_count == 1
     assert js.residual <= 1e-8
     got = sorted(zip(np.round(js.points[:, 0].real, 6), np.round(js.points[:, 1].real, 6)))
     assert got == [(-0.25, 0.9), (0.5, 0.1), (0.5, 0.7)]

@@ -11,6 +11,7 @@ from scipy.optimize import linear_sum_assignment
 from torlinks.jointspec import NormalTuple, joint_spectrum
 from torlinks.matcore import PreconditionError, adjoint, commutator, op_norm
 from torlinks.spectral_match import (
+    _assign,
     bottleneck_assign,
     isospectral_approximant,
     spectral_cost_matrix,
@@ -159,6 +160,86 @@ def test_bottleneck_property_against_brute_force():
 
     check()
     assert any(moved)
+
+
+def _spectral_costs(n: int, delta: float, rng: np.random.Generator) -> np.ndarray:
+    """Costs between n random points of the unit polydisc in C^2 and a copy
+    moved by up to delta, in random order: the shape spectral matching sees."""
+    px = np.sqrt(rng.random((n, 2))) * np.exp(2j * np.pi * rng.random((n, 2)))
+    py = px + delta * rng.random((n, 2)) * np.exp(2j * np.pi * rng.random((n, 2)))
+    return spectral_cost_matrix(px, py[rng.permutation(n)])
+
+
+@st.composite
+def _assignment_costs(draw):
+    """n x n costs for n <= 64: uniform, quantized to quarters (ties), or
+    spectral."""
+    n = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(("uniform", "quarters", "spectral")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "spectral":
+        return _spectral_costs(n, draw(st.sampled_from((1e-3, 0.3))), rng)
+    c = rng.random((n, n))
+    return np.round(c * 4) / 4.0 if kind == "quarters" else c
+
+
+def test_assign_is_optimal_with_dual_certificate():
+    # scipy's solver is the oracle for the optimal sum; the duals prove
+    # optimality on their own: feasible everywhere, tight on the assignment
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_assignment_costs())
+    def check(c):
+        n = c.shape[0]
+        cols, u, v = _assign(c)
+        assert sorted(cols) == list(range(n))
+        best = c[linear_sum_assignment(c)].sum()
+        assert c[np.arange(n), cols].sum() == pytest.approx(best, rel=1e-9, abs=1e-12)
+        reduced = c - u[:, None] - v[None, :]
+        assert reduced.min() >= -1e-12
+        assert np.abs(reduced[np.arange(n), cols]).max() <= 1e-12
+
+    check()
+
+
+def _hard_costs(family: str, n: int) -> np.ndarray:
+    """Cost families that force many ties or long augmenting paths."""
+    rng = np.random.default_rng(n)
+    if family == "uniform":
+        return rng.random((n, n))
+    if family == "roots":
+        # n-th roots of unity against a copy rotated by pi/n: two equal
+        # nearest partners for every point
+        z = np.exp(2j * np.pi * np.arange(n) / n)
+        return spectral_cost_matrix(z, z * np.exp(1j * np.pi / n))
+    # clusters of 4 equal points, against a 1e-3 shift or against themselves
+    p = np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    px = np.repeat(p, 4)[:n]
+    return spectral_cost_matrix(px, px + (1e-3 if family == "clustered" else 0.0))
+
+
+def _scipy_bottleneck(c: np.ndarray) -> tuple:
+    """Oracle: the least threshold whose edges hold a permutation (scipy's
+    solver on the indicator of the excess), and scipy's min-sum below it."""
+    values = np.unique(c)
+    lo, hi = 0, len(values) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        over = (c > values[mid]).astype(float)
+        lo, hi = (lo, mid) if over[linear_sum_assignment(over)].sum() == 0 else (mid + 1, hi)
+    masked = np.where(c <= values[lo], c, c.shape[0] * c.max() + 1.0)
+    return values[lo], masked[linear_sum_assignment(masked)].sum()
+
+
+@pytest.mark.parametrize("family", ["uniform", "roots", "clustered", "clustered_self"])
+@pytest.mark.parametrize("n", [4, 7, 16, 64])
+def test_bottleneck_on_hard_families(family, n):
+    c = _hard_costs(family, n)
+    m = bottleneck_assign(c)
+    b, s = _scipy_bottleneck(c)
+    assert m.bottleneck == b
+    assert m.sum_cost == pytest.approx(s, rel=1e-9)
+    if n <= 7:
+        assert tuple(m.tau) == _lexicographic_bottleneck(c)[2]
 
 
 def test_bottleneck_rejects_bad_cost():

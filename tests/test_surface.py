@@ -35,6 +35,23 @@ def test_every_parameter_is_read():
     assert unread == [], "parameters accepted and then ignored: " + ", ".join(unread)
 
 
+def _imported_packages(path: Path) -> set:
+    """Top-level package of every import in a source file, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_source_imports_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    assert SOURCES
+    assert [path.name for path in SOURCES if "scipy" in _imported_packages(path)] == []
+
+
 def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 

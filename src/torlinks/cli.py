@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import dataclasses
 import functools
 import json
 import os
@@ -27,6 +28,7 @@ import tempfile
 import numpy as np
 
 from .homotopy import (
+    MODES,
     Certificate,
     Conj,
     Flat,
@@ -65,7 +67,6 @@ __all__ = [
 ]
 
 GEN_KINDS = ("commuting_pair", "clock_shift", "soft_pair")
-MODES = ("normal", "hermitian", "unitary")
 
 
 class DecodeError(PreconditionError):
@@ -376,15 +377,21 @@ def decode_bundle(obj, where: str) -> dict:
 # --- link bundle codec ---------------------------------------------------------
 
 
+#: each segment kind and its class; a segment carries ``kind`` and one
+#: matrix index per field of its class
+_SEGMENT_KINDS = {"flat": Flat, "conj": Conj, "geo": Geo}
+
+
+def _segment_fields(cls) -> list:
+    """A segment class's field names, generator ``h`` first: encode_links
+    numbers ``matrices`` in order of first use, so this order is the format's."""
+    return sorted((f.name for f in dataclasses.fields(cls)), key=lambda name: name != "h")
+
+
 def _encode_segment(seg, ref) -> dict:
-    if isinstance(seg, Flat):
-        return {"kind": "flat", "a": ref(seg.a), "b": ref(seg.b)}
-    if isinstance(seg, (Conj, Geo)):
-        return {
-            "kind": "conj" if isinstance(seg, Conj) else "geo",
-            "h": ref(seg.h),
-            "base": ref(seg.base),
-        }
+    for kind, cls in _SEGMENT_KINDS.items():
+        if isinstance(seg, cls):
+            return {"kind": kind, **{key: ref(getattr(seg, key)) for key in _segment_fields(cls)}}
     raise PreconditionError(f"cannot serialize segment {type(seg).__name__}")
 
 
@@ -394,37 +401,29 @@ def _index(value, size: int, where: str) -> int:
     return value
 
 
-#: the keys a segment of each kind carries, exactly as _encode_segment writes them
-_SEGMENT_KEYS = {
-    "flat": {"kind", "a", "b"},
-    "conj": {"kind", "h", "base"},
-    "geo": {"kind", "h", "base"},
-}
-
-
 def _decode_segment(obj, where: str, matrices: list, shared: dict):
-    """Decode one segment, which carries exactly the keys of its kind; Conj
-    segments with the same ``h`` index share the eigendecomposition of the
-    first one, kept in ``shared``."""
+    """Decode one segment, which carries exactly ``kind`` and its class's
+    fields; curved segments of one kind with the same ``h`` index share the
+    eigendecomposition of the first one, kept in ``shared``."""
     kind = _field(obj, "kind", where)
-    if not isinstance(kind, str) or kind not in _SEGMENT_KEYS:
+    if not isinstance(kind, str) or kind not in _SEGMENT_KINDS:
         raise DecodeError(f"{where}: unknown segment kind {kind!r}")
-    extra = sorted(set(obj) - _SEGMENT_KEYS[kind])
+    cls = _SEGMENT_KINDS[kind]
+    keys = _segment_fields(cls)
+    extra = sorted(set(obj) - {"kind", *keys})
     if extra:
         raise DecodeError(f"{where}: unexpected key {extra[0]!r} in a {kind} segment")
-
-    def slot(key: str) -> int:
-        return _index(_field(obj, key, where), len(matrices), f"{where}.{key}")
-
-    if kind == "flat":
-        return Flat(matrices[slot("a")], matrices[slot("b")])
-    h, base = slot("h"), matrices[slot("base")]
-    if kind == "geo":
-        return Geo(base, matrices[h])
-    if h in shared:
-        return shared[h]._same_generator(base)
-    shared[h] = Conj(matrices[h], base)
-    return shared[h]
+    mats = {
+        key: matrices[_index(_field(obj, key, where), len(matrices), f"{where}.{key}")]
+        for key in keys
+    }
+    if cls is Flat:
+        return Flat(**mats)
+    generator = (kind, obj["h"])  # an index, checked above
+    if generator in shared:
+        return shared[generator]._same_generator(mats["base"])
+    shared[generator] = cls(**mats)
+    return shared[generator]
 
 
 def encode_links(bundle: LinkBundle) -> dict:
@@ -492,33 +491,17 @@ def decode_links(obj, where: str) -> LinkBundle:
 
 
 def encode_certificate(cert: Certificate) -> dict:
-    tols = cert.tolerances
-    return {
-        "type": "certificate",
-        "passed": bool(cert.passed),
-        "epsilon": float(cert.epsilon),
-        "mode": cert.mode,
-        "grid": [float(v) for v in cert.grid],
-        "endpoint_errors": np.asarray(cert.endpoint_errors, dtype=float).tolist(),
-        "normality": np.asarray(cert.normality, dtype=float).tolist(),
-        "contraction_excess": np.asarray(cert.contraction_excess, dtype=float).tolist(),
-        "distance_to_target": np.asarray(cert.distance_to_target, dtype=float).tolist(),
-        "commutation": np.asarray(cert.commutation, dtype=float).tolist(),
-        "pair_index": [[int(j), int(k)] for j, k in cert.pair_index],
-        "mode_defects": None
-        if cert.mode_defects is None
-        else np.asarray(cert.mode_defects, dtype=float).tolist(),
-        "lengths": [float(v) for v in cert.lengths],
-        "lipschitz": [float(v) for v in cert.lipschitz],
-        "tolerances": {
-            "endpoint": tols.endpoint,
-            "commutation": tols.commutation,
-            "normality": tols.normality,
-            "contraction": tols.contraction,
-            "mode_defect": tols.mode_defect,
-        },
-        "worst": cert.worst(),
-    }
+    """Every field of ``cert``, arrays as nested lists of floats and the
+    tolerances as an object, plus the type tag and ``cert.worst()``."""
+    out = {"type": "certificate", "worst": cert.worst()}
+    for f in dataclasses.fields(cert):
+        value = getattr(cert, f.name)
+        if isinstance(value, np.ndarray):
+            value = value.astype(float).tolist()
+        elif dataclasses.is_dataclass(value):
+            value = dataclasses.asdict(value)
+        out[f.name] = value
+    return out
 
 
 # --- subcommand helpers ------------------------------------------------------------
@@ -559,9 +542,9 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _certify_and_write(bundle: LinkBundle, args, grid: int) -> int:
+def _certify_and_write(bundle: LinkBundle, args) -> int:
     eps = args.epsilon if args.epsilon is not None else bundle.epsilon_reported
-    cert = certify(bundle, eps, grid_points=grid)
+    cert = certify(bundle, eps, grid_points=args.grid)
     write_artifact(args.output, json_text(encode_certificate(cert)))
     _print_certificate(cert)
     return 0 if cert.passed else 1
@@ -577,7 +560,7 @@ def _cmd_link(args) -> int:
     )
     if args.links_output:
         write_artifact(args.links_output, json_text(encode_links(bundle)))
-    return _certify_and_write(bundle, args, args.grid)
+    return _certify_and_write(bundle, args)
 
 
 def _cmd_lift(args) -> int:
@@ -597,12 +580,12 @@ def _cmd_lift(args) -> int:
         "lift: hom_product_defect={hom_product_defect:.3e} "
         "decay_max_error={decay_max_error:.3e}".format(**report)
     )
-    return _certify_and_write(bundle, args, args.grid)
+    return _certify_and_write(bundle, args)
 
 
 def _cmd_certify(args) -> int:
     bundle = decode_links(_load_json(args.input), args.input)
-    return _certify_and_write(bundle, args, args.grid)
+    return _certify_and_write(bundle, args)
 
 
 def _cmd_bott(args) -> int:
@@ -611,14 +594,7 @@ def _cmd_bott(args) -> int:
     if len(mats) != 2:
         raise PreconditionError(f"{args.input}: bott needs a bundle with N = 2")
     result = bott_index(mats[0], mats[1], gap_tol=args.gap_tol, tol=args.tol)
-    artifact = {
-        "type": "bott",
-        "index": int(result.index),
-        "gap": float(result.gap),
-        "winding": int(result.winding),
-        "defect": float(result.defect),
-    }
-    write_artifact(args.output, json_text(artifact))
+    write_artifact(args.output, json_text({"type": "bott", **result._asdict()}))
     print(
         f"bott index {result.index} (winding {result.winding}, "
         f"gap {result.gap:.4f}, defect {result.defect:.4f})"

@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 import copy
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -60,6 +60,8 @@ __all__ = [
 
 #: endpoint agreement required when paths are stitched together
 JOIN_TOL = 1e-9
+#: link modes: the tuples are normal, hermitian or unitary contractions
+MODES = ("normal", "hermitian", "unitary")
 
 
 @dataclass
@@ -89,36 +91,31 @@ class Flat:
         return self.b
 
 
-@dataclass
-class Conj:
-    """Conjugation orbit exp(-i s H) base exp(i s H), of exact arc length
-    ||[H, base]||."""
+class _Curved:
+    """What Conj and Geo share: ``base`` moved by the unitary group
+    exp(i s H), s in [0, 1]. H is decomposed once, and the kind's constant
+    ``_speed`` is the exact arc length."""
 
-    h: np.ndarray
-    base: np.ndarray
+    _what: str  # the kind, as the shape error names it
 
     def __post_init__(self):
-        self.h = as_cmatrix(self.h)
+        for f in fields(self):
+            setattr(self, f.name, as_cmatrix(getattr(self, f.name)))
         self._measure()
         self._q, self._w = herm_eig(self.h)
 
     def _measure(self) -> None:
-        self.base = as_cmatrix(self.base)
         if self.h.shape != self.base.shape:
-            raise PreconditionError("conjugation generator and base differ in shape")
+            raise PreconditionError(f"{self._what} generator and base differ in shape")
         self.n = self.h.shape[0]
-        self.length = op_norm(commutator(self.h, self.base))
+        self.length = self._speed()
 
-    def _same_generator(self, base) -> Conj:
-        """A Conj around this one's H that reuses its eigendecomposition."""
+    def _same_generator(self, base) -> _Curved:
+        """The same kind around this one's H that reuses its eigendecomposition."""
         seg = copy.copy(self)
-        seg.base = base
+        seg.base = as_cmatrix(base)
         seg._measure()
         return seg
-
-    def value(self, s: float) -> np.ndarray:
-        u = (self._q * np.exp(-1j * s * self._w)) @ adjoint(self._q)
-        return u @ self.base @ adjoint(u)
 
     @property
     def start(self) -> np.ndarray:
@@ -130,7 +127,24 @@ class Conj:
 
 
 @dataclass
-class Geo:
+class Conj(_Curved):
+    """Conjugation orbit exp(-i s H) base exp(i s H), of exact arc length
+    ||[H, base]||."""
+
+    h: np.ndarray
+    base: np.ndarray
+    _what = "conjugation"
+
+    def _speed(self) -> float:
+        return op_norm(commutator(self.h, self.base))
+
+    def value(self, s: float) -> np.ndarray:
+        u = (self._q * np.exp(-1j * s * self._w)) @ adjoint(self._q)
+        return u @ self.base @ adjoint(u)
+
+
+@dataclass
+class Geo(_Curved):
     """One-sided exponential base * exp(i s H).
 
     Since exp(i s H) is unitary and commutes with H, the speed is the
@@ -139,26 +153,13 @@ class Geo:
 
     base: np.ndarray
     h: np.ndarray
+    _what = "geodesic"
 
-    def __post_init__(self):
-        self.base = as_cmatrix(self.base)
-        self.h = as_cmatrix(self.h)
-        if self.h.shape != self.base.shape:
-            raise PreconditionError("geodesic generator and base differ in shape")
-        self.n = self.h.shape[0]
-        self._q, self._w = herm_eig(self.h)
-        self.length = op_norm(self.base @ self.h)
+    def _speed(self) -> float:
+        return op_norm(self.base @ self.h)
 
     def value(self, s: float) -> np.ndarray:
         return self.base @ (self._q * np.exp(1j * s * self._w)) @ adjoint(self._q)
-
-    @property
-    def start(self) -> np.ndarray:
-        return self.value(0.0)
-
-    @property
-    def end(self) -> np.ndarray:
-        return self.value(1.0)
 
 
 def _conj_family(h, bases) -> list:
@@ -421,13 +422,12 @@ class _DistanceTree:
         heapq.heappush(self._heap, self._leaf(mid, b, depth + 1))
         return True
 
-    def prove(self, eps: float) -> bool:
-        """Split until every leaf is within eps; False once a sampled value
-        exceeds eps or a leaf above eps reaches the depth cap."""
-        while self.upper > eps:
-            if self.lower > eps or not self.split():
-                return False
-        return True
+    def prove(self, eps: float) -> None:
+        """Split until every leaf is within eps, a sampled value exceeds eps
+        or a leaf above eps reaches the depth cap; ``upper`` is the verdict."""
+        while self.upper > eps and self.lower <= eps:
+            if not self.split():
+                break
 
     def at(self, s: np.ndarray) -> np.ndarray:
         """Bound at each s from its leaf: min(f(a) + L(s - a), f(b) + L(b - s))."""
@@ -518,7 +518,7 @@ def _mode_residual(a: np.ndarray, mode: str) -> np.ndarray:
 
 
 def _validate_mode(t: NormalTuple, mode: str, tol: float, who: str) -> None:
-    if mode not in ("normal", "hermitian", "unitary"):
+    if mode not in MODES:
         raise PreconditionError(f"unknown mode {mode!r}")
     if mode == "normal":
         return

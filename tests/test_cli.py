@@ -23,13 +23,24 @@ from torlinks.cli import (
     decode_bundle,
     decode_links,
     decode_matrix,
+    encode_certificate,
     encode_links,
     encode_matrix,
     gen_bundle,
     json_text,
     main,
 )
-from torlinks.homotopy import Conj, Flat, Geo, toral_links
+from torlinks.homotopy import (
+    Certificate,
+    CertTolerances,
+    Conj,
+    Flat,
+    Geo,
+    LinkBundle,
+    MatrixPath,
+    certify,
+    toral_links,
+)
 from torlinks.jointspec import joint_diagonalize
 from torlinks.matcore import PreconditionError, op_norm
 
@@ -466,6 +477,104 @@ def test_segment_keys_are_the_dataclass_fields():
                 cli._decode_segment(dropped, "mem", table, {})
         with pytest.raises(DecodeError, match=f"unexpected key 'extra' in a {kind} segment"):
             cli._decode_segment({**written, "extra": 0.0}, "mem", table, {})
+
+
+def _herm_eig_calls(fn, *args):
+    """Result of fn and its number of matcore.herm_eig calls (cProfile)."""
+    prof = cProfile.Profile()
+    result = prof.runcall(fn, *args)
+    stats = pstats.Stats(prof).stats.items()
+    herm_eig = (matcore.__file__, "herm_eig")
+    return result, sum(s[1] for (path, _, name), s in stats if (path, name) == herm_eig)
+
+
+def _two_unitaries():
+    u = np.diag(np.exp(1j * np.array([0.3, -1.1, 2.0])))
+    w = np.diag(np.exp(1j * np.array([-0.4, 0.9, 1.7])))
+    h = np.array([[0.2, 0.1, 0.0], [0.1, -0.3, 0.05], [0.0, 0.05, 0.1]], dtype=complex)
+    return u, w, h
+
+
+def test_hand_made_links_with_a_second_conj_segment_certify_as_in_memory():
+    # every builder puts its conjugation first; a file may put it second,
+    # which makes the path check read Conj.start
+    x = [np.diag([0.5, -0.25j, 0.1]), np.diag([0.2, 0.3, -0.4])]
+    mid = [0.9 * m for m in x]
+    h = np.array([[0.0, 0.3, 0.1], [0.3, 0.2, 0.0], [0.1, 0.0, -0.2]], dtype=complex)
+    links = [MatrixPath([Flat(a, b), Conj(h, b)]) for a, b in zip(x, mid)]
+    y = [link.end for link in links]
+    in_memory = LinkBundle(links, x, y, epsilon_reported=0.5)
+    matrices = [*x, *y, *mid, h]
+    obj = {
+        "type": "links",
+        "mode": "normal",
+        "epsilon_reported": 0.5,
+        "x": [0, 1],
+        "y": [2, 3],
+        "links": [
+            {
+                "segments": [
+                    {"kind": "flat", "a": j, "b": 4 + j},
+                    {"kind": "conj", "h": 6, "base": 4 + j},
+                ]
+            }
+            for j in range(2)
+        ],
+        "matrices": [encode_matrix(m) for m in matrices],
+    }
+    decoded = decode_links(json.loads(json_text(obj)), "mem")
+    assert [type(s) for s in decoded.links[1].segments] == [Flat, Conj]
+    certs = [json_text(encode_certificate(certify(b, 0.5))) for b in (decoded, in_memory)]
+    assert certs[0] == certs[1]
+
+
+def test_geo_links_sharing_a_generator_decode_it_once():
+    u, w, h = _two_unitaries()
+    links = [MatrixPath([Geo(m, h)]) for m in (u, w)]
+    bundle = LinkBundle(links, [u, w], [link.end for link in links], epsilon_reported=1.0)
+    obj = json.loads(json_text(encode_links(bundle)))
+    assert [link["segments"][0]["h"] for link in obj["links"]] == [4, 4]  # after x and y
+    decoded, calls = _herm_eig_calls(decode_links, obj, "mem")
+    assert calls == 1  # one per segment before geodesics shared H
+    for a, b in zip(decoded.links, bundle.links):
+        assert np.array_equal(a.value(0.3), b.value(0.3))
+
+
+def test_conj_and_geo_sharing_an_h_index_keep_their_kinds():
+    u, w, h = _two_unitaries()
+    links = [MatrixPath([Conj(h, u)]), MatrixPath([Geo(w, h)])]
+    bundle = LinkBundle(links, [u, w], [link.end for link in links], epsilon_reported=1.0)
+    obj = json.loads(json_text(encode_links(bundle)))
+    assert obj["links"][0]["segments"][0]["h"] == obj["links"][1]["segments"][0]["h"]
+    decoded, calls = _herm_eig_calls(decode_links, obj, "mem")
+    assert [type(link.segments[0]) for link in decoded.links] == [Conj, Geo]
+    assert calls == 2
+    for a, b in zip(decoded.links, bundle.links):
+        assert np.array_equal(a.value(0.7), b.value(0.7))
+
+
+def test_encode_links_refuses_a_foreign_segment():
+    class Still:
+        n, length = 2, 0.0
+        start = end = np.eye(2, dtype=complex)
+
+        def value(self, _s):
+            return self.start
+
+    bundle = LinkBundle([MatrixPath([Still()])], [np.eye(2)], [np.eye(2)], epsilon_reported=0.0)
+    with pytest.raises(PreconditionError, match="cannot serialize segment Still"):
+        encode_links(bundle)
+
+
+def test_certificate_keys_are_its_fields():
+    keys = {f.name for f in dataclasses.fields(Certificate)} | {"type", "worst"}
+    for mode in ("normal", "unitary"):  # mode_defects is None, then an array
+        art = gen_bundle("commuting_pair", 4, N=3, delta=1e-2, seed=2, mode=mode)
+        loaded = decode_bundle(art, "mem")
+        bundle = toral_links(loaded["x"], loaded["y"], mode=mode, seed=2)
+        obj = encode_certificate(certify(bundle, bundle.epsilon_reported))
+        assert set(obj) == keys
+        assert obj["tolerances"] == dataclasses.asdict(CertTolerances())
 
 
 def test_links_and_certificate_decode_encode_identity(tmp_path):
@@ -1072,3 +1181,31 @@ def test_spectrum_of_hermitian_bundle(tmp_path):
     obj = json.loads(_read(out))
     assert obj["n"] == 5 and obj["N"] == 2
     assert max(abs(v) for row in obj["im"] for v in row) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bott", "--input", "{n3}"], "{n3}: bott needs a bundle with N = 2"),
+        (["relcheck", "--input", "{n3}", "--rel-file", "{expr}"],
+         "{expr}: file holds an expression, not relations"),
+        (["relcheck", "--input", "{n3}", "--preset", "soft_torus", "--delta", "0.1"],
+         "{n3}: bundle has 3 matrices but the relation set uses 2 variables ('u', 'v')"),
+        (["project", "--input", "{links}", "--link-index", "5"],
+         "--link-index 5 out of range for 3 links"),
+        (["gen", "--n", "0"], "sizes must be positive"),
+        (["gen", "--n", "3", "--N", "0"], "sizes must be positive"),
+    ],
+)
+def test_refused_commands_exit_2_with_their_reason(tmp_path, capsys, argv, message):
+    n3 = _gen(tmp_path, n=3, N=3, delta=1e-3, seed=1)
+    links = tmp_path / "links.json"
+    link = ["link", "--input", n3, "--output", str(tmp_path / "c.json")]
+    assert main(link + ["--links-output", str(links)]) == 0
+    expr = tmp_path / "expr.rel"
+    expr.write_text("u*v - v*u\n", encoding="utf-8")
+    paths = {"n3": n3, "links": str(links), "expr": str(expr)}
+    capsys.readouterr()
+    code = main([a.format(**paths) for a in argv] + ["--output", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"

@@ -2,6 +2,7 @@ import cProfile
 import json
 import logging
 import pstats
+import re
 
 import numpy as np
 import pytest
@@ -762,3 +763,21 @@ def test_projection_rejects_bad_inputs():
     q = MatrixPath([Flat(1.5 * np.eye(2), 1.5 * np.eye(2))])
     with pytest.raises(PreconditionError):
         project_solid_torus(q)
+
+
+_STILL = MatrixPath([Flat(0.5 * np.eye(2), 0.5 * np.eye(2))])
+_STILL_BUNDLE = LinkBundle([_STILL], [_STILL.start], [_STILL.end], epsilon_reported=0.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: certify(_STILL_BUNDLE, 1.0, grid_points=1), "grid needs at least two points"),
+        (lambda: _STILL.locate(1.5), "path time 1.5 outside [0, 1]"),
+        (lambda: project_solid_torus(_STILL, samples=1), "need at least two samples"),
+        (lambda: Geo(np.eye(2), np.eye(3)), "geodesic generator and base differ in shape"),
+    ],
+)
+def test_precondition_messages(call, message):
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        call()

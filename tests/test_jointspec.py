@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cProfile
 import pstats
+import re
 from unittest import mock
 
 import numpy as np
@@ -286,3 +287,19 @@ def test_clifford_norm_commuting_hermitian_identity():
         _, nrm = clifford_norm(mats)
         s = sum(m @ m for m in mats)
         assert nrm**2 == pytest.approx(op_norm(s), abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: NormalTuple([]), "tuple must contain at least one matrix"),
+        (lambda: NormalTuple([np.eye(2), np.eye(3)]), "all matrices must share one dimension"),
+        (lambda: clifford_rep(0), "need at least one generator"),
+        (lambda: clifford_norm([np.eye(2), np.eye(3)]), "all matrices must share one dimension"),
+        (lambda: joint_diagonalize(NormalTuple([np.eye(2)]), seed=-1),
+         "seed must be a non-negative integer"),
+    ],
+)
+def test_precondition_messages(call, message):
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        call()

@@ -1,6 +1,7 @@
 """Tests for the noncommutative relation DSL: parsing, printing, evaluation."""
 
 import importlib.resources
+import re
 
 import numpy as np
 import pytest
@@ -382,3 +383,16 @@ def test_bundled_intertwiner_example_file():
 
     assign["z"] = x + 0.2 * np.eye(3)
     assert not membership(assign, rset, slack=1e-12).member
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: variable("u") + "x", "cannot interpret str as a polynomial"),
+        (lambda: to_text(3), "cannot render int"),
+        (lambda: parse("u )"), "line 1, column 3: trailing input after expression, found ')'"),
+    ],
+)
+def test_precondition_messages(call, message):
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        call()

@@ -162,3 +162,8 @@ def test_bott_index_rejects_non_unitaries():
         bott_index(np.eye(3) * 2.0, np.eye(3))
     with pytest.raises(PreconditionError):
         bott_index(np.eye(3), np.eye(4))
+
+
+def test_algebra_dimension_of_no_matrices_is_one():
+    # the empty set generates the scalars alone
+    assert algebra_dimension([]) == 1

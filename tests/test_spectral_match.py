@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -323,3 +324,19 @@ def test_approximant_bound_equals_coordinate_bottleneck():
     )
     assert _psi_distance(a, y) <= per_coord + 1e-9
     assert per_coord <= a.matching.bottleneck + 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: bottleneck_assign(np.zeros((2, 3))), "cost matrix must be square, got (2, 3)"),
+        (lambda: isospectral_approximant(NormalTuple([np.eye(2)]), NormalTuple([np.eye(3)])),
+         "tuples must have matching dimensions and lengths"),
+        (lambda: isospectral_approximant(
+            NormalTuple([np.eye(2)]), NormalTuple([np.eye(2), np.eye(2)])
+        ), "tuples must have matching dimensions and lengths"),
+    ],
+)
+def test_precondition_messages(call, message):
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        call()

@@ -106,3 +106,53 @@ def test_package_namespace_matches_module_exports():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == exported
+
+
+#: the modules whose __all__ make up the package namespace, in import order
+NAMESPACE_MODULES = (
+    "matcore", "jointspec", "spectral_match", "homotopy", "lifting", "softtorus", "ncrel"
+)
+
+
+def test_package_init_only_star_imports_the_modules():
+    # each module's __all__ is its one list of public names; __init__.py
+    # restates none of them
+    body = ast.parse(Path(torlinks.__file__).read_text(encoding="utf-8")).body
+    docstring, *imports, version = body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+    assert [(i.level, i.module, [a.name for a in i.names]) for i in imports] == [
+        (1, name, ["*"]) for name in NAMESPACE_MODULES
+    ]
+    assert isinstance(version, ast.Assign) and version.targets[0].id == "__version__"
+
+
+def _option_dest(call: ast.Call) -> str:
+    """The argparse destination of an ``add_argument`` call."""
+    for kw in call.keywords:
+        if kw.arg == "dest":
+            return kw.value.value
+    flags = [a.value for a in call.args if isinstance(a, ast.Constant)]
+    name = next((f for f in flags if f.startswith("--")), flags[0])
+    return name.lstrip("-").replace("-", "_")
+
+
+def test_every_cli_option_is_read():
+    # the CLI twin of test_every_parameter_is_read: a flag no command reads is dead
+    tree = ast.parse(Path(torlinks.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    build = next(
+        n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_build_parser"
+    )
+    dests = {
+        _option_dest(n)
+        for n in ast.walk(build)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "add_argument"
+    }
+    read = {
+        n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "args"
+    }
+    assert len(dests) == 22
+    assert sorted(dests - read) == []

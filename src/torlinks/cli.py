@@ -8,7 +8,8 @@ bytes, and fixed seeds reproduce identical files.  Matrices are
 stored as ``{"n": k, "c16": ...}``, the base64 of their row-major
 little-endian complex128 bytes, so they round-trip bit for bit; a links
 artifact stores each distinct matrix once in its ``matrices`` table and refers
-to it by index.  All writes go through a temp file and an atomic rename.
+to it by index, and a bundle whose Y equals X stores ``"y": "x"`` instead of a
+second copy.  All writes go through a temp file and an atomic rename.
 
 Exit codes: 0 success / certificate passed, 1 failed certification or
 membership, 2 precondition and decode errors.
@@ -259,7 +260,8 @@ def gen_bundle(
     perturbs toward Y within delta: "within" nudges the diagonals only (both
     tuples stay exactly commuting), "generic" also rotates the eigenbasis.
     clock_shift and soft_pair wrap the standard non-commuting unitary pairs
-    for bott / relcheck / project flows (Y = X there).
+    for bott / relcheck / project flows (Y = X there). When every Y_j equals
+    X_j, Y is stored once, as ``"y": "x"``.
     """
     if kind not in GEN_KINDS:
         raise PreconditionError(f"unknown generator kind {kind!r}")
@@ -279,16 +281,14 @@ def gen_bundle(
         if N != 2:
             raise PreconditionError("clock_shift bundles always have N = 2")
         cs = clock_shift(n)
-        x_mats = [cs.omega, cs.sigma]
-        y_mats = [m.copy() for m in x_mats]
+        x_mats = y_mats = [cs.omega, cs.sigma]
         mode = "unitary"
         commuting = n == 1
     elif kind == "soft_pair":
         if N != 2:
             raise PreconditionError("soft_pair bundles always have N = 2")
         sp = soft_pair(n, delta)
-        x_mats = [sp.u, sp.v]
-        y_mats = [m.copy() for m in x_mats]
+        x_mats = y_mats = [sp.u, sp.v]
         mode = "unitary"
         commuting = sp.defect == 0.0
     else:
@@ -297,7 +297,7 @@ def gen_bundle(
         diags = [_gen_diag(n, mode, rng) for _ in range(N)]
         x_mats = [(q * d) @ adjoint(q) for d in diags]
         if delta == 0.0:
-            y_mats = [m.copy() for m in x_mats]
+            y_mats = x_mats
         else:
             if perturb == "generic":
                 k = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -310,6 +310,7 @@ def gen_bundle(
             ]
 
     dmax = _displacement(x_mats, y_mats)
+    same = all(map(np.array_equal, x_mats, y_mats))
     if dmax > delta * (1 + 1e-9) + 1e-15:
         raise DiagnosticsError(
             f"generated displacement {dmax!r} exceeds requested delta {delta!r}"
@@ -328,13 +329,14 @@ def gen_bundle(
         },
         "delta": float(dmax),
         "x": [encode_matrix(m) for m in x_mats],
-        "y": [encode_matrix(m) for m in y_mats],
+        "y": "x" if same else [encode_matrix(m) for m in y_mats],
     }
 
 
 def decode_bundle(obj, where: str) -> dict:
     """Validate a bundle artifact; returns dict with tuples and metadata.
 
+    ``"y": "x"`` stands for Y = X; an array of matrices is read as well.
     Recomputes delta = max_j ||X_j - Y_j|| and insists it matches the stored
     value to 1e-12, so silently edited matrices are caught on load. The
     metadata must name a known kind and mode, a non-negative integer seed,
@@ -356,7 +358,8 @@ def decode_bundle(obj, where: str) -> dict:
     if not isinstance(meta["commuting"], bool):
         raise DecodeError(f"{where}.metadata.commuting is not a boolean")
     x_mats = _decode_mats(_field(obj, "x", where), f"{where}.x")
-    y_mats = _decode_mats(_field(obj, "y", where), f"{where}.y")
+    y_slot = _field(obj, "y", where)
+    y_mats = x_mats if y_slot == "x" else _decode_mats(y_slot, f"{where}.y")
     if len(x_mats) != len(y_mats) or len(x_mats) != meta["N"]:
         raise DecodeError(f"{where}: tuple sizes disagree with metadata N")
     if any(m.shape[0] != meta["n"] for m in x_mats + y_mats):

@@ -8,6 +8,8 @@ logarithms of unitary matrices.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -79,18 +81,56 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
+# A matrix whose largest entry modulus lies in [2^-200, 2^200] has its Gram
+# matrix A*A formed as it is: nothing in it overflows, and its largest entry
+# stays inside the range where LAPACK's eigensolver does not rescale (about
+# [2^-484, 2^484]), so a diagonal A*A has its diagonal as eigenvalues bit for
+# bit. Any other matrix is first scaled by a power of two, which is exact
+# while every real and imaginary part stays a normal float.
+_PEAK_MIN, _PEAK_MAX = 2.0**-200, 2.0**200
+
+
+def _ldexp(a: np.ndarray, k: int) -> np.ndarray:
+    """2^k a, each real and imaginary part rounded once."""
+    out = np.empty_like(a, dtype=np.complex128)
+    out.real, out.imag = np.ldexp(a.real, k), np.ldexp(a.imag, k)
+    return out
+
+
+def _scaled_norm(norm_of, a: np.ndarray) -> float:
+    """norm_of(a) taken on 2^-e a and scaled back by 2^e, e the ``frexp``
+    exponent of a's largest real or imaginary part, so that 2^-e a has parts
+    below 1 in modulus and one at least 1/2. ``a`` must be finite and nonzero."""
+    e = math.frexp(max(float(np.abs(a.real).max()), float(np.abs(a.imag).max())))[1]
+    try:
+        return math.ldexp(norm_of(_ldexp(a, -e)), e)
+    except OverflowError:  # the norm exceeds every float
+        return math.inf
+
+
 def op_norm(a) -> float:
     """Operator (spectral) norm: the largest singular value.
 
-    Computed as the square root of the top eigenvalue of A*A; the zero
-    matrix needs no eigensolve.
+    Computed as the square root of the top eigenvalue of A*A; a diagonal A*A
+    needs no eigensolve. A matrix whose largest entry modulus lies outside
+    [2^-200, 2^200] is scaled by 2^-e before A*A is formed, e the binary
+    exponent of its largest real or imaginary part, and its norm scaled back
+    by 2^e, so A*A neither overflows nor underflows.
     """
     a = as_cmatrix(a)
-    if not a.any():
-        return 0.0
+    peak = float(np.abs(a).max())
+    if not _PEAK_MIN <= peak <= _PEAK_MAX:
+        return 0.0 if peak == 0.0 else _scaled_norm(op_norm, a)
     g = adjoint(a) @ a
-    w = np.linalg.eigvalsh((g + adjoint(g)) / 2.0)
-    return float(np.sqrt(max(float(w[-1]), 0.0)))
+    h = (g + adjoint(g)) / 2.0
+    diag = h.diagonal()
+    # one off-diagonal entry is probed first, so a dense matrix pays one
+    # comparison before its eigensolve
+    if h.shape[0] > 1 and (h[0, 1] != 0 or np.count_nonzero(h) > np.count_nonzero(diag)):
+        top = float(np.linalg.eigvalsh(h)[-1])
+    else:
+        top = float(diag.real.max())
+    return float(np.sqrt(max(top, 0.0)))
 
 
 def _norm_upper_bound(a: np.ndarray) -> float:
@@ -98,10 +138,18 @@ def _norm_upper_bound(a: np.ndarray) -> float:
 
     ||A||_2 is at most both the Frobenius norm and Schur's bound
     sqrt(||A||_1 ||A||_inf); the smaller of the two is widened by
-    ``_BOUND_RTOL`` to cover its own rounding.
+    ``_BOUND_RTOL`` to cover its own rounding. When ||A||_1 lies outside
+    [2^-200, 2^200], the bound is taken on A scaled as in ``op_norm``; when it
+    is not finite, the bound is inf, so that callers fall back to op_norm,
+    which rejects non-finite input.
     """
     mod = np.abs(a)
-    schur = float(np.sqrt(float(mod.sum(axis=0).max()) * float(mod.sum(axis=1).max())))
+    norm_1 = float(mod.sum(axis=0).max())
+    if not math.isfinite(norm_1):
+        return math.inf
+    if not _PEAK_MIN <= norm_1 <= _PEAK_MAX:
+        return 0.0 if norm_1 == 0.0 else _scaled_norm(_norm_upper_bound, a)
+    schur = float(np.sqrt(norm_1 * float(mod.sum(axis=1).max())))
     return min(float(np.linalg.norm(mod)), schur) * (1.0 + _BOUND_RTOL)
 
 

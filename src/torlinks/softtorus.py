@@ -237,12 +237,13 @@ def bott_index(u, v, gap_tol: float = 0.05, tol: float = 1e-10) -> BottResult:
     spectrum = np.linalg.eigvalsh(e)
 
     gap = float(np.min(np.abs(spectrum - 0.5)))
-    defect = op_norm(commutator(u, v))
-    angles = np.angle(np.linalg.eigvals(u @ v @ adjoint(u) @ adjoint(v)))
-    winding = int(np.rint(np.sum(angles) / TWO_PI))
     if gap < gap_tol:
         raise GapUndefinedError(
             f"index undefined at this softness: spectral gap {gap:.4f} < {gap_tol}"
         )
+    uv = u @ v
+    defect = op_norm(uv - v @ u)
+    angles = np.angle(np.linalg.eigvals(uv @ adjoint(u) @ adjoint(v)))
+    winding = int(np.rint(np.sum(angles) / TWO_PI))
     index = int(np.sum(spectrum >= 0.5)) - n
     return BottResult(index=index, gap=gap, winding=winding, defect=defect)

@@ -260,9 +260,78 @@ def test_gen_same_seed_same_bytes(tmp_path):
 def test_gen_delta_zero_copies_x(tmp_path):
     path = _gen(tmp_path, n=4, N=3, delta=0.0, seed=0)
     obj = json.loads(_read(tmp_path / "bundle.json"))
-    assert obj["x"] == obj["y"]
+    assert obj["y"] == "x"  # Y = X is stored once
     assert obj["delta"] == 0
     assert path.endswith("bundle.json")
+    loaded = decode_bundle(obj, "mem")
+    assert loaded["y"] is loaded["x"]
+
+
+def test_gen_aliases_y_exactly_when_it_equals_x():
+    cases = [
+        ("clock_shift", 1, 0.0),
+        ("clock_shift", 8, 0.0),
+        ("soft_pair", 8, 0.0),
+        ("soft_pair", 8, 0.9),
+        ("commuting_pair", 5, 0.0),
+        ("commuting_pair", 5, 1e-2),
+        ("commuting_pair", 5, 1e-12),
+    ]
+    for kind, n, delta in cases:
+        art = gen_bundle(kind, n, N=2, delta=delta, seed=3)
+        loaded = decode_bundle(art, "mem")
+        same = all(map(np.array_equal, loaded["x"].mats, loaded["y"].mats))
+        assert (art["y"] == "x") == same, (kind, n, delta)
+        assert same == (kind != "commuting_pair" or delta == 0.0), (kind, n, delta)
+    # the clock and shift of size 256 are stored once: 2 of the 4 payloads
+    text = json_text(gen_bundle("clock_shift", 256))
+    payload = 4 * -(-16 * 256**2 // 3)
+    assert 2 * payload < len(text) <= 2 * payload + 4096
+
+
+def test_bundle_alias_on_a_displaced_bundle_fails_the_delta_check(tmp_path, capsys):
+    _gen(tmp_path, n=3, N=2, delta=1e-3, seed=0)
+    obj = json.loads(_read(tmp_path / "bundle.json"))
+    obj["y"] = "x"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json_text(obj), encoding="utf-8")
+    out = str(tmp_path / "out.json")
+    assert main(["link", "--input", str(bad), "--output", out]) == 2
+    assert "does not match recomputed 0.0" in capsys.readouterr().err
+    for slot in ("y", None, 1.5, {}):
+        with pytest.raises(DecodeError, match=r"mem\.y: expected a nonempty array"):
+            decode_bundle({**obj, "y": slot}, "mem")
+
+
+def test_bundle_with_y_written_out_reads_as_its_alias(tmp_path):
+    # bundles written before the alias store Y = X as a second array
+    links = tmp_path / "links.json"
+    runs = {
+        "clock": (dict(kind="clock_shift", n=8), [
+            ["bott"],
+            ["relcheck", "--preset", "soft_torus", "--delta", "1"],
+            ["relcheck", "--preset", "soft_torus", "--delta", "0.1"],
+            ["spectrum", "--which", "y"],
+        ]),
+        "soft": (dict(kind="soft_pair", n=8, delta=0.9), [["bott"]]),
+        "pair": (dict(n=5, N=3, delta=0.0, seed=2), [
+            ["link", "--links-output", str(links)],
+            ["spectrum", "--which", "y"],
+        ]),
+    }
+    for name, (kw, argvs) in runs.items():
+        aliased = _gen(tmp_path, f"{name}.json", **kw)
+        obj = json.loads(_read(tmp_path / f"{name}.json"))
+        assert obj["y"] == "x"
+        written = tmp_path / f"{name}-old.json"
+        written.write_text(json_text({**obj, "y": obj["x"]}), encoding="utf-8")
+        for argv in argvs:
+            outputs = []
+            for src in (aliased, str(written)):
+                out = tmp_path / "out.json"
+                code = main(argv + ["--input", src, "--output", str(out)])
+                outputs.append((code, _read(out), links.exists() and _read(links)))
+            assert outputs[0] == outputs[1], (name, argv)
 
 
 def test_gen_respects_requested_delta(tmp_path):
@@ -887,6 +956,7 @@ def test_mutated_artifacts_never_raise(tmp_path, capsys):
     rel.write_text("u u' - 1 = 0\n", encoding="utf-8")
     assignment = json_text({"type": "assignment", "matrices": {"u": encode_matrix(np.eye(3))}})
     links_text = _read(links)
+    _gen(tmp_path, "clock.json", kind="clock_shift", n=3)  # stores "y": "x"
     commands = {
         _read(tmp_path / "bundle.json"): [
             ["link"],
@@ -894,6 +964,11 @@ def test_mutated_artifacts_never_raise(tmp_path, capsys):
             ["bott"],
             ["relcheck", "--preset", "soft_torus", "--delta", "1"],
             ["spectrum"],
+        ],
+        _read(tmp_path / "clock.json"): [
+            ["bott", "--gap-tol", "0"],
+            ["relcheck", "--preset", "soft_torus", "--delta", "2"],
+            ["spectrum", "--which", "y"],
         ],
         links_text: [["certify"], ["project"]],
         assignment: [["relcheck", "--rel-file", str(rel)]],
@@ -928,6 +1003,58 @@ def test_mutated_artifacts_never_raise(tmp_path, capsys):
                     failures.append((argv[0], path, case, code))
     capsys.readouterr()
     assert failures == []
+
+
+def test_links_with_entries_near_1e200_exit_with_their_code(tmp_path, capsys):
+    # A*A of such a matrix overflows, so every norm certify and project take
+    # of it must be scaled first
+    bundle = _gen(tmp_path, n=3, N=2, delta=1e-3, seed=0)
+    links = tmp_path / "links.json"
+    out = str(tmp_path / "out")
+    assert main(["link", "--input", bundle, "--output", out, "--links-output", str(links)]) == 0
+    obj = json.loads(_read(links))
+    seg = next(seg for link in obj["links"] for seg in link["segments"] if seg["kind"] == "conj")
+    cases = [
+        ("h", 1e200 * np.eye(3), 0),  # a scalar generator conjugates trivially
+        ("h", 1e200 * np.diag([1.0, -1.0, 0.5]), 2),  # the conjugated end misses the next piece
+        ("base", 1e200 * np.eye(3), 2),
+    ]
+    bad = tmp_path / "huge.json"
+    for slot, matrix, code in cases:
+        edited = json.loads(json.dumps(obj))
+        edited["matrices"][seg[slot]] = encode_matrix(matrix)
+        bad.write_text(json_text(edited), encoding="utf-8")
+        for command in ("certify", "project"):
+            assert main([command, "--input", str(bad), "--output", out]) == code, (slot, command)
+    capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bundles_with_entries_near_1e200_exit_2(tmp_path, capsys):
+    # the input checks' A*A - AA* and U*U - 1 overflow to NaN there; the norm
+    # of such a matrix must reach the non-finite refusal, not loop on scaling
+    bundles = [
+        _gen(tmp_path, "clock.json", kind="clock_shift", n=4),  # "y": "x"
+        _gen(tmp_path, "still.json", n=4, N=2, delta=0),  # "y": "x", normal mode
+        _gen(tmp_path, "moved.json", n=4, N=2, delta=1e-3, seed=0),  # Y written out
+    ]
+    bad = tmp_path / "huge.json"
+    out = str(tmp_path / "out")
+    commands = [
+        ["link"],
+        ["lift"],
+        ["spectrum"],
+        ["bott"],
+        ["relcheck", "--preset", "soft_torus", "--delta", "1"],
+    ]
+    for bundle in bundles:
+        obj = json.loads(_read(Path(bundle)))
+        obj["x"][0] = encode_matrix(1e200 * np.eye(4))
+        bad.write_text(json_text(obj), encoding="utf-8")
+        for command in commands:
+            argv = [command[0], "--input", str(bad), "--output", out, *command[1:]]
+            assert main(argv) == 2, (bundle, command)
+            assert capsys.readouterr().err.startswith("error: "), (bundle, command)
 
 
 def test_no_command_imports_scipy(tmp_path):

@@ -38,6 +38,7 @@ from torlinks.matcore import (
     commutator,
     op_norm,
 )
+from torlinks.ncrel import membership, preset
 from torlinks.softtorus import bott_index, clock_shift
 from torlinks.spectral_match import bottleneck_assign, spectral_cost_matrix
 
@@ -529,11 +530,29 @@ def test_input_checks_solve_only_where_a_bound_fails():
     mats = [np.array(m) for m in decode_bundle(art, "mem")["x"].mats]
     _, calls = _matcore_calls(NormalTuple, mats)
     assert calls["eigvalsh"] <= 3
-    # bott_index solves for the scale and residual of normal_eig(v), the
-    # spectrum of e(u, v) and the stored defect ||[u, v]||; its unitarity and
-    # normality checks solve nothing (7 eigensolves before)
+    # bott_index solves only for the spectrum of e(u, v): the scale ||Sigma||
+    # of normal_eig(v) and the stored defect ||[u, v]|| have diagonal Gram
+    # matrices, and its unitarity and normality checks pass on the cheap
+    # bound (7 eigensolves before those checks, 3 before the diagonal Gram)
     _, calls = _matcore_calls(bott_index, cs.omega, cs.sigma)
-    assert calls["eigvalsh"] <= 4
+    assert calls["eigvalsh"] == 1
+    # every soft-torus relation defect of the pair is monomial (3 before)
+    for bound in (1.0, 1e-2):
+        rset = preset("soft_torus", bound)
+        assignment = dict(zip(rset.variables, [cs.omega, cs.sigma]))
+        _, calls = _matcore_calls(membership, assignment, rset)
+        assert calls["op_norm"] == 5
+        assert calls["eigvalsh"] == 0
+    # a dense bundle's norms all go to the eigensolver, as they did before
+    # the diagonal Gram shortcut
+    counts = {"within": (14, 12), "generic": (26, 12)}
+    for perturb, (link_solves, cert_solves) in counts.items():
+        art = gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0, perturb=perturb)
+        loaded = decode_bundle(art, "mem")
+        bundle, built = _matcore_calls(toral_links, loaded["x"], loaded["y"], seed=0)
+        assert built["eigvalsh"] == built["op_norm"] == link_solves
+        _, checked = _matcore_calls(certify, bundle, bundle.epsilon_reported)
+        assert checked["eigvalsh"] == cert_solves
 
 
 def test_path_keeps_the_callers_segments():

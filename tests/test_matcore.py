@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torlinks import matcore
 from torlinks.matcore import (
@@ -71,6 +74,80 @@ def test_op_norm_unitary_invariance_and_submultiplicativity():
         v = _haar_unitary(n, rng)
         assert abs(op_norm(u @ a @ v) - op_norm(a)) < 1e-11 * op_norm(a)
         assert op_norm(a @ b) <= op_norm(a) * op_norm(b) + 1e-10
+
+
+def _norm_shape(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "dense":
+        return z
+    d = np.diag(np.diag(z))
+    if kind == "diagonal":
+        return d
+    if kind == "permuted":
+        return np.eye(n)[rng.permutation(n)] @ d
+    omega, sigma = _clock_shift(n)
+    if kind == "commutator":  # monomial: the pattern of Sigma
+        return omega @ sigma - sigma @ omega
+    return adjoint(omega) @ omega - np.eye(n)  # unitarity defect: diagonal
+
+
+def _gram_reference(a: np.ndarray) -> float:
+    g = adjoint(a) @ a
+    return float(np.sqrt(max(float(np.linalg.eigvalsh((g + adjoint(g)) / 2.0)[-1]), 0.0)))
+
+
+NORM_SHAPES = ("dense", "diagonal", "permuted", "commutator", "defect")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(NORM_SHAPES[1:]),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+    st.integers(-190, 190),
+)
+def test_op_norm_reads_a_diagonal_gram_bit_for_bit(kind, n, seed, k):
+    a = matcore._ldexp(_norm_shape(kind, n, np.random.default_rng(seed)), k)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as solve:
+        norm = op_norm(a)
+    assert solve.call_count == 0
+    assert norm == _gram_reference(a)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(NORM_SHAPES),
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+    st.integers(-1100, 1100),
+)
+def test_op_norm_commutes_with_powers_of_two(kind, n, seed, k):
+    a = _norm_shape(kind, n, np.random.default_rng(seed))
+    parts = np.abs(np.concatenate([a.real.ravel(), a.imag.ravel()]))
+    if not parts.any():  # the commutator of the 1 x 1 clock and shift
+        assert op_norm(matcore._ldexp(a, k)) == 0.0
+        return
+    smallest, largest = parts[parts > 0].min(), parts.max()
+    # keep every nonzero part of 2^k a a normal float, and its norm (at most
+    # 2n times its largest part) finite
+    k = min(max(k, 1 - math.frexp(smallest)[1] - 1021), 1020 - math.frexp(2 * n * largest)[1])
+    scaled = matcore._ldexp(a, k)
+    norm = op_norm(a)
+    assert op_norm(scaled) == math.ldexp(norm, k)
+    assert matcore._norm_upper_bound(scaled) >= op_norm(scaled)
+    if kind == "dense":
+        assert norm == _gram_reference(a)
+
+
+def test_op_norm_at_extreme_scales():
+    # A*A overflows from about 1e154 and underflows below about 1e-162, so
+    # each of these norms needs the power-of-two scaling
+    for scale in (1e155, 1e160, 1e200, 1e300, 1e307, 1e-170, 1e-300, 1e-310):
+        for a, norm in ((np.eye(3), 1.0), (np.array([[3.0, 4.0], [0.0, 0.0]]), 5.0)):
+            assert op_norm(scale * a) == pytest.approx(norm * scale, rel=1e-12)
+            assert matcore._norm_upper_bound(as_cmatrix(scale * a)) >= op_norm(scale * a)
+    assert op_norm(1.7e308 * np.ones((2, 2))) == math.inf  # its norm exceeds every float
+    assert op_norm(np.zeros((3, 3))) == 0.0
 
 
 def test_op_norm_rejects_nonfinite():

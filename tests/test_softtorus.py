@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from torlinks import softtorus
 from torlinks.matcore import PreconditionError, adjoint, commutator, op_norm
 from torlinks.softtorus import (
     GapUndefinedError,
@@ -155,6 +158,28 @@ def test_bott_index_gap_gating_refuses_soft_pairs():
     # the winding oracle itself is still fine when gating is disabled
     r = bott_index(cs.omega, cs.sigma, gap_tol=0.0)
     assert r.winding == 1
+
+
+def test_bott_index_refuses_before_the_defect_and_winding():
+    # a refused pair gets neither its commutator norm nor the eigenvalues
+    # of u v u* v*, which the error would discard
+    cs = clock_shift(4)
+    with mock.patch.object(softtorus, "op_norm", side_effect=AssertionError), \
+            mock.patch.object(np.linalg, "eigvals", side_effect=AssertionError):
+        with pytest.raises(GapUndefinedError, match="spectral gap"):
+            bott_index(cs.omega, cs.sigma)
+
+
+def test_bott_index_defect_and_winding_keep_their_bits():
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    w = np.linalg.qr(z)[0]
+    pairs = [clock_shift(16)[:2], (w @ clock_shift(6).omega @ adjoint(w), clock_shift(6).sigma)]
+    for u, v in pairs:
+        r = bott_index(u, v, gap_tol=0.0)
+        assert r.defect == op_norm(commutator(u, v))
+        angles = np.angle(np.linalg.eigvals(u @ v @ adjoint(u) @ adjoint(v)))
+        assert r.winding == int(np.rint(np.sum(angles) / (2 * np.pi)))
 
 
 def test_bott_index_rejects_non_unitaries():

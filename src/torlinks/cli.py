@@ -336,7 +336,9 @@ def gen_bundle(
 def decode_bundle(obj, where: str) -> dict:
     """Validate a bundle artifact; returns dict with tuples and metadata.
 
-    ``"y": "x"`` stands for Y = X; an array of matrices is read as well.
+    ``"y": "x"`` stands for Y = X, which then shares X's checks; an array of
+    matrices is read and validated as a tuple of its own, even when it
+    equals X.
     Recomputes delta = max_j ||X_j - Y_j|| and insists it matches the stored
     value to 1e-12, so silently edited matrices are caught on load. The
     metadata must name a known kind and mode, a non-negative integer seed,
@@ -358,8 +360,8 @@ def decode_bundle(obj, where: str) -> dict:
     if not isinstance(meta["commuting"], bool):
         raise DecodeError(f"{where}.metadata.commuting is not a boolean")
     x_mats = _decode_mats(_field(obj, "x", where), f"{where}.x")
-    y_slot = _field(obj, "y", where)
-    y_mats = x_mats if y_slot == "x" else _decode_mats(y_slot, f"{where}.y")
+    aliased = _field(obj, "y", where) == "x"
+    y_mats = x_mats if aliased else _decode_mats(obj["y"], f"{where}.y")
     if len(x_mats) != len(y_mats) or len(x_mats) != meta["N"]:
         raise DecodeError(f"{where}: tuple sizes disagree with metadata N")
     if any(m.shape[0] != meta["n"] for m in x_mats + y_mats):
@@ -372,8 +374,7 @@ def decode_bundle(obj, where: str) -> dict:
         )
     tol = 1e-10 if meta["commuting"] else float("inf")
     x = NormalTuple(x_mats, commutation_tol=tol)
-    same = all(map(np.array_equal, x_mats, y_mats))  # then X's checks hold for Y
-    y = x if same else NormalTuple(y_mats, commutation_tol=tol)
+    y = x if aliased else NormalTuple(y_mats, commutation_tol=tol)
     return {"x": x, "y": y, "delta": stored, "metadata": meta}
 
 
@@ -495,8 +496,8 @@ def decode_links(obj, where: str) -> LinkBundle:
 
 def encode_certificate(cert: Certificate) -> dict:
     """Every field of ``cert``, arrays as nested lists of floats and the
-    tolerances as an object, plus the type tag and ``cert.worst()``."""
-    out = {"type": "certificate", "worst": cert.worst()}
+    tolerances as an object, plus the type tag."""
+    out = {"type": "certificate"}
     for f in dataclasses.fields(cert):
         value = getattr(cert, f.name)
         if isinstance(value, np.ndarray):
@@ -521,7 +522,7 @@ def _require_commuting(meta: dict, path: str) -> None:
 def _print_certificate(cert: Certificate) -> None:
     verdict = "PASS" if cert.passed else "FAIL"
     print(f"certificate: {verdict} (epsilon={cert.epsilon:.6g}, mode={cert.mode})")
-    for key, value in cert.worst().items():
+    for key, value in cert.worst.items():
         print(f"  worst {key}: {value:.6e}")
     print(f"  lengths: {[float(f'{v:.6g}') for v in cert.lengths]}")
 
@@ -610,6 +611,8 @@ def _relations_for(args):
         raise PreconditionError("relcheck needs exactly one of --preset / --rel-file")
     if args.preset is not None:
         return preset(args.preset, args.delta)
+    if args.delta is not None:
+        raise PreconditionError("--delta is a --preset parameter; --rel-file states its own bounds")
     parsed = parse_relations(_read_text(args.rel_file))
     if not hasattr(parsed, "relations"):
         raise PreconditionError(f"{args.rel_file}: file holds an expression, not relations")
@@ -674,14 +677,17 @@ def _cmd_project(args) -> int:
     if (args.demo is None) == (args.input is None):
         raise PreconditionError("project needs exactly one of --input / --demo")
     if args.demo is not None:
+        if args.link_index is not None:
+            raise PreconditionError("--link-index picks a link of --input; a --demo has one path")
         path = _demo_path(args.demo)
     else:
         bundle = decode_links(_load_json(args.input), args.input)
-        if not 0 <= args.link_index < len(bundle.links):
+        index = 0 if args.link_index is None else args.link_index
+        if not 0 <= index < len(bundle.links):
             raise PreconditionError(
-                f"--link-index {args.link_index} out of range for {len(bundle.links)} links"
+                f"--link-index {index} out of range for {len(bundle.links)} links"
             )
-        path = bundle.links[args.link_index]
+        path = bundle.links[index]
     rows = project_solid_torus(path, samples=args.samples)
     lines = ["t,k,re,im,angle_re,angle_im"]
     for t, k, *rest in rows.tolist():
@@ -775,7 +781,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     proj = sub.add_parser("project", help="export solid-torus flow lines as CSV")
     proj.add_argument("--input", help="links artifact")
-    proj.add_argument("--link-index", type=int, default=0)
+    proj.add_argument("--link-index", type=int, help="link of --input to trace (default 0)")
     proj.add_argument("--demo", choices=("helix", "m3"))
     proj.add_argument("--samples", type=int, default=101)
     proj.add_argument("--output", required=True)

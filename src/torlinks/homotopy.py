@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 import copy
 import heapq
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -334,8 +334,10 @@ class CertTolerances:
 class Certificate:
     """Per-segment certificate of a link bundle, tabulated on a uniform grid.
 
-    Each (links or pairs, grid) table entry is an upper bound on its quantity
-    at that grid time; ``passed`` was decided from per-segment suprema.
+    ``worst`` holds the supremum over the whole path of each check, the
+    numbers ``passed`` was decided from. Each (links or pairs, grid) table
+    entry is an upper bound on its quantity at that grid time, and at most
+    its ``worst`` entry.
     """
 
     grid: np.ndarray
@@ -351,19 +353,8 @@ class Certificate:
     epsilon: float
     mode: str
     tolerances: CertTolerances
+    worst: dict
     passed: bool
-
-    def worst(self) -> dict:
-        out = {
-            "endpoint": float(self.endpoint_errors.max()),
-            "normality": float(self.normality.max()),
-            "contraction_excess": float(self.contraction_excess.max()),
-            "distance_to_target": float(self.distance_to_target.max()),
-            "commutation": float(self.commutation.max()) if self.commutation.size else 0.0,
-        }
-        if self.mode_defects is not None:
-            out["mode_defect"] = float(self.mode_defects.max())
-        return out
 
 
 #: Depth at which distance bisection stops: a leaf there is as fine as the
@@ -510,11 +501,15 @@ def _link_bundle(curved_parts, starts, y_mats, mode) -> LinkBundle:
     return bundle
 
 
+def _unitary_form(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return adjoint(u) @ v - np.eye(u.shape[0])
+
+
 def _mode_residual(a: np.ndarray, mode: str) -> np.ndarray:
     """The matrix whose norm is the mode defect of ``a`` (hermitian or unitary)."""
     if mode == "hermitian":
         return a - adjoint(a)
-    return adjoint(a) @ a - np.eye(a.shape[0])
+    return _unitary_form(a, a)
 
 
 def _validate_mode(t: NormalTuple, mode: str, tol: float, who: str) -> None:
@@ -588,8 +583,20 @@ def _term(m: np.ndarray, tol: float, weight: float = 1.0) -> float:
     return weight * (bound if weight * bound <= _CHEAP_SHARE * tol else op_norm(m))
 
 
+def _flat_form_bound(form, sa: Flat, sb: Flat, s, tol: float) -> tuple:
+    """Bound of F(a(s), b(s)) along two flat segments, for F real-bilinear
+    up to a constant matrix: since the weights sum to one, F(a(s), b(s)) is
+    (1-s)^2 F(a0, b0) + s(1-s) (F(a0, b1) + F(a1, b0)) + s^2 F(a1, b1)."""
+    terms = (form(sa.a, sb.a), form(sa.a, sb.b) + form(sa.b, sb.a), form(sa.b, sb.b))
+    return _quadratic_bound(*(_term(m, tol) for m in terms), s)
+
+
+def _normality_form(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return commutator(adjoint(u), v)
+
+
 def _normality(a: np.ndarray, tol: float) -> float:
-    return _term(commutator(adjoint(a), a), tol)
+    return _term(_normality_form(a, a), tol)
 
 
 def _mode_defect(a: np.ndarray, mode: str, tol: float) -> float:
@@ -600,11 +607,7 @@ def _normality_bound(seg, s, tol: float) -> tuple:
     if isinstance(seg, Conj):
         return _const_bound(_normality(seg.base, tol), s)
     if isinstance(seg, Flat):
-        a0, a1 = seg.a, seg.b
-        mixed = commutator(adjoint(a0), a1) + commutator(adjoint(a1), a0)
-        return _quadratic_bound(
-            _normality(a0, tol), _term(mixed, tol), _normality(a1, tol), s
-        )
+        return _flat_form_bound(_normality_form, seg, seg, s, tol)
     # Geo: [a*, a] = e^{-i s H} (B*B) e^{i s H} - BB*, and
     # ||[e^{i s H}, M]|| <= s ||[H, M]|| with s <= 1
     gram = adjoint(seg.base) @ seg.base
@@ -632,11 +635,7 @@ def _mode_bound(seg, mode: str, s, tol: float) -> tuple:
             _mode_defect(seg.base, mode, tol) + 2.0 * op_norm(seg.base) * turn, s
         )
     if isinstance(seg, Flat):
-        a0, a1 = seg.a, seg.b
-        mixed = adjoint(a0) @ a1 + adjoint(a1) @ a0 - 2.0 * np.eye(a0.shape[0])
-        return _quadratic_bound(
-            _mode_defect(a0, mode, tol), _term(mixed, tol), _mode_defect(a1, mode, tol), s
-        )
+        return _flat_form_bound(_unitary_form, seg, seg, s, tol)
     return _const_bound(_mode_defect(seg.base, mode, tol), s)
 
 
@@ -654,13 +653,7 @@ def _commutator_bound(sa, sb, s, norm_a: float, norm_b: float, tol: float) -> tu
     if isinstance(sa, Conj) and isinstance(sb, Conj) and np.array_equal(sa.h, sb.h):
         return _const_bound(_term(commutator(sa.base, sb.base), tol), s)
     if isinstance(sa, Flat) and isinstance(sb, Flat):
-        mixed = commutator(sa.a, sb.b) + commutator(sa.b, sb.a)
-        return _quadratic_bound(
-            _term(commutator(sa.a, sb.a), tol),
-            _term(mixed, tol),
-            _term(commutator(sa.b, sb.b), tol),
-            s,
-        )
+        return _flat_form_bound(commutator, sa, sb, s, tol)
     if isinstance(sa, Geo) and isinstance(sb, Geo):
         # [B1 E1, B2 E2] = [B1, B2] E1 E2 + B2 B1 [E1, E2] + B1 [E1, B2] E2
         # - B2 [E2, B1] E1 with E = e^{i s H}
@@ -681,11 +674,13 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
     """Certify a bundle segment by segment and tabulate the bounds on a grid.
 
     Every link has the same k segments on the one clock, segment i on
-    [i/k, (i+1)/k], so segment i of every link is bounded together. Every
-    table entry (normality, contraction excess, distance to the target,
-    pairwise commutator, mode defect) is an upper bound on its quantity at
-    its grid time, and ``passed`` compares per-segment suprema, which bound
-    every entry, with CertTolerances() and with eps:
+    [i/k, (i+1)/k], so segment i of every link is bounded together. Each
+    check (endpoint error, normality, contraction excess, distance to the
+    target, pairwise commutator, mode defect) gets an upper bound on its
+    supremum over the whole path, stored as ``worst``, and ``passed``
+    compares ``worst`` with CertTolerances() and with eps. Every table entry
+    is an upper bound on its quantity at its grid time and at most its
+    ``worst`` entry. The bounds per segment kind:
 
     * Conj: normality, norm and mode defect are those of the base (unitary
       invariance); two links with the same generator keep the commutator
@@ -701,9 +696,11 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
       Lipschitz growth, which fails unless both segments are static.
     * Distance along Conj and Geo: Lipschitz bisection (_DistanceTree) until
       every leaf is within eps; a leaf left above eps at the depth cap
-      fails the check. A segment whose tree gave the bundle's
-      epsilon_reported starts from that tree's samples, so a bundle in
-      memory and the same bundle decoded get the same certificate.
+      fails the check. The largest leaf bound is the segment's supremum,
+      refined only until it settles the comparison with eps. A segment whose
+      tree gave the bundle's epsilon_reported starts from that tree's
+      samples, so a bundle in memory and the same bundle decoded get the
+      same certificate.
 
     Each matrix norm inside a normality, commutator or mode-defect bound
     (_term) is matcore._norm_upper_bound while that bound, times the weight
@@ -732,11 +729,16 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
         ]
     )
     use_mode = bundle.mode in ("hermitian", "unitary")
-    tables = {key: np.empty((count, m)) for key in ("normality", "norm", "distance", "mode")}
-    sups = dict.fromkeys(tables, 0.0)
     pair_index = [(j, k) for j in range(count) for k in range(j + 1, count)]
-    commutation = np.empty((len(pair_index), m))
-    commutation_sup = 0.0
+    tables = {key: np.empty((count, m)) for key in ("normality", "norm", "distance", "mode")}
+    tables["commutation"] = np.empty((len(pair_index), m))
+    sups = dict.fromkeys(tables, 0.0)
+
+    def record(key: str, row: int, idx: np.ndarray, bound: tuple) -> float:
+        vals, top = bound
+        tables[key][row, idx] = vals
+        sups[key] = max(sups[key], float(top))
+        return top
 
     samples = bundle._distance_samples or {}
     joints = links[0].joints()
@@ -747,39 +749,34 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
         segs = [link.segments[i] for link in links]
         norm_tops = []
         for j, seg in enumerate(segs):
-            bounds = {
-                "normality": _normality_bound(seg, s, tols.normality),
-                "norm": _norm_bound(seg, s),
-                "distance": _distance_bound(seg, bundle.y_mats[j], eps, s, samples),
-            }
+            record("normality", j, idx, _normality_bound(seg, s, tols.normality))
+            norm_tops.append(record("norm", j, idx, _norm_bound(seg, s)))
+            record("distance", j, idx, _distance_bound(seg, bundle.y_mats[j], eps, s, samples))
             if use_mode:
-                bounds["mode"] = _mode_bound(seg, bundle.mode, s, tols.mode_defect)
-            for key, (vals, top) in bounds.items():
-                tables[key][j, idx] = vals
-                sups[key] = max(sups[key], top)
-            norm_tops.append(bounds["norm"][1])
+                record("mode", j, idx, _mode_bound(seg, bundle.mode, s, tols.mode_defect))
         for p, (j, k) in enumerate(pair_index):
-            vals, top = _commutator_bound(
+            bound = _commutator_bound(
                 segs[j], segs[k], s, norm_tops[j], norm_tops[k], tols.commutation
             )
-            commutation[p, idx] = vals
-            commutation_sup = max(commutation_sup, top)
+            record("commutation", p, idx, bound)
 
-    passed = (
-        endpoint_errors.max() <= tols.endpoint
-        and sups["normality"] <= tols.normality
-        and sups["norm"] - 1.0 <= tols.contraction
-        and commutation_sup <= tols.commutation
-        and sups["distance"] <= eps
-        and (not use_mode or sups["mode"] <= tols.mode_defect)
-    )
+    worst = {
+        "endpoint": float(endpoint_errors.max()),
+        "normality": sups["normality"],
+        "contraction_excess": max(sups["norm"] - 1.0, 0.0),
+        "distance_to_target": sups["distance"],
+        "commutation": sups["commutation"],
+    }
+    if use_mode:
+        worst["mode_defect"] = sups["mode"]
+    limits = {**asdict(tols), "contraction_excess": tols.contraction, "distance_to_target": eps}
     return Certificate(
         grid=grid,
         endpoint_errors=endpoint_errors,
         normality=tables["normality"],
         contraction_excess=np.maximum(tables["norm"] - 1.0, 0.0),
         distance_to_target=tables["distance"],
-        commutation=commutation,
+        commutation=tables["commutation"],
         pair_index=pair_index,
         mode_defects=tables["mode"] if use_mode else None,
         lengths=np.array([link.exact_length() for link in links]),
@@ -787,7 +784,8 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
         epsilon=float(eps),
         mode=bundle.mode,
         tolerances=tols,
-        passed=bool(passed),
+        worst=worst,
+        passed=all(worst[key] <= limits[key] for key in worst),
     )
 
 

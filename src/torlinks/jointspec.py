@@ -44,6 +44,11 @@ class NormalTuple:
     normality_tol: float = 1e-10
 
     def __post_init__(self):
+        matcore._check_tolerance("normality_tol", self.normality_tol)
+        if not self.commutation_tol >= 0:  # NaN fails this too; inf skips the check
+            raise PreconditionError(
+                f"commutation_tol must be >= 0 or inf, got {self.commutation_tol!r}"
+            )
         mats = [as_cmatrix(m) for m in self.mats]
         if not mats:
             raise PreconditionError("tuple must contain at least one matrix")

@@ -331,6 +331,7 @@ def normal_eig(a, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     part (A - A*)/2i. Returns (Q, lam) with unitary Q and complex
     eigenvalues sorted ascending lexicographically by (Re, Im).
     """
+    _check_tolerance("tol", tol)
     a = as_cmatrix(a)
     scale = op_norm(a)
     limit = tol * max(scale, 1e-300)

@@ -57,6 +57,46 @@ def dense_tables(bundle, grid_points=101):
     return out
 
 
+def dense_worst(tables):
+    """The largest sample of each table, keyed like ``Certificate.worst``."""
+    comm = tables["commutation"]
+    out = {
+        "endpoint": tables["endpoint_errors"].max(),
+        "normality": tables["normality"].max(),
+        "contraction_excess": tables["contraction_excess"].max(),
+        "distance_to_target": tables["distance_to_target"].max(),
+        "commutation": comm.max() if comm.size else 0.0,
+    }
+    if tables["mode_defects"] is not None:
+        out["mode_defect"] = tables["mode_defects"].max()
+    return out
+
+
+#: the tolerance each ``worst`` entry of a certificate artifact is held to;
+#: ``distance_to_target`` is held to its ``epsilon``
+WORST_LIMITS = {
+    "endpoint": "endpoint",
+    "normality": "normality",
+    "contraction_excess": "contraction",
+    "commutation": "commutation",
+    "mode_defect": "mode_defect",
+}
+
+
+def stored_verdict(obj) -> bool:
+    """The verdict a certificate artifact's own ``worst``, ``tolerances`` and
+    ``epsilon`` give; ``worst`` has a ``mode_defect`` entry exactly in the
+    hermitian and unitary modes."""
+    worst = obj["worst"]
+    keys = set(WORST_LIMITS) | {"distance_to_target"}
+    if obj["mode"] == "normal":
+        keys.discard("mode_defect")
+    assert set(worst) == keys
+    return worst["distance_to_target"] <= obj["epsilon"] and all(
+        worst[key] <= obj["tolerances"][tol] for key, tol in WORST_LIMITS.items() if key in worst
+    )
+
+
 def dense_passed(tables, eps, tolerances=None):
     """The verdict of a grid-only certificate on ``tables``."""
     tols = tolerances or CertTolerances()

@@ -98,7 +98,7 @@ def test_criterion_1_toral_link_suite():
             bundle = toral_links(x, y, mode=mode, seed=seed)
             cert = certify(bundle, bundle.epsilon_reported)
             all_passed &= cert.passed
-            for key, value in cert.worst().items():
+            for key, value in cert.worst.items():
                 if key in worst:
                     worst[key] = max(worst[key], value)
             c_obs = max(c_obs, max(bundle.lengths) / delta)

@@ -4,16 +4,22 @@
 ``epsilon_reported`` comes from Lipschitz bisection instead of a 201-point
 sampler. Here every table entry must bound the sampled value from above, the
 verdicts must agree with a grid-only certificate, and the reported epsilon
-must lie between the sampled maximum and the sampler's own epsilon.
+must lie between the sampled maximum and the sampler's own epsilon. Every
+``worst`` entry must bound the largest sample of its quantity and every table
+entry of its check, and every certificate must decide ``passed`` from its own
+stored numbers.
 """
+
+import json
 
 import numpy as np
 import pytest
-from dense_oracle import dense_passed, dense_tables, sampled_epsilon
+from dense_oracle import dense_passed, dense_tables, dense_worst, sampled_epsilon, stored_verdict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torlinks.cli import decode_bundle, gen_bundle
+from torlinks import homotopy
+from torlinks.cli import decode_bundle, encode_certificate, gen_bundle, json_text
 from torlinks.homotopy import Flat, Geo, LinkBundle, MatrixPath, certify, toral_links, ujc_links
 from torlinks.jointspec import NormalTuple
 from torlinks.matcore import adjoint, exp_i_herm, op_norm
@@ -35,6 +41,38 @@ shapes = st.tuples(
     st.integers(0, 2**16),  # seed
     st.sampled_from(["within", "generic"]),
 )
+
+
+#: each table of a Certificate and the ``worst`` entry of its check
+WORST_OF_TABLE = {
+    "endpoint_errors": "endpoint",
+    "normality": "normality",
+    "contraction_excess": "contraction_excess",
+    "distance_to_target": "distance_to_target",
+    "commutation": "commutation",
+    "mode_defects": "mode_defect",
+}
+
+
+def _checked_certify(bundle, eps, **kw):
+    """homotopy.certify, whose artifact decides ``passed`` from its own
+    numbers and whose tables stay within their ``worst`` entries."""
+    cert = homotopy.certify(bundle, eps, **kw)
+    obj = json.loads(json_text(encode_certificate(cert)))
+    assert obj["passed"] == stored_verdict(obj)
+    for table, key in WORST_OF_TABLE.items():
+        bound = getattr(cert, table)
+        if bound is not None and bound.size:
+            assert bound.max() <= cert.worst[key] + 1e-12, table
+    return cert
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _every_certificate_is_checked():
+    """Every certify call in this module goes through _checked_certify."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(globals(), "certify", _checked_certify)
+        yield
 
 
 def _tuples(n, N, delta, seed, perturb, mode="normal"):
@@ -164,3 +202,35 @@ def test_static_unitary_flat_passes():
     bundle = LinkBundle([MatrixPath([Flat(u, u)])], [u], [u], 0.0, mode="unitary")
     assert certify(bundle, 1e-12).passed
     assert dense_passed(dense_tables(bundle), 1e-12)
+
+
+@PROPERTY
+@given(shapes, st.sampled_from(["normal", "hermitian", "unitary"]))
+def test_worst_bounds_the_dense_maxima(shape, mode):
+    x, y = _tuples(*shape, mode=mode)
+    bundle = toral_links(x, y, mode=mode, seed=shape[3])
+    cert = certify(bundle, bundle.epsilon_reported)
+    dense = dense_worst(dense_tables(bundle))
+    assert set(cert.worst) == set(dense)
+    for key, value in dense.items():
+        assert cert.worst[key] >= value - 1e-12, key
+
+
+def test_epsilon_between_the_grid_maximum_and_the_supremum_fails_on_its_worst_entry():
+    # epsilon just above the largest distance table entry: every entry the
+    # grid reads is within it, but the supremum that decides the verdict is
+    # not, and the certificate's worst says so
+    for mode in ("normal", "hermitian", "unitary"):
+        for seed in range(6):
+            x, y = _tuples(16, 3, 1e-2, seed, "generic", mode=mode)
+            bundle = toral_links(x, y, mode=mode, seed=seed)
+            eps = (1.0 + 1e-9) * certify(bundle, bundle.epsilon_reported).distance_to_target.max()
+            cert = certify(bundle, eps)
+            assert not cert.passed, (mode, seed)
+            assert cert.distance_to_target.max() <= eps < cert.worst["distance_to_target"]
+            tols = cert.tolerances
+            assert cert.worst["endpoint"] <= tols.endpoint
+            assert cert.worst["normality"] <= tols.normality
+            assert cert.worst["contraction_excess"] <= tols.contraction
+            assert cert.worst["commutation"] <= tols.commutation
+            assert cert.worst.get("mode_defect", 0.0) <= tols.mode_defect

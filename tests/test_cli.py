@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from dense_oracle import stored_verdict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,6 +44,26 @@ from torlinks.homotopy import (
 )
 from torlinks.jointspec import joint_diagonalize
 from torlinks.matcore import PreconditionError, op_norm
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _written_certificates_decide_from_their_worst():
+    """Every certificate the CLI writes here must decide ``passed`` from its
+    own ``worst``, ``tolerances`` and ``epsilon``."""
+    write = cli.write_artifact
+
+    def write_and_check(path, text):
+        write(path, text)
+        try:
+            obj = json.loads(text)
+        except ValueError:  # a CSV
+            return
+        if isinstance(obj, dict) and obj.get("type") == "certificate":
+            assert obj["passed"] == stored_verdict(obj), path
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "write_artifact", write_and_check)
+        yield
 
 
 def _read(path) -> str:
@@ -1285,6 +1306,42 @@ def test_project_from_saved_links(tmp_path):
     assert code == 0
     lines = _read(out).strip().split("\n")
     assert len(lines) == 1 + 3 * 33
+
+
+def test_project_without_link_index_traces_link_0(tmp_path):
+    bundle = _gen(tmp_path, n=3, N=2, delta=1e-2, seed=11)
+    links = str(tmp_path / "links.json")
+    assert main(["link", "--input", bundle, "--output", str(tmp_path / "c.json"),
+                 "--links-output", links]) == 0
+    outputs = []
+    for extra in ([], ["--link-index", "0"], ["--link-index", "1"]):
+        out = tmp_path / "flow.csv"
+        assert main(["project", "--input", links, *extra, "--output", str(out)]) == 0
+        outputs.append(_read(out))
+    assert outputs[0] == outputs[1] != outputs[2]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["relcheck", "--input", "{bundle}", "--rel-file", "{rel}", "--delta", "5"],
+         "--delta is a --preset parameter; --rel-file states its own bounds"),
+        (["project", "--demo", "helix", "--link-index", "7"],
+         "--link-index picks a link of --input; a --demo has one path"),
+        (["project", "--demo", "m3", "--link-index", "0"],
+         "--link-index picks a link of --input; a --demo has one path"),
+    ],
+)
+def test_flags_the_command_would_ignore_exit_2(tmp_path, capsys, argv, message):
+    # relcheck used to judge by the file's bound and project to trace the
+    # demo, each as if the flag had not been given
+    paths = {"bundle": _gen(tmp_path, kind="clock_shift", n=4), "rel": str(tmp_path / "t.rel")}
+    (tmp_path / "t.rel").write_text("norm(u*v - v*u) <= 0.1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([a.format(**paths) for a in argv] + ["--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_spectrum_uses_the_bundle_seed(tmp_path):

@@ -369,7 +369,7 @@ def test_certify_constant_bundle_is_clean():
     bundle = toral_links(x, x)
     cert = certify(bundle, eps=1e-9)
     assert cert.passed
-    worst = cert.worst()
+    worst = cert.worst
     assert worst["normality"] <= 1e-12
     assert worst["commutation"] <= 1e-12
     assert worst["distance_to_target"] <= 1e-12

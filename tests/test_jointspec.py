@@ -73,6 +73,29 @@ def test_tuple_validation_rejects_noncontraction():
         NormalTuple([np.diag([2.0, 0.0])])
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0])
+def test_bad_commutation_tolerance_is_refused_by_name(tol):
+    # a NaN tolerance used to pass every commutator, and -1 reported
+    # "commutator norm 1.414e+00 > -1.000e+00" instead of naming the tolerance
+    omega = np.diag(np.exp(2j * np.pi * np.arange(4) / 4))
+    sigma = np.roll(np.eye(4), 1, axis=0)
+    with pytest.raises(PreconditionError, match="^commutation_tol must be >= 0 or inf"):
+        NormalTuple([omega, sigma], commutation_tol=tol)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_bad_normality_tolerance_is_refused_by_name(tol):
+    # a NaN tolerance used to accept this nilpotent matrix as normal
+    with pytest.raises(PreconditionError, match="^normality_tol must be finite and >= 0"):
+        NormalTuple([np.array([[0.0, 0.5], [0.0, 0.0]])], normality_tol=tol)
+
+
+def test_zero_and_infinite_commutation_tolerances_stay_valid():
+    assert NormalTuple([np.diag([0.5, -0.5])] * 2, commutation_tol=0.0, normality_tol=0.0).N == 2
+    omega = np.diag(np.exp(2j * np.pi * np.arange(4) / 4))
+    assert NormalTuple([omega, np.roll(np.eye(4), 1, axis=0)], commutation_tol=np.inf).N == 2
+
+
 # ---------------------------------------------------------------- partition
 
 

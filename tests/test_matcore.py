@@ -265,6 +265,13 @@ def test_normal_eig_rejects_nonnormal():
         normal_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1e-10, float("inf")])
+def test_normal_eig_refuses_a_bad_tolerance_by_name(tol):
+    # tol = NaN used to end in a DiagnosticsError after six draws
+    with pytest.raises(PreconditionError, match="^tol must be finite and >= 0"):
+        normal_eig(np.diag([0.5, 1.0j]), tol=tol)
+
+
 def test_simdiag_normal_raises_after_six_draws():
     # distinct eigenvalues, so no draw recurses; rounding leaves every
     # off-diagonal residual above a zero target

@@ -52,6 +52,13 @@ def test_no_source_imports_scipy():
     assert [path.name for path in SOURCES if "scipy" in _imported_packages(path)] == []
 
 
+def test_no_source_imports_the_tools():
+    # tools/ drives the package from outside; importing it would add work at
+    # import time
+    tools = {"tools", "cli_sweep"}
+    assert [path.name for path in SOURCES if tools & _imported_packages(path)] == []
+
+
 def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 

@@ -45,6 +45,8 @@ from .lifting import lifted_links
 from .matcore import (
     DiagnosticsError,
     PreconditionError,
+    _check_count,
+    _check_tolerance,
     adjoint,
     as_cmatrix,
     exp_i_herm,
@@ -269,12 +271,10 @@ def gen_bundle(
         raise PreconditionError(f"unknown mode {mode!r}")
     if perturb not in ("within", "generic"):
         raise PreconditionError(f"unknown perturbation {perturb!r}")
-    if n < 1 or N < 1:
-        raise PreconditionError("sizes must be positive")
-    if not np.isfinite(delta) or delta < 0:
-        raise PreconditionError("delta must be finite and >= 0")
-    if seed < 0:
-        raise PreconditionError("seed must be a non-negative integer")
+    _check_count("n", n, 1)
+    _check_count("N", N, 1)
+    _check_tolerance("delta", delta)
+    _check_count("seed", seed, 0)
 
     commuting = True
     if kind == "clock_shift":
@@ -333,6 +333,13 @@ def gen_bundle(
     }
 
 
+def _decode_tuple(mats: list, commutation_tol: float, where: str) -> NormalTuple:
+    try:
+        return NormalTuple(mats, commutation_tol=commutation_tol)
+    except PreconditionError as e:
+        raise DecodeError(f"{where}: {e}") from None
+
+
 def decode_bundle(obj, where: str) -> dict:
     """Validate a bundle artifact; returns dict with tuples and metadata.
 
@@ -341,8 +348,8 @@ def decode_bundle(obj, where: str) -> dict:
     equals X.
     Recomputes delta = max_j ||X_j - Y_j|| and insists it matches the stored
     value to 1e-12, so silently edited matrices are caught on load. The
-    metadata must name a known kind and mode, a non-negative integer seed,
-    integer sizes matching the matrices and a boolean ``commuting``;
+    metadata must name a known kind and mode, an integer seed >= 0,
+    integer sizes >= 1 matching the matrices and a boolean ``commuting``;
     ``perturb`` and ``softness`` are free-form.
     """
     _expect_type(obj, "bundle", where)
@@ -350,11 +357,11 @@ def decode_bundle(obj, where: str) -> dict:
     for key in ("kind", "seed", "n", "N", "commuting"):
         _field(meta, key, f"{where}.metadata")
     _mode_field(meta, f"{where}.metadata")
-    for key in ("seed", "n", "N"):
-        if not isinstance(meta[key], int) or isinstance(meta[key], bool):
-            raise DecodeError(f"{where}.metadata.{key} is not an integer")
-    if meta["seed"] < 0:
-        raise DecodeError(f"{where}.metadata.seed must be a non-negative integer")
+    for key, least in (("seed", 0), ("n", 1), ("N", 1)):
+        try:
+            _check_count(f"{where}.metadata.{key}", meta[key], least)
+        except PreconditionError as e:
+            raise DecodeError(str(e)) from None
     if meta["kind"] not in GEN_KINDS:
         raise DecodeError(f"{where}.metadata.kind: unknown kind {meta['kind']!r}")
     if not isinstance(meta["commuting"], bool):
@@ -373,8 +380,8 @@ def decode_bundle(obj, where: str) -> dict:
             f"{where}: stored delta {stored!r} does not match recomputed {dmax!r}"
         )
     tol = 1e-10 if meta["commuting"] else float("inf")
-    x = NormalTuple(x_mats, commutation_tol=tol)
-    y = x if aliased else NormalTuple(y_mats, commutation_tol=tol)
+    x = _decode_tuple(x_mats, tol, f"{where}.x")
+    y = x if aliased else _decode_tuple(y_mats, tol, f"{where}.y")
     return {"x": x, "y": y, "delta": stored, "metadata": meta}
 
 
@@ -546,9 +553,14 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _certify_and_write(bundle: LinkBundle, args) -> int:
+def _certify(bundle: LinkBundle, args) -> Certificate:
+    """The certificate of ``bundle``. link and lift take it before they write
+    or print anything, so a refused command leaves no file behind."""
     eps = args.epsilon if args.epsilon is not None else bundle.epsilon_reported
-    cert = certify(bundle, eps, grid_points=args.grid)
+    return certify(bundle, eps, grid_points=args.grid)
+
+
+def _write_certificate(cert: Certificate, args) -> int:
     write_artifact(args.output, json_text(encode_certificate(cert)))
     _print_certificate(cert)
     return 0 if cert.passed else 1
@@ -562,9 +574,10 @@ def _cmd_link(args) -> int:
     bundle = toral_links(
         loaded["x"], loaded["y"], mode=mode, tol=args.tol, seed=int(meta["seed"])
     )
+    cert = _certify(bundle, args)
     if args.links_output:
         write_artifact(args.links_output, json_text(encode_links(bundle)))
-    return _certify_and_write(bundle, args)
+    return _write_certificate(cert, args)
 
 
 def _cmd_lift(args) -> int:
@@ -574,6 +587,7 @@ def _cmd_lift(args) -> int:
     lift, bundle, report = lifted_links(
         loaded["x"], loaded["y"], seed=int(meta["seed"]), grid_points=args.grid
     )
+    cert = _certify(bundle, args)
     if args.links_output:
         write_artifact(args.links_output, json_text(encode_links(bundle)))
     if args.report_output:
@@ -584,12 +598,12 @@ def _cmd_lift(args) -> int:
         "lift: hom_product_defect={hom_product_defect:.3e} "
         "decay_max_error={decay_max_error:.3e}".format(**report)
     )
-    return _certify_and_write(bundle, args)
+    return _write_certificate(cert, args)
 
 
 def _cmd_certify(args) -> int:
     bundle = decode_links(_load_json(args.input), args.input)
-    return _certify_and_write(bundle, args)
+    return _write_certificate(_certify(bundle, args), args)
 
 
 def _cmd_bott(args) -> int:

@@ -182,11 +182,7 @@ class MatrixPath:
             end, start = a.end, b.start
             if end.shape != start.shape:
                 raise PreconditionError(f"segment shapes {end.shape} and {start.shape} differ")
-            gap = matcore._threshold_norm(end - start, JOIN_TOL)
-            if gap > JOIN_TOL:
-                raise PreconditionError(
-                    f"consecutive segments do not meet within 1e-9: gap {gap:.3e}"
-                )
+            matcore._check_within(end - start, JOIN_TOL, "consecutive segments do not meet: gap")
         k = len(self.segments)
         self._bounds = np.arange(1, k + 1) / k
 
@@ -714,8 +710,7 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
     Endpoint errors, exact lengths and Lipschitz constants are recorded too.
     """
     matcore._check_tolerance("epsilon", eps)
-    if grid_points < 2:
-        raise PreconditionError("grid needs at least two points")
+    matcore._check_count("grid_points", grid_points, 2)
     tols = CertTolerances()
     links = bundle.links
     m = grid_points
@@ -779,7 +774,7 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
         commutation=tables["commutation"],
         pair_index=pair_index,
         mode_defects=tables["mode"] if use_mode else None,
-        lengths=np.array([link.exact_length() for link in links]),
+        lengths=np.array(bundle.lengths),
         lipschitz=np.array([link.max_speed() for link in links]),
         epsilon=float(eps),
         mode=bundle.mode,
@@ -836,8 +831,7 @@ def project_solid_torus(path: MatrixPath, samples: int = 101) -> np.ndarray:
     d_k(t) is the k-th diagonal entry of path(t); for contraction paths
     every d_k stays in the closed unit disk.
     """
-    if samples < 2:
-        raise PreconditionError("need at least two samples")
+    matcore._check_count("samples", samples, 2)
     n = path.n
     rows = np.empty((samples * n, 6))
     ts = np.linspace(0.0, 1.0, samples)

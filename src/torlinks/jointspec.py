@@ -114,6 +114,7 @@ def joint_diagonalize(
     matrices; the basis columns carry canonical phases, so the output is
     deterministic for a given seed.
     """
+    matcore._check_tolerance("cluster_tol", cluster_tol)
     n = t.n
     if t.commutation_tol > 1e-8 * n:
         raise PreconditionError(
@@ -142,8 +143,7 @@ def clifford_rep(n_gens: int) -> list[np.ndarray]:
 
     Jordan-Wigner generators: gamma_{2k-1} = Z^(k-1) X I..., gamma_{2k} = Z^(k-1) Y I...
     """
-    if n_gens < 1:
-        raise PreconditionError("need at least one generator")
+    matcore._check_count("n_gens", n_gens, 1)
     m = (n_gens + 1) // 2
     gens = []
     for k in range(m):

@@ -18,6 +18,7 @@ from .homotopy import LinkBundle, _conj_family, _link_bundle
 from .jointspec import NormalTuple
 from .matcore import (
     PreconditionError,
+    _check_count,
     _check_unitary,
     adjoint,
     as_cmatrix,
@@ -132,6 +133,7 @@ def lifted_links(
     far the commutator along the curved conjugator strays from its exact
     decay |cos(pi t/2)| ||[What_s, B_j]|| on the ``grid_points`` t-grid.
     """
+    _check_count("grid_points", grid_points, 2)
     approx = isospectral_approximant(x, y, seed=seed)
     lift = LiftedHom(approx.v)
     x_mats = [lift.apply(xj) for xj in x.mats]

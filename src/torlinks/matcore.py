@@ -121,8 +121,7 @@ def op_norm(a) -> float:
     peak = float(np.abs(a).max())
     if not _PEAK_MIN <= peak <= _PEAK_MAX:
         return 0.0 if peak == 0.0 else _scaled_norm(op_norm, a)
-    g = adjoint(a) @ a
-    h = (g + adjoint(g)) / 2.0
+    h = _hermitize(adjoint(a) @ a)
     diag = h.diagonal()
     # one off-diagonal entry is probed first, so a dense matrix pays one
     # comparison before its eigensolve
@@ -203,7 +202,7 @@ def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     scale = op_norm(a)
     tol = 1e-10 * max(scale, 1e-300)
     _check_within(a - adjoint(a), tol, "input is not Hermitian within tolerance: ||A - A*|| =")
-    w, q = np.linalg.eigh((a + adjoint(a)) / 2.0)
+    w, q = np.linalg.eigh(_hermitize(a))
     return _canonical_column_phases(q), w
 
 
@@ -273,7 +272,7 @@ def _simdiag(parts, rng, cluster_rtol):
 
 def _hermitian_parts(mats) -> list[np.ndarray]:
     """Real parts (A + A*)/2 of all ``mats``, then imaginary parts (A - A*)/2i."""
-    parts = [(m + adjoint(m)) / 2.0 for m in mats]
+    parts = [_hermitize(m) for m in mats]
     parts += [(m - adjoint(m)) / 2.0j for m in mats]
     return parts
 
@@ -298,8 +297,7 @@ def _simdiag_normal(mats, target, seed, cluster_rtol=CLUSTER_RTOL):
     phases; ``points`` is the n x N array of diagonal entries of Q* mats Q
     in that basis.
     """
-    if seed < 0:
-        raise PreconditionError("seed must be a non-negative integer")
+    _check_count("seed", seed, 0)
     parts = _hermitian_parts(mats)
     rng = np.random.default_rng(seed)
     best_res = np.inf
@@ -349,12 +347,25 @@ def _check_tolerance(name: str, value: float) -> None:
         raise PreconditionError(f"{name} must be finite and >= 0, got {value!r}")
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Reject a count that is a bool, is not an integer or is below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise PreconditionError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _check_unitary(u: np.ndarray, tol: float) -> None:
     _check_within(
         adjoint(u) @ u - np.eye(u.shape[0]),
         tol,
         "matrix is not unitary within tolerance: ||U*U - 1|| =",
     )
+
+
+def _unitary_eig(u) -> tuple[np.ndarray, np.ndarray]:
+    """normal_eig of ``u`` after checking that it is unitary within 1e-10."""
+    u = as_cmatrix(u)
+    _check_unitary(u, 1e-10)
+    return normal_eig(u)
 
 
 def gap_branch_log(u) -> np.ndarray:
@@ -368,9 +379,7 @@ def gap_branch_log(u) -> np.ndarray:
     The spectrum of H therefore fits in an interval of length at most
     2*pi - (largest gap) whose image on the circle avoids the cut.
     """
-    u = as_cmatrix(u)
-    _check_unitary(u, 1e-10)
-    q, lam = normal_eig(u)
+    q, lam = _unitary_eig(u)
     ang = np.mod(np.angle(lam), TWO_PI)
     s = np.sort(ang)
     n = len(s)
@@ -396,9 +405,7 @@ def principal_log_unitary(u) -> np.ndarray:
     Raises BranchPointError when the spectrum touches -1 (within 1e-9 of
     angle pi), where the principal branch is discontinuous.
     """
-    u = as_cmatrix(u)
-    _check_unitary(u, 1e-10)
-    q, lam = normal_eig(u)
+    q, lam = _unitary_eig(u)
     ang = np.angle(lam)
     if np.any(np.pi - np.abs(ang) < 1e-9):
         raise BranchPointError(

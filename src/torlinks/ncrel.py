@@ -27,7 +27,7 @@ from functools import reduce
 
 import numpy as np
 
-from .matcore import PreconditionError, adjoint, as_cmatrix, op_norm
+from .matcore import PreconditionError, _check_tolerance, adjoint, as_cmatrix, op_norm
 
 __all__ = [
     "MembershipReport",
@@ -157,8 +157,7 @@ class Relation:
         b = float(self.bound)
         if self.kind == EQ0 and b != 0.0:
             raise PreconditionError("an equality relation has bound 0")
-        if not np.isfinite(b) or b < 0:
-            raise PreconditionError("relation bound must be finite and >= 0")
+        _check_tolerance("relation bound", b)
         object.__setattr__(self, "bound", b)
 
     def __str__(self) -> str:
@@ -248,7 +247,8 @@ _TOKEN_RE = re.compile(
       (?P<ws>[ \t\r]+)
     | (?P<comment>\#[^\n]*)
     | (?P<newline>\n)
-    | (?P<cplx>\(\s*(?:[+-]?{_FLOAT}\s*[+-]\s*{_FLOAT}i|[+-]?{_FLOAT}i)\s*\))
+    | (?P<cplx>\(\s*(?:(?P<re>[+-]?{_FLOAT})\s*(?P<sign>[+-])\s*(?P<im>{_FLOAT})i
+                       |(?P<imonly>[+-]?{_FLOAT})i)\s*\))
     | (?P<number>{_FLOAT})
     | (?P<le><=)
     | (?P<ident>[a-z][a-z0-9]*)
@@ -261,10 +261,6 @@ _TOKEN_RE = re.compile(
     | (?P<eq>=)
     """,
     re.VERBOSE,
-)
-_CPLX_INNER = re.compile(
-    rf"\(\s*(?:(?P<re>[+-]?{_FLOAT})\s*(?P<sign>[+-])\s*(?P<im>{_FLOAT})i"
-    rf"|(?P<imonly>[+-]?{_FLOAT})i)\s*\)\Z"
 )
 
 
@@ -307,11 +303,9 @@ class _Cursor:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
 
     def advance(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.end_line, 1)
+        """The next token, consumed; every caller has peeked that there is one."""
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.peek()
@@ -327,15 +321,11 @@ class _Cursor:
 
 
 def _parse_cplx(tok: _Token) -> complex:
-    m = _CPLX_INNER.match(tok.text)
-    if m is None:  # the tokenizer regex should make this unreachable
-        raise ParseError("malformed complex literal", tok.line, tok.column)
-    if m.group("imonly") is not None:
-        return complex(0.0, float(m.group("imonly")))
-    im = float(m.group("im"))
-    if m.group("sign") == "-":
-        im = -im
-    return complex(float(m.group("re")), im)
+    m = _TOKEN_RE.match(tok.text)  # the literal matches as itself, parts and all
+    if m["imonly"] is not None:
+        return complex(0.0, float(m["imonly"]))
+    im = float(m["im"])
+    return complex(float(m["re"]), -im if m["sign"] == "-" else im)
 
 
 _FACTOR_START = ("cplx", "number", "ident", "lparen")
@@ -511,8 +501,7 @@ def membership(assign: dict, rset: RelationSet, slack: float = 0.0) -> Membershi
     relations pass when it is at most bound + slack.
     """
     slack = float(slack)
-    if not np.isfinite(slack) or slack < 0:
-        raise PreconditionError("slack must be finite and >= 0")
+    _check_tolerance("slack", slack)
     texts, defects, bounds, passed = [], [], [], []
     for rel in rset.relations:
         defect = op_norm(evaluate(rel.poly, assign))
@@ -573,8 +562,7 @@ def preset(name: str, parameter: float | None = None) -> RelationSet:
         if parameter is None:
             raise PreconditionError(f"preset {name!r} needs a commutator bound")
         parameter = float(parameter)
-        if not np.isfinite(parameter) or parameter < 0:
-            raise PreconditionError("preset parameter must be finite and >= 0")
+        _check_tolerance("preset parameter", parameter)
         text += f"\nnorm({bounded}) <= {parameter!r}"
     rset = parse(text)
     return dataclasses.replace(rset, name=name)

@@ -20,8 +20,10 @@ import numpy as np
 from .matcore import (
     PreconditionError,
     TWO_PI,
+    _check_count,
     _check_tolerance,
     _check_unitary,
+    _hermitize,
     adjoint,
     as_cmatrix,
     commutator,
@@ -83,8 +85,7 @@ def clock_shift(n: int) -> ClockShift:
     F[j, k] = e^{-2 pi i jk/n}/sqrt(n), which makes Omega = F* Sigma F hold
     to machine precision. For n = 1 every generator is the 1x1 identity.
     """
-    if n < 1:
-        raise PreconditionError("clock/shift pair needs n >= 1")
+    _check_count("n", n, 1)
     if n == 1:
         one = np.ones((1, 1), dtype=np.complex128)
         return ClockShift(one.copy(), one.copy(), one.copy(), one.copy(), one.copy())
@@ -169,10 +170,8 @@ def soft_pair(n: int, delta: float) -> SoftPair:
     even the full-size pair is too stiff, or delta = 0, an exactly commuting
     diagonal pair is returned.
     """
-    if n < 2:
-        raise PreconditionError("soft pairs need n >= 2")
-    if delta < 0:
-        raise PreconditionError("delta must be nonnegative")
+    _check_count("n", n, 2)
+    _check_tolerance("delta", delta)
     m = None
     if delta > 0:
         for cand in range(2, n + 1):
@@ -233,7 +232,7 @@ def bott_index(u, v, gap_tol: float = 0.05, tol: float = 1e-10) -> BottResult:
     e[:n, n:] = h_mat @ u + g_mat
     e[n:, :n] = adjoint(u) @ h_mat + g_mat
     e[n:, n:] = np.eye(n) - f_mat
-    e = (e + adjoint(e)) / 2
+    e = _hermitize(e)  # rebinding frees the raw 2n x 2n block before the eigensolve
     spectrum = np.linalg.eigvalsh(e)
 
     gap = float(np.min(np.abs(spectrum - 0.5)))

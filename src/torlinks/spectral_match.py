@@ -168,9 +168,9 @@ def bottleneck_assign(cost) -> Matching:
     One min-sum assignment of c (``_assign``) gives the upper end of the
     bracket of b*: its largest matched cost. The lower end is
     max(max_i min_j c_ij, max_j min_i c_ij), since every row and every column
-    needs an edge. Only the distinct costs between these are binary
-    searched; a threshold is feasible iff the edges c <= threshold hold a
-    permutation, grown from the last feasible one. Among bottleneck-optimal
+    needs an edge. Only the costs between these are binary searched; a
+    threshold is feasible iff the edges c <= threshold hold a permutation,
+    grown from the last feasible one. Among bottleneck-optimal
     permutations, the one with minimal total cost is selected (within 1e-9
     relative), and among those the lexicographically smallest, so the result
     is deterministic.
@@ -196,7 +196,9 @@ def bottleneck_assign(cost) -> Matching:
     cols, u, v = _assign(c)
     lower = max(c.min(axis=1).max(), c.min(axis=0).max())
     upper = c[rows, cols].max()
-    values = np.unique(c[(c >= lower) & (c <= upper)])
+    # duplicates do not move the smallest feasible value; np.unique would
+    # import numpy.ma
+    values = np.sort(c[(c >= lower) & (c <= upper)])
     lo, hi = 0, len(values) - 1
     fits = cols
     while lo < hi:

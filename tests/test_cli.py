@@ -764,7 +764,34 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
         argv = [command, "--input", str(bad)]
     capsys.readouterr()
     assert main(argv + out) == 2
-    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
+
+def test_bundle_delta_read_as_inf_exits_2(tmp_path, capsys):
+    # json.loads reads 1e999 as inf, which no parse_constant sees
+    obj = json.loads(_read(Path(_gen(tmp_path, n=3, N=2, delta=1e-3, seed=0))))
+    obj["delta"] = "LITERAL"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj).replace('"LITERAL"', "1e999"), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["link", "--input", str(bad), "--output", str(tmp_path / "c.json")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}.delta is not a finite number\n"
+
+
+@pytest.mark.parametrize("command", ["link", "bott"])
+@pytest.mark.parametrize("which", ["x", "y"])
+def test_non_normal_bundle_names_the_file_and_tuple(tmp_path, capsys, command, which):
+    obj = json.loads(_read(Path(_gen(tmp_path, n=3, N=2, delta=1e-3, seed=0))))
+    obj[which][1] = encode_matrix([[0, 0.5, 0], [0, 0, 0], [0, 0, 0]])
+    x, y = ([decode_matrix(m, "m") for m in obj[key]] for key in ("x", "y"))
+    obj["delta"] = max(op_norm(a - b) for a, b in zip(x, y))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json_text(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, "--input", str(bad), "--output", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}.{which}: matrix 1 has normality defect 2.500e-01 > 1.000e-10\n"
+    )
 
 
 _BAD_TOLERANCES = [
@@ -1111,6 +1138,28 @@ def test_no_command_imports_scipy(tmp_path):
     assert run.stdout.splitlines()[-1] == "[]"
 
 
+def test_link_does_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, some 10 ms of every link and lift
+    bundle, out = str(tmp_path / "b.json"), str(tmp_path / "c.json")
+    argvs = [
+        ["gen", "--n", "8", "--N", "2", "--delta", "1e-2", "--output", bundle],
+        ["link", "--input", bundle, "--output", out],
+        ["lift", "--input", bundle, "--output", out],
+    ]
+    script = "\n".join(
+        [
+            "import sys",
+            "from torlinks.cli import main",
+            f"assert [main(argv) for argv in {argvs!r}] == [0, 0, 0]",
+            "print('numpy.ma' in sys.modules)",
+        ]
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(torlinks.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
+
+
 def test_main_builds_its_parser_once(tmp_path, capsys):
     # parsing leaves the parser as it is, so one parser serves every call: a
     # repeated command writes the same bytes, also after a bad argument
@@ -1377,8 +1426,8 @@ def test_spectrum_of_hermitian_bundle(tmp_path):
          "{n3}: bundle has 3 matrices but the relation set uses 2 variables ('u', 'v')"),
         (["project", "--input", "{links}", "--link-index", "5"],
          "--link-index 5 out of range for 3 links"),
-        (["gen", "--n", "0"], "sizes must be positive"),
-        (["gen", "--n", "3", "--N", "0"], "sizes must be positive"),
+        (["gen", "--n", "0"], "n must be an integer >= 1, got 0"),
+        (["gen", "--n", "3", "--N", "0"], "N must be an integer >= 1, got 0"),
     ],
 )
 def test_refused_commands_exit_2_with_their_reason(tmp_path, capsys, argv, message):
@@ -1393,3 +1442,31 @@ def test_refused_commands_exit_2_with_their_reason(tmp_path, capsys, argv, messa
     code = main([a.format(**paths) for a in argv] + ["--output", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+
+
+_REFUSED_AFTER_LINKING = {
+    "link-epsilon-negative": ["link", "--epsilon", "-1", "--links-output", "L"],
+    "link-grid-1": ["link", "--grid", "1", "--links-output", "L"],
+    "lift-epsilon-nan": ["lift", "--epsilon", "nan", "--links-output", "L", "--report-output", "R"],
+    "lift-grid-0": ["lift", "--grid", "0", "--links-output", "L", "--report-output", "R"],
+    "lift-grid-negative": ["lift", "--grid", "-1", "--links-output", "L", "--report-output", "R"],
+}
+
+
+@pytest.mark.parametrize("argv", _REFUSED_AFTER_LINKING.values(), ids=_REFUSED_AFTER_LINKING)
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_refused_link_and_lift_write_nothing(tmp_path, capsys, argv, existing):
+    bundle = _gen(tmp_path, n=4, N=2, delta=1e-3, seed=0)
+    paths = {"L": tmp_path / "links.json", "R": tmp_path / "report.json"}
+    if existing:
+        paths["L"].write_text("kept\n", encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
+    argv = [str(paths.get(a, a)) for a in argv]
+    capsys.readouterr()
+    code = main(argv + ["--input", bundle, "--output", str(tmp_path / "c.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert sorted(tmp_path.iterdir()) == before
+    if existing:
+        assert _read(paths["L"]) == "kept\n"

@@ -791,9 +791,12 @@ _STILL_BUNDLE = LinkBundle([_STILL], [_STILL.start], [_STILL.end], epsilon_repor
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: certify(_STILL_BUNDLE, 1.0, grid_points=1), "grid needs at least two points"),
+        (lambda: certify(_STILL_BUNDLE, 1.0, grid_points=1),
+         "grid_points must be an integer >= 2, got 1"),
+        (lambda: certify(_STILL_BUNDLE, 1.0, grid_points=2.5),
+         "grid_points must be an integer >= 2, got 2.5"),
         (lambda: _STILL.locate(1.5), "path time 1.5 outside [0, 1]"),
-        (lambda: project_solid_torus(_STILL, samples=1), "need at least two samples"),
+        (lambda: project_solid_torus(_STILL, samples=1), "samples must be an integer >= 2, got 1"),
         (lambda: Geo(np.eye(2), np.eye(3)), "geodesic generator and base differ in shape"),
     ],
 )

@@ -90,6 +90,13 @@ def test_bad_normality_tolerance_is_refused_by_name(tol):
         NormalTuple([np.array([[0.0, 0.5], [0.0, 0.0]])], normality_tol=tol)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_bad_cluster_tolerance_is_refused_by_name(tol):
+    # NaN and inf used to turn cluster refinement off without a word
+    with pytest.raises(PreconditionError, match="^cluster_tol must be finite and >= 0"):
+        joint_diagonalize(NormalTuple([np.diag([0.5, 0.5])]), cluster_tol=tol)
+
+
 def test_zero_and_infinite_commutation_tolerances_stay_valid():
     assert NormalTuple([np.diag([0.5, -0.5])] * 2, commutation_tol=0.0, normality_tol=0.0).N == 2
     omega = np.diag(np.exp(2j * np.pi * np.arange(4) / 4))
@@ -317,10 +324,10 @@ def test_clifford_norm_commuting_hermitian_identity():
     [
         (lambda: NormalTuple([]), "tuple must contain at least one matrix"),
         (lambda: NormalTuple([np.eye(2), np.eye(3)]), "all matrices must share one dimension"),
-        (lambda: clifford_rep(0), "need at least one generator"),
+        (lambda: clifford_rep(0), "n_gens must be an integer >= 1, got 0"),
         (lambda: clifford_norm([np.eye(2), np.eye(3)]), "all matrices must share one dimension"),
         (lambda: joint_diagonalize(NormalTuple([np.eye(2)]), seed=-1),
-         "seed must be a non-negative integer"),
+         "seed must be an integer >= 0, got -1"),
     ],
 )
 def test_precondition_messages(call, message):

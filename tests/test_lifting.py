@@ -126,6 +126,14 @@ def test_lifted_links_scalars_are_flat_only():
     assert report["kappa_identity_error"] == 0.0
 
 
+@pytest.mark.parametrize("grid_points", [0, -1, 1, 2.5])
+def test_lifted_links_refuses_a_grid_below_two_points(grid_points):
+    # grid_points = 0 used to end in numpy's ValueError on an empty grid
+    x = NormalTuple([np.array([[0.5]])])
+    with pytest.raises(PreconditionError, match="^grid_points must be an integer >= 2, got "):
+        lifted_links(x, x, grid_points=grid_points)
+
+
 def test_lifted_links_identical_tuples():
     rng = np.random.default_rng(6)
     x, _ = _close_commuting_pairs(6, rng, 0.0)

@@ -272,6 +272,22 @@ def test_normal_eig_refuses_a_bad_tolerance_by_name(tol):
         normal_eig(np.diag([0.5, 1.0j]), tol=tol)
 
 
+@pytest.mark.parametrize("value", [2.5, True, -1, "3", None])
+def test_check_count_refuses_what_is_not_a_count(value):
+    with pytest.raises(PreconditionError, match=r"^k must be an integer >= 0, got "):
+        matcore._check_count("k", value, 0)
+
+
+@pytest.mark.parametrize("value", [0, 3, np.int64(3)])
+def test_check_count_accepts_integers_at_or_above_its_least(value):
+    matcore._check_count("k", value, 0)
+
+
+def test_a_scalar_is_a_one_by_one_matrix():
+    m = as_cmatrix(0.5)
+    assert m.shape == (1, 1) and m.dtype == np.complex128 and m[0, 0] == 0.5
+
+
 def test_simdiag_normal_raises_after_six_draws():
     # distinct eigenvalues, so no draw recurses; rounding leaves every
     # off-diagonal residual above a zero target

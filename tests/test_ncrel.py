@@ -185,6 +185,12 @@ def test_parse_errors_carry_positions():
         parse("u u' - 1 = 0 extra = 0")
 
 
+def test_parse_error_at_a_stray_closing_paren():
+    with pytest.raises(ParseError, match="expected an expression, found '\\)'") as err:
+        parse("u + )")
+    assert (err.value.line, err.value.column) == (1, 5)
+
+
 # --- printing ----------------------------------------------------------------
 
 

@@ -96,6 +96,19 @@ def test_soft_pair_zero_delta_commutes():
     assert op_norm(adjoint(sp.v) @ sp.v - np.eye(8)) <= 1e-12
 
 
+@pytest.mark.parametrize("delta", [float("nan"), -1.0, float("inf")])
+def test_soft_pair_refuses_a_bad_delta(delta):
+    # delta = NaN used to return the commuting pair
+    with pytest.raises(PreconditionError, match="^delta must be finite and >= 0"):
+        soft_pair(4, delta)
+
+
+@pytest.mark.parametrize("call", [lambda: clock_shift(2.5), lambda: soft_pair(1, 0.1)])
+def test_sizes_must_be_integer_counts(call):
+    with pytest.raises(PreconditionError, match="^n must be an integer >= "):
+        call()
+
+
 def test_soft_pair_hits_exact_clock_shift_at_matching_softness():
     delta = 2 * np.sin(np.pi / 16)
     sp = soft_pair(16, delta)

@@ -177,6 +177,11 @@ def _commands() -> list:
         ["project"],
         ["project", "--input", links, "--link-index", "5"],
         ["project", "--demo", "helix", "--samples", "1"],
+        ["lift", "--input", n3, "--grid", "0"],
+        # certified before anything is written: the manifest shows no file
+        ["link", "--input", n3, "--epsilon", "-1", "--links-output", "refused-eps.links.json"],
+        ["lift", "--input", n3, "--epsilon", "nan", "--links-output", "refused-nan.links.json",
+         "--report-output", "refused-nan.report.json"],
     ]
     for j, argv in enumerate(refused):
         cmds.append([*argv, "--output", f"refused-{j:02d}.out"])

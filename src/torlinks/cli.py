@@ -190,6 +190,14 @@ def _number_field(obj: dict, key: str, where: str) -> float:
     return _number(_field(obj, key, where), f"{where}.{key}")
 
 
+def _decoded_check(check, name: str, value, *args) -> None:
+    """Run a matcore number check on a decoded field; a refusal is a DecodeError."""
+    try:
+        check(name, value, *args)
+    except PreconditionError as e:
+        raise DecodeError(str(e)) from None
+
+
 def _array_field(obj: dict, key: str, where: str) -> list:
     value = _field(obj, key, where)
     if not isinstance(value, list):
@@ -277,16 +285,14 @@ def gen_bundle(
     _check_count("seed", seed, 0)
 
     commuting = True
+    if kind != "commuting_pair" and N != 2:
+        raise PreconditionError(f"{kind} bundles always have N = 2")
     if kind == "clock_shift":
-        if N != 2:
-            raise PreconditionError("clock_shift bundles always have N = 2")
         cs = clock_shift(n)
         x_mats = y_mats = [cs.omega, cs.sigma]
         mode = "unitary"
         commuting = n == 1
     elif kind == "soft_pair":
-        if N != 2:
-            raise PreconditionError("soft_pair bundles always have N = 2")
         sp = soft_pair(n, delta)
         x_mats = y_mats = [sp.u, sp.v]
         mode = "unitary"
@@ -358,10 +364,7 @@ def decode_bundle(obj, where: str) -> dict:
         _field(meta, key, f"{where}.metadata")
     _mode_field(meta, f"{where}.metadata")
     for key, least in (("seed", 0), ("n", 1), ("N", 1)):
-        try:
-            _check_count(f"{where}.metadata.{key}", meta[key], least)
-        except PreconditionError as e:
-            raise DecodeError(str(e)) from None
+        _decoded_check(_check_count, f"{where}.metadata.{key}", meta[key], least)
     if meta["kind"] not in GEN_KINDS:
         raise DecodeError(f"{where}.metadata.kind: unknown kind {meta['kind']!r}")
     if not isinstance(meta["commuting"], bool):
@@ -491,6 +494,7 @@ def decode_links(obj, where: str) -> LinkBundle:
 
     x_mats, y_mats = resolve("x"), resolve("y")
     epsilon_reported = _number_field(obj, "epsilon_reported", where)
+    _decoded_check(_check_tolerance, f"{where}.epsilon_reported", epsilon_reported)
     mode = _mode_field(obj, where)
     try:
         return LinkBundle(links, x_mats, y_mats, epsilon_reported, mode)
@@ -751,30 +755,27 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--output", required=True)
     gen.set_defaults(func=_cmd_gen)
 
-    link = sub.add_parser("link", help="build toral links for a bundle and certify them")
-    link.add_argument("--input", required=True)
-    link.add_argument("--output", required=True, help="certificate JSON")
-    link.add_argument("--links-output", help="also save the link paths")
-    link.add_argument("--epsilon", type=float)
-    link.add_argument("--grid", type=int, default=101)
+    # the options of every certifying command, and of those that also build links
+    certifying = argparse.ArgumentParser(add_help=False)
+    certifying.add_argument("--input", required=True)
+    certifying.add_argument("--output", required=True, help="certificate JSON")
+    certifying.add_argument("--epsilon", type=float)
+    certifying.add_argument("--grid", type=int, default=101)
+    building = argparse.ArgumentParser(add_help=False, parents=[certifying])
+    building.add_argument("--links-output", help="also save the link paths")
+
+    link = sub.add_parser(
+        "link", parents=[building], help="build toral links for a bundle and certify them"
+    )
     link.add_argument("--tol", type=float, default=1e-9)
     link.add_argument("--mode", choices=MODES)
     link.set_defaults(func=_cmd_link)
 
-    lift = sub.add_parser("lift", help="lift to doubled dimension and certify")
-    lift.add_argument("--input", required=True)
-    lift.add_argument("--output", required=True, help="certificate JSON")
-    lift.add_argument("--links-output")
+    lift = sub.add_parser("lift", parents=[building], help="lift to doubled dimension and certify")
     lift.add_argument("--report-output")
-    lift.add_argument("--epsilon", type=float)
-    lift.add_argument("--grid", type=int, default=101)
     lift.set_defaults(func=_cmd_lift)
 
-    cert = sub.add_parser("certify", help="re-certify a saved links artifact")
-    cert.add_argument("--input", required=True)
-    cert.add_argument("--output", required=True)
-    cert.add_argument("--epsilon", type=float)
-    cert.add_argument("--grid", type=int, default=101)
+    cert = sub.add_parser("certify", parents=[certifying], help="re-certify a saved links artifact")
     cert.set_defaults(func=_cmd_certify)
 
     bott = sub.add_parser("bott", help="Bott index of a unitary pair bundle")

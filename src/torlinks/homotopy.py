@@ -29,7 +29,6 @@ import numpy as np
 from . import matcore
 from .jointspec import NormalTuple
 from .matcore import (
-    DiagnosticsError,
     PreconditionError,
     adjoint,
     as_cmatrix,
@@ -49,7 +48,6 @@ __all__ = [
     "LinkBundle",
     "Certificate",
     "CertTolerances",
-    "path_length",
     "path_curvature",
     "toral_links",
     "certify",
@@ -223,29 +221,8 @@ class MatrixPath:
         return float(len(self.segments) * max(s.length for s in self.segments))
 
 
-#: uniform clock times of the polygonal cross-check in path_length
-_LENGTH_SAMPLES = 1000
 #: stencil width of path_curvature's central differences
 _CURVATURE_STEP = 1e-3
-
-
-def path_length(path: MatrixPath) -> float:
-    """Exact arc length, cross-checked against a polygonal sum.
-
-    The polygonal estimate over _LENGTH_SAMPLES uniform points must agree
-    with the exact per-segment value within 1e-3 relative, otherwise a
-    DiagnosticsError is raised.
-    """
-    exact = path.exact_length()
-    ts = np.linspace(0.0, 1.0, _LENGTH_SAMPLES)
-    vals = [path.value(t) for t in ts]
-    poly = float(sum(op_norm(b - a) for a, b in zip(vals, vals[1:])))
-    if abs(poly - exact) > 1e-3 * exact + 1e-12:
-        raise DiagnosticsError(
-            f"polygonal length {poly!r} disagrees with exact {exact!r}",
-            worst_residual=abs(poly - exact),
-        )
-    return exact
 
 
 def path_curvature(path: MatrixPath, t: float) -> float:
@@ -784,20 +761,15 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
     )
 
 
-def unitary_contraction_path(u) -> tuple[MatrixPath, dict]:
+def unitary_contraction_path(u) -> MatrixPath:
     """Unitary path u(t) = u exp(-i t H) from u to the identity.
 
     H is the branch logarithm of u, so the path is a function of u and
-    commutes with everything u commutes with. The report gives its length
-    ||H|| (< 2*pi) and the bound 2*pi - 2*pi/n on the spectral interval of H.
+    commutes with everything u commutes with. Its length is ||H|| < 2*pi,
+    and the spectrum of H spans an interval of at most 2*pi - 2*pi/n.
     """
     u = as_cmatrix(u)
-    path = MatrixPath([Geo(u, -gap_branch_log(u))])
-    report = {
-        "length": path.exact_length(),
-        "gap_interval_bound": 2 * np.pi - 2 * np.pi / u.shape[0],
-    }
-    return path, report
+    return MatrixPath([Geo(u, -gap_branch_log(u))])
 
 
 def ujc_links(x: NormalTuple, y: NormalTuple, w, w_hat) -> LinkBundle:

@@ -283,21 +283,23 @@ def _tokenize(text: str) -> list[_Token]:
         chunk = m.group()
         if kind not in ("ws", "comment"):
             tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
+        line, col = _past(chunk, line, col)
         pos = m.end()
     return tokens
 
 
+def _past(chunk: str, line: int, col: int) -> tuple[int, int]:
+    """Line and column just past ``chunk`` when it starts at (line, col)."""
+    newlines = chunk.count("\n")
+    if newlines:
+        return line + newlines, len(chunk) - chunk.rfind("\n")
+    return line, col + len(chunk)
+
+
 class _Cursor:
-    def __init__(self, tokens: list[_Token], end_line: int):
+    def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
-        self.end_line = end_line
 
     def peek(self) -> _Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -315,8 +317,10 @@ class _Cursor:
 
     def fail(self, message: str):
         tok = self.peek()
-        if tok is None:
-            raise ParseError(message + ", found end of input", self.end_line, 1)
+        if tok is None:  # every cursor holds a token; the input ends just past the last
+            last = self.tokens[-1]
+            line, col = _past(last.text, last.line, last.column)
+            raise ParseError(message + ", found end of input", line, col)
         raise ParseError(message + f", found {tok.text!r}", tok.line, tok.column)
 
 
@@ -412,10 +416,9 @@ def _parse_relation(cur: _Cursor) -> Relation:
 def parse(text: str):
     """Parse relation text into a RelationSet, or a bare expression into NCPoly."""
     tokens = _tokenize(text)
-    end_line = tokens[-1].line if tokens else 1
     is_relations = any(t.kind in ("eq", "le") for t in tokens)
     if not is_relations:
-        cur = _Cursor([t for t in tokens if t.kind != "newline"], end_line)
+        cur = _Cursor([t for t in tokens if t.kind != "newline"])
         if cur.peek() is None:
             raise ParseError("empty input", 1, 1)
         poly = _parse_expr(cur)
@@ -432,7 +435,7 @@ def parse(text: str):
     for toks in lines:
         if not toks:
             continue
-        cur = _Cursor(toks, toks[-1].line)
+        cur = _Cursor(toks)
         relations.append(_parse_relation(cur))
         if cur.peek() is not None:
             cur.fail("trailing input after relation")

@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 from conftest import ACCEPTANCE_LINES
+from helpers import haar_unitary, polygonal_length
 
 from torlinks import (
     Conj,
@@ -31,7 +32,6 @@ from torlinks import (
     membership,
     parse,
     path_curvature,
-    path_length,
     preset,
     to_text,
     toral_links,
@@ -50,12 +50,6 @@ def _finish(num: int, label: str, ok: bool, detail: str = "") -> None:
     ACCEPTANCE_LINES.append(line)
     print(line)
     assert ok, line
-
-
-def _haar_unitary(n, rng):
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def _tuples(kind, n, N, delta, seed, mode="normal", perturb="within"):
@@ -191,7 +185,7 @@ def test_criterion_4_clifford_norm_bounds():
     for _ in range(25):
         N = int(rng.integers(1, 5))
         n = int(rng.integers(2, 17))
-        q = _haar_unitary(n, rng)
+        q = haar_unitary(n, rng)
         mats = [(q * rng.uniform(-1, 1, n)) @ adjoint(q) for _ in range(N)]
         _, val = clifford_norm(mats)
         squares = op_norm(sum(m @ m for m in mats))
@@ -269,7 +263,7 @@ def test_criterion_6_soft_torus_and_bott():
         bott_ok &= res.index == 1 and res.winding == 1  # documented orientation
 
     rng = np.random.default_rng(6)
-    q = _haar_unitary(8, rng)
+    q = haar_unitary(8, rng)
     commuting_pairs = [
         (np.diag((-1.0 + 0j) ** np.arange(6)), np.eye(6, dtype=complex)),
         (
@@ -317,11 +311,8 @@ def test_criterion_7_path_functionals():
 
     worst_rel = 0.0
     for path in (link, circle, flat, arc):
-        exact = path_length(path)
-        ts = np.linspace(0.0, 1.0, 1000)
-        vals = [path.value(t) for t in ts]
-        poly = sum(op_norm(b - a) for a, b in zip(vals, vals[1:]))
-        worst_rel = max(worst_rel, abs(poly - exact) / exact)
+        exact = path.exact_length()
+        worst_rel = max(worst_rel, abs(polygonal_length(path) - exact) / exact)
     length_ok = worst_rel <= 1e-3
 
     # contraction paths for conjugators that arise in the pipeline (near 1)
@@ -330,16 +321,16 @@ def test_criterion_7_path_functionals():
         h0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         h0 = h0 + adjoint(h0)
         h0 *= (np.pi / 2) / op_norm(h0)
-        _, rep = unitary_contraction_path(exp_i_herm(h0))
-        lin_ok &= rep["length"] <= 2 * np.pi - 2 * np.pi / n + 1e-9
+        length = unitary_contraction_path(exp_i_herm(h0)).exact_length()
+        lin_ok &= length <= 2 * np.pi - 2 * np.pi / n + 1e-9
     # Haar draws: the 2*pi cap and the branch-window bound hold unconditionally
     haar_max = 0.0
     for n in (2, 3, 4, 8, 16):
         for _ in range(4):
-            u = _haar_unitary(n, rng)
-            _, rep = unitary_contraction_path(u)
-            haar_max = max(haar_max, rep["length"])
-            lin_ok &= rep["length"] <= 2 * np.pi + 1e-9
+            u = haar_unitary(n, rng)
+            length = unitary_contraction_path(u).exact_length()
+            haar_max = max(haar_max, length)
+            lin_ok &= length <= 2 * np.pi + 1e-9
             args = np.linalg.eigvalsh(gap_branch_log(u))
             lin_ok &= args.max() - args.min() <= 2 * np.pi - 2 * np.pi / n + 1e-9
 
@@ -388,7 +379,7 @@ def test_criterion_8_relation_dsl():
             got = membership(assign, preset("soft_torus", delta), slack=1e-12).member
             soundness_ok &= got == (2 * np.sin(np.pi / n) <= delta + 1e-12)
 
-    assign = {"u": _haar_unitary(4, rng), "v": _haar_unitary(4, rng)}
+    assign = {"u": haar_unitary(4, rng), "v": haar_unitary(4, rng)}
     worst_hom = 0.0
     for _ in range(100):
         p = _random_poly(rng, names=("u", "v"), max_terms=4, max_len=3)

@@ -15,6 +15,7 @@ import json
 import numpy as np
 import pytest
 from dense_oracle import dense_passed, dense_tables, dense_worst, sampled_epsilon, stored_verdict
+from helpers import haar_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -158,12 +159,6 @@ def test_criterion_1_grid_verdicts_match_dense_oracle():
 # so each gets a hand-built one.
 
 
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    d = np.diag(r)
-    return q * (d / np.abs(d))
-
-
 def _certify_mode_against_oracle(seg, mode: str):
     bundle = LinkBundle([MatrixPath([seg])], [seg.start], [seg.end], 0.0, mode=mode)
     cert = certify(bundle, 2.0)
@@ -176,7 +171,7 @@ def test_hermitian_mode_bound_of_a_geodesic(turn):
     # B e^{isH} - (B e^{isH})* = (B - B*) + B (e^{isH} - 1) - (e^{-isH} - 1) B*,
     # bounded by ||B - B*|| + 2 ||B|| min(2, ||H||); turn = 5 takes the 2
     rng = np.random.default_rng(43)
-    w = _haar_unitary(4, rng)
+    w = haar_unitary(4, rng)
     b = 0.5 * (w * np.array([1.0, -1.0, 1.0, -1.0])) @ adjoint(w)
     b = b + 1e-3 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -192,13 +187,13 @@ def test_unitary_mode_bound_of_a_flat():
     # defects and ||U0* U1 + U1* U0 - 2||
     rng = np.random.default_rng(44)
     cert = _certify_mode_against_oracle(
-        Flat(_haar_unitary(4, rng), _haar_unitary(4, rng)), "unitary"
+        Flat(haar_unitary(4, rng), haar_unitary(4, rng)), "unitary"
     )
     assert cert.mode_defects.max() > 0.1
 
 
 def test_static_unitary_flat_passes():
-    u = _haar_unitary(4, np.random.default_rng(45))
+    u = haar_unitary(4, np.random.default_rng(45))
     bundle = LinkBundle([MatrixPath([Flat(u, u)])], [u], [u], 0.0, mode="unitary")
     assert certify(bundle, 1e-12).passed
     assert dense_passed(dense_tables(bundle), 1e-12)

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import os
 import pstats
+import re
 import struct
 import subprocess
 import sys
@@ -382,6 +383,21 @@ def test_gen_bundle_rejects_bad_arguments():
         gen_bundle("clock_shift", 4, N=3)
     with pytest.raises(PreconditionError):
         gen_bundle("commuting_pair", 4, delta=-1.0)
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"mode": "bogus"}, "unknown mode 'bogus'"),
+        ({"perturb": "bogus"}, "unknown perturbation 'bogus'"),
+        ({"kind": "clock_shift", "N": 3}, "clock_shift bundles always have N = 2"),
+        ({"kind": "soft_pair", "N": 1}, "soft_pair bundles always have N = 2"),
+    ],
+)
+def test_gen_bundle_names_what_it_refuses(kw, message):
+    kw = {"kind": "commuting_pair", "n": 4, **kw}
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        gen_bundle(**kw)
 
 
 # --- link / certify --------------------------------------------------------------
@@ -858,6 +874,26 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["certify", "project"])
+def test_negative_epsilon_reported_is_refused_by_name(tmp_path, capsys, command):
+    bundle = _gen(tmp_path, n=3, N=2, delta=1e-3, seed=0)
+    links = tmp_path / "links.json"
+    argv_link = ["link", "--input", bundle, "--output", str(tmp_path / "c.json")]
+    assert main(argv_link + ["--links-output", str(links)]) == 0
+    obj = json.loads(_read(links))
+    obj["epsilon_reported"] = -0.5
+    message = "bad.json.epsilon_reported must be finite and >= 0, got -0.5"
+    with pytest.raises(DecodeError, match=f"^{re.escape(message)}$"):
+        decode_links(obj, "bad.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--input", str(bad), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / message}\n"
+    assert not out.exists()
+
+
 def test_malformed_json_names_the_file(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -1332,6 +1368,13 @@ def test_project_m3_demo_stays_in_solid_torus(tmp_path):
     assert len(rows) == 3 * 101
     mags = [abs(complex(float(r[2]), float(r[3]))) for r in rows]
     assert max(mags) <= 1 + 1e-9
+
+
+def test_project_needs_input_or_demo(tmp_path, capsys):
+    out = tmp_path / "flow.csv"
+    assert main(["project", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: project needs exactly one of --input / --demo\n"
+    assert not out.exists()
 
 
 def test_project_from_saved_links(tmp_path):

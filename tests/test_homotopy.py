@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from helpers import polygonal_length
 
 from torlinks import matcore, spectral_match
 from torlinks.cli import (
@@ -24,7 +25,6 @@ from torlinks.homotopy import (
     MatrixPath,
     certify,
     path_curvature,
-    path_length,
     project_solid_torus,
     toral_links,
     ujc_links,
@@ -182,8 +182,8 @@ def test_concat_of_constants_is_constant():
 
 def test_path_length_flat_and_constant():
     a, b = np.zeros((2, 2)), np.diag([3.0, 1.0])
-    assert path_length(MatrixPath([Flat(a, b)])) == pytest.approx(3.0)
-    assert path_length(MatrixPath([Flat(b, b)])) == 0.0
+    assert MatrixPath([Flat(a, b)]).exact_length() == pytest.approx(3.0)
+    assert MatrixPath([Flat(b, b)]).exact_length() == 0.0
 
 
 def test_path_length_conj_matches_commutator_norm():
@@ -192,8 +192,10 @@ def test_path_length_conj_matches_commutator_norm():
     h = (h + adjoint(h)) / 2
     b = rng.standard_normal((5, 5))
     p = MatrixPath([Conj(h, b)])
-    # the polygonal cross-check inside path_length validates constant speed
-    assert path_length(p) == pytest.approx(op_norm(commutator(h, b)))
+    exact = p.exact_length()
+    assert exact == pytest.approx(op_norm(commutator(h, b)))
+    # the polygonal sum validates constant speed
+    assert abs(polygonal_length(p) - exact) <= 1e-3 * exact + 1e-12
 
 
 def test_path_length_polygonal_agreement_on_mixed_path():
@@ -204,11 +206,8 @@ def test_path_length_polygonal_agreement_on_mixed_path():
     curved = Conj(0.8 * h, b)
     p = MatrixPath([curved, Flat(curved.end, np.zeros((3, 3)))])
     exact = p.exact_length()
-    ts = np.linspace(0, 1, 1000)
-    vals = [p.value(t) for t in ts]
-    poly = sum(op_norm(v2 - v1) for v1, v2 in zip(vals, vals[1:]))
-    assert abs(poly - exact) <= 1e-3 * exact
-    assert path_length(p) == pytest.approx(exact)
+    assert abs(polygonal_length(p) - exact) <= 1e-3 * exact
+    assert exact == pytest.approx(op_norm(commutator(0.8 * h, b)) + op_norm(curved.end))
 
 
 def test_curvature_of_flat_segment_is_zero():
@@ -608,18 +607,18 @@ def test_certify_mixed_kind_pair_is_conservative():
 
 def test_contraction_path_for_sign_matrix():
     u = np.diag([1.0, -1.0])
-    path, report = unitary_contraction_path(u)
+    path = unitary_contraction_path(u)
     assert op_norm(path.value(0.0) - u) < 1e-12
     assert op_norm(path.value(1.0) - np.eye(2)) < 1e-12
-    assert report["length"] == pytest.approx(np.pi)
-    assert report["length"] <= report["gap_interval_bound"] + 1e-9
+    assert path.exact_length() == pytest.approx(np.pi)
+    assert path.exact_length() <= 2 * np.pi - 2 * np.pi / 2 + 1e-9
 
 
 def test_contraction_path_commutes_with_functions_of_u():
     rng = np.random.default_rng(12)
     u = _haar_unitary(5, rng)
-    path, report = unitary_contraction_path(u)
-    assert report["length"] <= 2 * np.pi
+    path = unitary_contraction_path(u)
+    assert path.exact_length() <= 2 * np.pi
     for t in (0.0, 0.3, 0.7, 1.0):
         v = path.value(t)
         assert op_norm(adjoint(v) @ v - np.eye(5)) < 1e-10
@@ -632,8 +631,8 @@ def test_contraction_path_haar_sweep_stays_below_two_pi():
     for n in (2, 3, 6):
         for _ in range(5):
             u = _haar_unitary(n, rng)
-            path, report = unitary_contraction_path(u)
-            assert report["length"] <= 2 * np.pi
+            path = unitary_contraction_path(u)
+            assert path.exact_length() <= 2 * np.pi
             assert op_norm(path.value(0.0) - u) < 1e-10
 
 
@@ -644,10 +643,10 @@ def test_contraction_path_antipodal_cluster_needs_long_arc():
     # that do not straddle the far side of the circle
     d = 0.3
     u = np.diag([np.exp(1j * (np.pi - d)), np.exp(1j * (np.pi + d))])
-    path, report = unitary_contraction_path(u)
-    assert report["length"] == pytest.approx(np.pi + d)
-    assert report["length"] > report["gap_interval_bound"]
-    assert report["length"] <= 2 * np.pi - np.pi / 2
+    length = unitary_contraction_path(u).exact_length()
+    assert length == pytest.approx(np.pi + d)
+    assert length > 2 * np.pi - 2 * np.pi / 2
+    assert length <= 2 * np.pi - np.pi / 2
 
 
 # ---------------------------------------------------------------------------

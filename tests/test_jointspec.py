@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from helpers import haar_unitary
 
 from torlinks import matcore
 from torlinks.jointspec import (
@@ -19,16 +20,9 @@ from torlinks.jointspec import (
 from torlinks.matcore import PreconditionError, adjoint, commutator, normal_eig, op_norm
 
 
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
-
-
 def _commuting_tuple(n: int, count: int, rng: np.random.Generator) -> NormalTuple:
     """Random commuting normal contractions sharing one Haar eigenbasis."""
-    q = _haar_unitary(n, rng)
+    q = haar_unitary(n, rng)
     mats = []
     for _ in range(count):
         d = np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
@@ -147,7 +141,7 @@ def test_joint_diagonalize_already_diagonal():
 
 def test_joint_diagonalize_conjugated_points():
     rng = np.random.default_rng(22)
-    q = _haar_unitary(2, rng)
+    q = haar_unitary(2, rng)
     x1 = (q * np.array([0.25, 0.5])) @ adjoint(q)
     x2 = (q * np.array([0.75, 1.0])) @ adjoint(q)
     t = NormalTuple([x1, x2], commutation_tol=1e-12)
@@ -170,7 +164,7 @@ def test_joint_diagonalize_degenerate_first_matrix():
     # combination of all the parts separates the three points: one _simdiag
     # call, with no cluster recursion and no redraw
     rng = np.random.default_rng(24)
-    q = _haar_unitary(3, rng)
+    q = haar_unitary(3, rng)
     x1 = (q * np.array([0.5, 0.5, -0.25])) @ adjoint(q)
     x2 = (q * np.array([0.1, 0.7, 0.9])) @ adjoint(q)
     t = NormalTuple([x1, x2], commutation_tol=1e-12)
@@ -239,7 +233,7 @@ def _near_collision(seed: int) -> tuple[np.ndarray, NormalTuple]:
     rng = np.random.default_rng(seed)
     pts = 0.1 * (rng.uniform(-1.0, 1.0, (6, 2)) + 1j * rng.uniform(-1.0, 1.0, (6, 2)))
     pts[1] = pts[0] + 2.2e-8 * np.array([1.0, -1.0])
-    q = _haar_unitary(6, rng)
+    q = haar_unitary(6, rng)
     return pts, NormalTuple([(q * pts[:, j]) @ adjoint(q) for j in range(2)])
 
 
@@ -311,7 +305,7 @@ def test_clifford_norm_commuting_hermitian_identity():
     for _ in range(5):
         n = int(rng.integers(2, 10))
         count = int(rng.integers(2, 5))
-        q = _haar_unitary(n, rng)
+        q = haar_unitary(n, rng)
         mats = [(q * (2.0 * rng.random(n) - 1.0)) @ adjoint(q) for _ in range(count)]
         mats = [(m + adjoint(m)) / 2 for m in mats]
         _, nrm = clifford_norm(mats)

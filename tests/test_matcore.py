@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from helpers import haar_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,13 +24,6 @@ from torlinks.matcore import (
     op_norm,
     principal_log_unitary,
 )
-
-
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
 
 
 def _random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -60,7 +54,7 @@ def test_op_norm_nilpotent():
 def test_op_norm_unitary_is_one():
     rng = np.random.default_rng(7)
     for n in (1, 2, 5, 17):
-        u = _haar_unitary(n, rng)
+        u = haar_unitary(n, rng)
         assert abs(op_norm(u) - 1.0) < 1e-12
 
 
@@ -70,8 +64,8 @@ def test_op_norm_unitary_invariance_and_submultiplicativity():
         n = int(rng.integers(2, 12))
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        u = _haar_unitary(n, rng)
-        v = _haar_unitary(n, rng)
+        u = haar_unitary(n, rng)
+        v = haar_unitary(n, rng)
         assert abs(op_norm(u @ a @ v) - op_norm(a)) < 1e-11 * op_norm(a)
         assert op_norm(a @ b) <= op_norm(a) * op_norm(b) + 1e-10
 
@@ -251,7 +245,7 @@ def test_normal_eig_shift_matrix():
 def test_normal_eig_residual_bound():
     rng = np.random.default_rng(15)
     for n in (3, 7, 24):
-        u = _haar_unitary(n, rng)
+        u = haar_unitary(n, rng)
         d = np.exp(2j * np.pi * rng.random(n)) * rng.random(n)
         a = (u * d) @ adjoint(u)
         q, lam = normal_eig(a)
@@ -292,7 +286,7 @@ def test_simdiag_normal_raises_after_six_draws():
     # distinct eigenvalues, so no draw recurses; rounding leaves every
     # off-diagonal residual above a zero target
     rng = np.random.default_rng(16)
-    u = _haar_unitary(8, rng)
+    u = haar_unitary(8, rng)
     a = (u * (rng.standard_normal(8) + 1j * rng.standard_normal(8))) @ adjoint(u)
     with mock.patch.object(matcore, "_simdiag", wraps=matcore._simdiag) as spy:
         with pytest.raises(DiagnosticsError, match="exceeds the target") as err:
@@ -335,7 +329,7 @@ def test_gap_branch_log_clock_two():
 def test_gap_branch_log_round_trip():
     rng = np.random.default_rng(16)
     for n in (1, 2, 3, 8, 33, 64):
-        u = _haar_unitary(n, rng)
+        u = haar_unitary(n, rng)
         h = gap_branch_log(u)
         assert op_norm(h - adjoint(h)) < 1e-12
         assert op_norm(exp_i_herm(h) - u) < 1e-10

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from helpers import haar_unitary
 
 from torlinks.matcore import PreconditionError, adjoint, op_norm
 from torlinks.ncrel import (
@@ -23,12 +24,6 @@ from torlinks.ncrel import (
     variable,
 )
 from torlinks.softtorus import clock_shift
-
-
-def _haar_unitary(n, rng):
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def _random_poly(rng, names=("u", "v", "w"), max_terms=5, max_len=4):
@@ -191,6 +186,16 @@ def test_parse_error_at_a_stray_closing_paren():
     assert (err.value.line, err.value.column) == (1, 5)
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("u +", (1, 4)), ("(u", (1, 3)), ("u u' - 1 = 0\nnorm(u) <=", (2, 11))],
+)
+def test_parse_error_at_end_of_input_points_past_the_last_token(text, position):
+    with pytest.raises(ParseError, match="found end of input") as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == position
+
+
 # --- printing ----------------------------------------------------------------
 
 
@@ -201,6 +206,12 @@ def test_to_text_frozen_forms():
     assert to_text(parse("(0.5+1i) u")) == "(0.5+1.0i) u"
     assert to_text(parse("norm(u v - v u) <= 0.5").relations[0]) == "norm(u v - v u) <= 0.5"
     assert to_text(parse("h - h' = 0").relations[0]) == "h - h' = 0"
+
+
+def test_str_is_to_text():
+    rset = parse("u u' - 1 = 0\nnorm(u v - v u) <= 0.5")
+    for obj in (rset.relations[0].poly, rset.relations[1], rset):
+        assert str(obj) == to_text(obj)
 
 
 def test_round_trip_fuzz():
@@ -256,7 +267,7 @@ def test_evaluate_errors():
 
 def test_evaluation_is_a_star_homomorphism():
     rng = np.random.default_rng(11)
-    assign = {"u": _haar_unitary(4, rng), "v": _haar_unitary(4, rng)}
+    assign = {"u": haar_unitary(4, rng), "v": haar_unitary(4, rng)}
     for _ in range(40):
         p = _random_poly(rng, names=("u", "v"), max_terms=4, max_len=3)
         q = _random_poly(rng, names=("u", "v"), max_terms=4, max_len=3)

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from helpers import haar_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
@@ -17,13 +18,6 @@ from torlinks.spectral_match import (
     isospectral_approximant,
     spectral_cost_matrix,
 )
-
-
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
 
 
 def brute_force_bottleneck(cost: np.ndarray) -> tuple[float, float, tuple[int, ...]]:
@@ -39,7 +33,7 @@ def brute_force_bottleneck(cost: np.ndarray) -> tuple[float, float, tuple[int, .
 
 
 def _close_tuples(n, count, delta, rng):
-    q = _haar_unitary(n, rng)
+    q = haar_unitary(n, rng)
     xs, ys = [], []
     for _ in range(count):
         d = np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))

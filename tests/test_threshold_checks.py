@@ -20,6 +20,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from helpers import haar_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,13 +54,6 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
     return (a + adjoint(a)) / 2.0
 
 
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
-
-
 def _shape(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     """An exactly Hermitian n x n matrix of norm 1 (or 0) of the given kind."""
     if kind == "zero":
@@ -73,7 +67,7 @@ def _shape(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     if kind == "permutation":  # row and column sums 1: Schur's bound is tight
         p = np.eye(n)[rng.permutation(n)]
         return ((p + p.T) / 2.0).astype(np.complex128)
-    w = _haar_unitary(n, rng)  # a dense Hermitian unitary: only the fallback decides
+    w = haar_unitary(n, rng)  # a dense Hermitian unitary: only the fallback decides
     return _hermitize((w * rng.choice([-1.0, 1.0], n)) @ adjoint(w))
 
 
@@ -121,7 +115,7 @@ def _site(site: str, a: np.ndarray, side: int, tol: float, rng: np.random.Genera
         return lambda: normal_eig(m, tol), commutator(adjoint(m), m), limit, sci
     if site == "unitary":
         # u*u - 1 = 2 t a + t^2 a^2 for u = w (1 + t a), w unitary
-        u = _haar_unitary(n, rng) @ (eye + _scale(2 * a, tol, side) * a)
+        u = haar_unitary(n, rng) @ (eye + _scale(2 * a, tol, side) * a)
         call = lambda: matcore._check_unitary(u, tol)
         return call, adjoint(u) @ u - eye, tol, sci
     if site == "mode_hermitian":

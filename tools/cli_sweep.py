@@ -182,6 +182,7 @@ def _commands() -> list:
         ["link", "--input", n3, "--epsilon", "-1", "--links-output", "refused-eps.links.json"],
         ["lift", "--input", n3, "--epsilon", "nan", "--links-output", "refused-nan.links.json",
          "--report-output", "refused-nan.report.json"],
+        ["relcheck", "--input", "cs-n8.json", "--rel-file", "cut.rel"],
     ]
     for j, argv in enumerate(refused):
         cmds.append([*argv, "--output", f"refused-{j:02d}.out"])
@@ -193,6 +194,7 @@ def _prepare_inputs() -> None:
     Path("unitary.rel").write_text("u u' - 1 = 0\nu' u - 1 = 0\n", encoding="utf-8")
     Path("bound.rel").write_text("norm(u v - v u) <= 0.1\n", encoding="utf-8")
     Path("expr.rel").write_text("u*v - v*u\n", encoding="utf-8")
+    Path("cut.rel").write_text("u u' - 1 = 0\nnorm(u v - v u) <=\n", encoding="utf-8")
     Path("malformed.json").write_text('{"type": "bundle", ', encoding="utf-8")
     eye = cli.encode_matrix([[1.0, 0.0], [0.0, 1.0]])
     Path("assign.json").write_text(

@@ -52,7 +52,7 @@ from .matcore import (
     exp_i_herm,
     op_norm,
 )
-from .ncrel import membership, parse as parse_relations, preset
+from .ncrel import ParseError, membership, parse as parse_relations, preset
 from .softtorus import bott_index, clock_shift, soft_pair
 
 __all__ = [
@@ -403,10 +403,9 @@ def _segment_fields(cls) -> list:
 
 
 def _encode_segment(seg, ref) -> dict:
-    for kind, cls in _SEGMENT_KINDS.items():
-        if isinstance(seg, cls):
-            return {"kind": kind, **{key: ref(getattr(seg, key)) for key in _segment_fields(cls)}}
-    raise PreconditionError(f"cannot serialize segment {type(seg).__name__}")
+    """A segment of a LinkBundle, whose class is always one of _SEGMENT_KINDS."""
+    kind = {cls: kind for kind, cls in _SEGMENT_KINDS.items()}[type(seg)]
+    return {"kind": kind, **{key: ref(getattr(seg, key)) for key in _segment_fields(type(seg))}}
 
 
 def _index(value, size: int, where: str) -> int:
@@ -631,7 +630,10 @@ def _relations_for(args):
         return preset(args.preset, args.delta)
     if args.delta is not None:
         raise PreconditionError("--delta is a --preset parameter; --rel-file states its own bounds")
-    parsed = parse_relations(_read_text(args.rel_file))
+    try:
+        parsed = parse_relations(_read_text(args.rel_file))
+    except ParseError as e:
+        raise DecodeError(f"{args.rel_file}: {e}") from None
     if not hasattr(parsed, "relations"):
         raise PreconditionError(f"{args.rel_file}: file holds an expression, not relations")
     return parsed

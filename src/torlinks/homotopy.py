@@ -58,8 +58,6 @@ __all__ = [
 
 #: endpoint agreement required when paths are stitched together
 JOIN_TOL = 1e-9
-#: link modes: the tuples are normal, hermitian or unitary contractions
-MODES = ("normal", "hermitian", "unitary")
 
 
 @dataclass
@@ -255,12 +253,19 @@ def path_curvature(path: MatrixPath, t: float) -> float:
 # --------------------------------------------------------------------------
 
 
+#: link modes (the tuples are normal, hermitian or unitary contractions), each
+#: with the segment kinds its links may hold
+_MODE_KINDS = {"normal": (Conj, Flat), "hermitian": (Conj, Flat), "unitary": (Conj, Geo)}
+MODES = tuple(_MODE_KINDS)
+
+
 @dataclass
 class LinkBundle:
     """N links (matrix paths) from the X endpoints to the Y endpoints.
 
-    All links and endpoints share one dimension, and all links one segment
-    count, so segment i of every link runs on the same share of the clock.
+    All links and endpoints share one dimension. Segment i of every link runs
+    on the same share of the clock and has the one kind there that the mode
+    allows; conjugations there share one H. These are the constructors' shapes.
     """
 
     links: list
@@ -288,6 +293,15 @@ class LinkBundle:
         segment_counts = [len(link.segments) for link in self.links]
         if len(set(segment_counts)) > 1:
             raise PreconditionError(f"links have different segment counts {segment_counts}")
+        kinds = _MODE_KINDS.get(self.mode, ())
+        for i, segs in enumerate(zip(*(link.segments for link in self.links))):
+            for j, seg in enumerate(segs):
+                at = f"links[{j}].segments[{i}]: a {type(seg).__name__} segment"
+                if type(seg) not in kinds:
+                    raise PreconditionError(f"{at} in {self.mode} mode")
+                same = type(seg) is type(segs[0])
+                if not same or isinstance(seg, Conj) and not np.array_equal(seg.h, segs[0].h):
+                    raise PreconditionError(f"{at} unlike links[0].segments[{i}] in kind or H")
 
     @property
     def lengths(self) -> list:
@@ -448,9 +462,7 @@ def _link_bundle(curved_parts, starts, y_mats, mode) -> LinkBundle:
     instead, so the path stays unitary), and the measured bundle.
 
     Degenerate curved factors are dropped only all-or-none, so every link has
-    the same segment count, as LinkBundle requires: a per-link drop would put
-    one link's flat factor against another's conjugation on the shared clock
-    and lose pairwise commutation mid-path for mixed scalar/non-scalar tuples.
+    the one shape that LinkBundle requires.
     """
     if mode == "unitary":
         flat_parts = [
@@ -474,15 +486,11 @@ def _link_bundle(curved_parts, starts, y_mats, mode) -> LinkBundle:
     return bundle
 
 
-def _unitary_form(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return adjoint(u) @ v - np.eye(u.shape[0])
-
-
 def _mode_residual(a: np.ndarray, mode: str) -> np.ndarray:
     """The matrix whose norm is the mode defect of ``a`` (hermitian or unitary)."""
     if mode == "hermitian":
         return a - adjoint(a)
-    return _unitary_form(a, a)
+    return adjoint(a) @ a - np.eye(a.shape[0])
 
 
 def _validate_mode(t: NormalTuple, mode: str, tol: float, who: str) -> None:
@@ -557,8 +565,8 @@ def _term(m: np.ndarray, tol: float, weight: float = 1.0) -> float:
 
 
 def _flat_form_bound(form, sa: Flat, sb: Flat, s, tol: float) -> tuple:
-    """Bound of F(a(s), b(s)) along two flat segments, for F real-bilinear
-    up to a constant matrix: since the weights sum to one, F(a(s), b(s)) is
+    """Bound of F(a(s), b(s)) along two flat segments, for F real-bilinear:
+    F(a(s), b(s)) is
     (1-s)^2 F(a0, b0) + s(1-s) (F(a0, b1) + F(a1, b0)) + s^2 F(a1, b1)."""
     terms = (form(sa.a, sb.a), form(sa.a, sb.b) + form(sa.b, sb.a), form(sa.b, sb.b))
     return _quadratic_bound(*(_term(m, tol) for m in terms), s)
@@ -595,20 +603,9 @@ def _norm_bound(seg, s) -> tuple:
 
 
 def _mode_bound(seg, mode: str, s, tol: float) -> tuple:
-    if mode == "hermitian":
-        if isinstance(seg, Conj):
-            return _const_bound(_mode_defect(seg.base, mode, tol), s)
-        if isinstance(seg, Flat):
-            return _convex_bound(
-                _mode_defect(seg.a, mode, tol), _mode_defect(seg.b, mode, tol), s
-            )
-        # Geo: a - a* = (B - B*) + B (e^{i s H} - 1) - (e^{-i s H} - 1) B*
-        turn = min(2.0, op_norm(seg.h))
-        return _const_bound(
-            _mode_defect(seg.base, mode, tol) + 2.0 * op_norm(seg.base) * turn, s
-        )
+    # a Flat is in hermitian mode; Conj and Geo move the base by unitaries
     if isinstance(seg, Flat):
-        return _flat_form_bound(_unitary_form, seg, seg, s, tol)
+        return _convex_bound(_mode_defect(seg.a, mode, tol), _mode_defect(seg.b, mode, tol), s)
     return _const_bound(_mode_defect(seg.base, mode, tol), s)
 
 
@@ -622,25 +619,20 @@ def _distance_bound(seg, y: np.ndarray, eps: float, s, samples: dict) -> tuple:
 
 
 def _commutator_bound(sa, sb, s, norm_a: float, norm_b: float, tol: float) -> tuple:
-    """Commutator bound of two segments whose norms are at most norm_a, norm_b."""
-    if isinstance(sa, Conj) and isinstance(sb, Conj) and np.array_equal(sa.h, sb.h):
+    """Commutator bound of two segments of one kind whose norms are at most norm_a, norm_b."""
+    if isinstance(sa, Conj):  # one generator, so the commutator only rotates
         return _const_bound(_term(commutator(sa.base, sb.base), tol), s)
-    if isinstance(sa, Flat) and isinstance(sb, Flat):
+    if isinstance(sa, Flat):
         return _flat_form_bound(commutator, sa, sb, s, tol)
-    if isinstance(sa, Geo) and isinstance(sb, Geo):
-        # [B1 E1, B2 E2] = [B1, B2] E1 E2 + B2 B1 [E1, E2] + B1 [E1, B2] E2
-        # - B2 [E2, B1] E1 with E = e^{i s H}
-        top = (
-            _term(commutator(sa.base, sb.base), tol)
-            + _term(commutator(sa.h, sb.h), tol, norm_a * norm_b)
-            + _term(commutator(sa.h, sb.base), tol, norm_a)
-            + _term(commutator(sb.h, sa.base), tol, norm_b)
-        )
-        return _const_bound(top, s)
-    # any other pair: ||[a(s), b(s)] - [a(0), b(0)]|| <= 2 s (L_a ||b|| + L_b ||a||)
-    start = _term(commutator(sa.start, sb.start), tol)
-    slope = 2.0 * (sa.length * norm_b + sb.length * norm_a)
-    return start + slope * s, start + slope
+    # [B1 E1, B2 E2] = [B1, B2] E1 E2 + B2 B1 [E1, E2] + B1 [E1, B2] E2
+    # - B2 [E2, B1] E1 with E = e^{i s H}
+    top = (
+        _term(commutator(sa.base, sb.base), tol)
+        + _term(commutator(sa.h, sb.h), tol, norm_a * norm_b)
+        + _term(commutator(sa.h, sb.base), tol, norm_a)
+        + _term(commutator(sb.h, sa.base), tol, norm_b)
+    )
+    return _const_bound(top, s)
 
 
 def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certificate:
@@ -653,20 +645,18 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
     supremum over the whole path, stored as ``worst``, and ``passed``
     compares ``worst`` with CertTolerances() and with eps. Every table entry
     is an upper bound on its quantity at its grid time and at most its
-    ``worst`` entry. The bounds per segment kind:
+    ``worst`` entry. The bounds per segment kind (LinkBundle's shapes):
 
     * Conj: normality, norm and mode defect are those of the base (unitary
-      invariance); two links with the same generator keep the commutator
-      norm of their bases.
+      invariance); the links share the generator, so a pair keeps the
+      commutator norm of their bases.
     * Flat: distance, norm and hermiticity defect are convex in s, so they
-      peak at an endpoint; normality, commutators and the unitarity defect
-      are (1-s)^2 C0 + s(1-s) C01 + s^2 C1 and bounded by the same form in
-      the norms of the C's.
-    * Geo B e^{i s H}: norm and unitarity defect are those of B; normality,
-      hermiticity and commutators of two Geo segments follow from
+      peak at an endpoint; normality and commutators are
+      (1-s)^2 C0 + s(1-s) C01 + s^2 C1 and bounded by the same form in the
+      norms of the C's.
+    * Geo B e^{i s H}: norm and unitarity defect are those of B; normality
+      and commutators of two Geo segments follow from
       ||[e^{i s H}, M]|| <= s ||[H, M]|| with s <= 1.
-    * Any other pair: the commutator at the segments' start plus its
-      Lipschitz growth, which fails unless both segments are static.
     * Distance along Conj and Geo: Lipschitz bisection (_DistanceTree) until
       every leaf is within eps; a leaf left above eps at the depth cap
       fails the check. The largest leaf bound is the segment's supremum,

@@ -15,7 +15,6 @@ import json
 import numpy as np
 import pytest
 from dense_oracle import dense_passed, dense_tables, dense_worst, sampled_epsilon, stored_verdict
-from helpers import haar_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +22,8 @@ from torlinks import homotopy
 from torlinks.cli import decode_bundle, encode_certificate, gen_bundle, json_text
 from torlinks.homotopy import Flat, Geo, LinkBundle, MatrixPath, certify, toral_links, ujc_links
 from torlinks.jointspec import NormalTuple
-from torlinks.matcore import adjoint, exp_i_herm, op_norm
+from torlinks.matcore import adjoint, exp_i_herm, op_norm, principal_log_unitary
+from torlinks.softtorus import soft_pair
 
 TABLES = (
     "normality",
@@ -155,48 +155,56 @@ def test_criterion_1_grid_verdicts_match_dense_oracle():
                 assert certify(bundle, e).passed == dense_passed(oracle, e), (mode, n, N, seed, e)
 
 
-# The two mode bounds below are reached by no bundle that toral_links builds,
-# so each gets a hand-built one.
+# Constructor-shaped bundles whose bound terms no constructed bundle needs:
+# each drops below the oracle if the term it exercises is left out.
 
 
-def _certify_mode_against_oracle(seg, mode: str):
-    bundle = LinkBundle([MatrixPath([seg])], [seg.start], [seg.end], 0.0, mode=mode)
-    cert = certify(bundle, 2.0)
-    assert np.all(cert.mode_defects >= dense_tables(bundle)["mode_defects"] - 1e-12)
-    return cert
+def _hand_built(links, y_mats, mode):
+    """A bundle of ``links`` to ``y_mats`` reporting the epsilon toral_links would."""
+    eps, _ = homotopy._sup_distance(links, y_mats)
+    return LinkBundle(links, [link.start for link in links], list(y_mats), eps, mode=mode)
 
 
-@pytest.mark.parametrize("turn", [0.3, 5.0])
-def test_hermitian_mode_bound_of_a_geodesic(turn):
-    # B e^{isH} - (B e^{isH})* = (B - B*) + B (e^{isH} - 1) - (e^{-isH} - 1) B*,
-    # bounded by ||B - B*|| + 2 ||B|| min(2, ||H||); turn = 5 takes the 2
-    rng = np.random.default_rng(43)
-    w = haar_unitary(4, rng)
-    b = 0.5 * (w * np.array([1.0, -1.0, 1.0, -1.0])) @ adjoint(w)
-    b = b + 1e-3 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    h = turn * (h + adjoint(h)) / op_norm(h + adjoint(h))
-    cert = _certify_mode_against_oracle(Geo(b, h), "hermitian")
-    expected = op_norm(b - adjoint(b)) + 2.0 * op_norm(b) * min(2.0, turn)
-    assert np.allclose(cert.mode_defects, expected, rtol=1e-12, atol=0.0)
+@pytest.mark.parametrize("n, softness", [(16, 0.5), (64, 0.2)])
+def test_soft_torus_geodesics_bound_dense_oracle(n, softness):
+    # (u, v) = soft_pair and each member times e^{i delta K}: H = log(u0* u1)
+    # does not commute with the other link's base, so the Geo pair bound needs
+    # its ||B1|| ||[H1, B2]|| terms
+    rng = np.random.default_rng(0)
+    pair = soft_pair(n, softness)
+    links = []
+    for base in (pair.u, pair.v):
+        k = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        end = base @ exp_i_herm((k + adjoint(k)) / op_norm(k + adjoint(k)), 0.1)
+        links.append(MatrixPath([Geo(base, principal_log_unitary(adjoint(base) @ end))]))
+    cert = _check_against_oracle(_hand_built(links, [link.end for link in links], "unitary"))
+    assert cert.commutation.max() > softness  # the pair is soft, so this fails
 
 
-def test_unitary_mode_bound_of_a_flat():
-    # the chord between two unitaries leaves the unitary group in its middle;
-    # its defect is bounded by the quadratic in s through the endpoint
-    # defects and ||U0* U1 + U1* U0 - 2||
-    rng = np.random.default_rng(44)
-    cert = _certify_mode_against_oracle(
-        Flat(haar_unitary(4, rng), haar_unitary(4, rng)), "unitary"
-    )
-    assert cert.mode_defects.max() > 0.1
+def test_geodesic_of_a_non_unitary_base_bounds_dense_oracle():
+    # B*B is not 1, so a B e^{i s H} drifts off normal by up to ||[H, B*B]||
+    b = np.diag([0.9, 0.5, 0.3, 0.1]).astype(complex)
+    h = np.random.default_rng(1).standard_normal((4, 4)) + 0j
+    link = MatrixPath([Geo(b, (h + h.T) / 2)])
+    cert = _check_against_oracle(_hand_built([link], [link.end], "unitary"))
+    assert cert.normality.max() > 0.1
 
 
-def test_static_unitary_flat_passes():
-    u = haar_unitary(4, np.random.default_rng(45))
-    bundle = LinkBundle([MatrixPath([Flat(u, u)])], [u], [u], 0.0, mode="unitary")
-    assert certify(bundle, 1e-12).passed
-    assert dense_passed(dense_tables(bundle), 1e-12)
+def test_flat_between_normal_ends_bounds_dense_oracle():
+    # both ends are normal but do not commute, so the normality of
+    # (1-s) a + s b is s(1-s) ||[a*, b] + [b*, a]||, which peaks inside
+    a, b = np.diag([0.5, 0.5j]), np.array([[0.0, 0.5], [0.5, 0.0]])
+    cert = _check_against_oracle(_hand_built([MatrixPath([Flat(a, b)])], [b], "normal"))
+    assert cert.worst["normality"] == pytest.approx(0.125, rel=1e-12)
+
+
+def test_flat_ending_off_its_target_bounds_dense_oracle():
+    # the distance along a Flat that misses y is not its length
+    a, b = np.diag([0.5, -0.2, 0.1]), np.diag([-0.3, 0.4, 0.2])
+    y = b + 0.5 * np.eye(3)
+    cert = _check_against_oracle(_hand_built([MatrixPath([Flat(a, b)])], [y], "normal"))
+    assert cert.worst["endpoint"] == 0.5
+    assert cert.worst["distance_to_target"] == 1.1
 
 
 @PROPERTY

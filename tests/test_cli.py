@@ -637,7 +637,8 @@ def test_hand_made_links_with_a_second_conj_segment_certify_as_in_memory():
 def test_geo_links_sharing_a_generator_decode_it_once():
     u, w, h = _two_unitaries()
     links = [MatrixPath([Geo(m, h)]) for m in (u, w)]
-    bundle = LinkBundle(links, [u, w], [link.end for link in links], epsilon_reported=1.0)
+    ends = [link.end for link in links]
+    bundle = LinkBundle(links, [u, w], ends, epsilon_reported=1.0, mode="unitary")
     obj = json.loads(json_text(encode_links(bundle)))
     assert [link["segments"][0]["h"] for link in obj["links"]] == [4, 4]  # after x and y
     decoded, calls = _herm_eig_calls(decode_links, obj, "mem")
@@ -647,29 +648,17 @@ def test_geo_links_sharing_a_generator_decode_it_once():
 
 
 def test_conj_and_geo_sharing_an_h_index_keep_their_kinds():
-    u, w, h = _two_unitaries()
-    links = [MatrixPath([Conj(h, u)]), MatrixPath([Geo(w, h)])]
-    bundle = LinkBundle(links, [u, w], [link.end for link in links], epsilon_reported=1.0)
+    u, _, h = _two_unitaries()
+    conj = Conj(h, u)
+    link = MatrixPath([conj, Geo(conj.end, h)])
+    bundle = LinkBundle([link], [u], [link.end], epsilon_reported=1.0, mode="unitary")
     obj = json.loads(json_text(encode_links(bundle)))
-    assert obj["links"][0]["segments"][0]["h"] == obj["links"][1]["segments"][0]["h"]
+    assert obj["links"][0]["segments"][0]["h"] == obj["links"][0]["segments"][1]["h"]
     decoded, calls = _herm_eig_calls(decode_links, obj, "mem")
-    assert [type(link.segments[0]) for link in decoded.links] == [Conj, Geo]
+    assert [type(seg) for seg in decoded.links[0].segments] == [Conj, Geo]
     assert calls == 2
     for a, b in zip(decoded.links, bundle.links):
         assert np.array_equal(a.value(0.7), b.value(0.7))
-
-
-def test_encode_links_refuses_a_foreign_segment():
-    class Still:
-        n, length = 2, 0.0
-        start = end = np.eye(2, dtype=complex)
-
-        def value(self, _s):
-            return self.start
-
-    bundle = LinkBundle([MatrixPath([Still()])], [np.eye(2)], [np.eye(2)], epsilon_reported=0.0)
-    with pytest.raises(PreconditionError, match="cannot serialize segment Still"):
-        encode_links(bundle)
 
 
 def test_certificate_keys_are_its_fields():
@@ -1465,6 +1454,8 @@ def test_spectrum_of_hermitian_bundle(tmp_path):
         (["bott", "--input", "{n3}"], "{n3}: bott needs a bundle with N = 2"),
         (["relcheck", "--input", "{n3}", "--rel-file", "{expr}"],
          "{expr}: file holds an expression, not relations"),
+        (["relcheck", "--input", "{n3}", "--rel-file", "{cut}"],
+         "{cut}: line 2, column 19: expected a nonnegative bound, found end of input"),
         (["relcheck", "--input", "{n3}", "--preset", "soft_torus", "--delta", "0.1"],
          "{n3}: bundle has 3 matrices but the relation set uses 2 variables ('u', 'v')"),
         (["project", "--input", "{links}", "--link-index", "5"],
@@ -1478,13 +1469,57 @@ def test_refused_commands_exit_2_with_their_reason(tmp_path, capsys, argv, messa
     links = tmp_path / "links.json"
     link = ["link", "--input", n3, "--output", str(tmp_path / "c.json")]
     assert main(link + ["--links-output", str(links)]) == 0
-    expr = tmp_path / "expr.rel"
+    expr, cut = tmp_path / "expr.rel", tmp_path / "cut.rel"
     expr.write_text("u*v - v*u\n", encoding="utf-8")
-    paths = {"n3": n3, "links": str(links), "expr": str(expr)}
+    cut.write_text("u u' - 1 = 0\nnorm(u v - v u) <=\n", encoding="utf-8")
+    paths = {"n3": n3, "links": str(links), "expr": str(expr), "cut": str(cut)}
     capsys.readouterr()
     code = main([a.format(**paths) for a in argv] + ["--output", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+
+
+#: (mode, segments of each link, refusal) of links files that no constructor
+#: writes; the matrices are u, d, H and 2H
+_GEO, _FLAT = {"kind": "geo", "base": 0, "h": 2}, {"kind": "flat", "a": 0, "b": 0}
+_HAND_MADE_SHAPES = {
+    "hermitian-geo": (
+        "hermitian", [[_GEO]], "links[0].segments[0]: a Geo segment in hermitian mode"
+    ),
+    "unitary-flat": ("unitary", [[_FLAT]], "links[0].segments[0]: a Flat segment in unitary mode"),
+    "normal-geo": ("normal", [[_GEO]], "links[0].segments[0]: a Geo segment in normal mode"),
+    "geo-beside-flat": (
+        "unitary", [[_GEO], [_FLAT]], "links[1].segments[0]: a Flat segment in unitary mode"
+    ),
+    "conj-different-h": (
+        "normal",
+        [[{"kind": "conj", "h": h, "base": 1}] for h in (2, 3)],
+        "links[1].segments[0]: a Conj segment unlike links[0].segments[0] in kind or H",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["certify", "project"])
+@pytest.mark.parametrize("shape", list(_HAND_MADE_SHAPES))
+def test_hand_made_links_of_another_shape_exit_2(tmp_path, capsys, shape, command):
+    mode, links, refusal = _HAND_MADE_SHAPES[shape]
+    h = np.array([[0.2, 0.1], [0.1, -0.3]], dtype=complex)
+    matrices = [np.diag(np.exp([0.3j, -1.1j])), np.diag([0.6, -0.4]), h, 2.0 * h]
+    obj = {
+        "type": "links",
+        "mode": mode,
+        "epsilon_reported": 1.0,
+        "x": [0] * len(links),
+        "y": [0] * len(links),
+        "links": [{"segments": segs} for segs in links],
+        "matrices": [encode_matrix(m) for m in matrices],
+    }
+    path, out = tmp_path / "links.json", tmp_path / "out"
+    path.write_text(json_text(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, "--input", str(path), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {refusal}\n"
+    assert not out.exists()
 
 
 _REFUSED_AFTER_LINKING = {

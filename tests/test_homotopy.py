@@ -587,17 +587,54 @@ def test_bundle_checks_its_shape():
         LinkBundle([link, MatrixPath([Flat(np.eye(3), np.eye(3))])], [a, a], [a, a], 0.0)
 
 
-def test_certify_mixed_kind_pair_is_conservative():
-    # both links stay diagonal, so they commute; a Geo against a Flat has no
-    # closed form, and its Lipschitz bound fails once both move
-    d = np.diag([0.6, -0.4])
-    geo = MatrixPath([Geo(d, 0.1 * np.diag([1.0, 2.0]))])
-    flat = MatrixPath([Flat(d, 0.5 * d)])
-    bundle = LinkBundle([geo, flat], [d, d], [geo.end, flat.end], 0.0)
-    cert = certify(bundle, eps=1.0)
-    assert not cert.passed
-    assert cert.normality.max() <= 1e-12
-    assert cert.commutation.max() > 1e-3
+class _Still:
+    """A segment of no kind the package knows, standing at the identity."""
+
+    n, length = 2, 0.0
+    start = end = np.eye(2, dtype=complex)
+
+    def value(self, _s):
+        return self.start
+
+
+def _refused_shapes():
+    """(mode, links, refusal) for each shape that no link constructor builds."""
+    a, b = np.diag([0.6, -0.4]), np.diag([0.5, 0.2])
+    u = np.diag(np.exp(1j * np.array([0.3, -1.1])))
+    h = np.array([[0.2, 0.1], [0.1, -0.3]], dtype=complex)
+    flat, geo = MatrixPath([Flat(a, b)]), MatrixPath([Geo(u, h)])
+
+    def conj_second(gen, base):  # [Flat, Conj], as a hand-made file may put them
+        return MatrixPath([Flat(base, 0.9 * base), Conj(gen, 0.9 * base)])
+
+    return {
+        "hermitian-geo": ("hermitian", [geo], "links[0].segments[0]: a Geo segment in hermitian"),
+        "unitary-flat": ("unitary", [MatrixPath([Flat(u, u)])], "[0]: a Flat segment in unitary"),
+        "normal-geo": ("normal", [geo], "links[0].segments[0]: a Geo segment in normal mode"),
+        "geo-beside-flat": ("unitary", [geo, flat], "links[1].segments[0]: a Flat segment in"),
+        "conj-beside-flat": (
+            "normal",
+            [flat, MatrixPath([Conj(h, a)])],
+            "links[1].segments[0]: a Conj segment unlike links[0].segments[0] in kind or H",
+        ),
+        "conj-different-h": (
+            "normal",
+            [conj_second(h, a), conj_second(2.0 * h, b)],
+            "links[1].segments[1]: a Conj segment unlike links[0].segments[1] in kind or H",
+        ),
+        "foreign-class": ("normal", [MatrixPath([_Still()])], "[0]: a _Still segment in normal"),
+    }
+
+
+@pytest.mark.parametrize("shape", list(_refused_shapes()))
+def test_bundle_refuses_shapes_no_constructor_builds(shape):
+    # toral_links, ujc_links and lifted_links build [Conj, Flat] or [Flat] in
+    # normal and hermitian mode and [Conj, Geo] or [Geo] in unitary mode, with
+    # one H for every Conj at a share; certify bounds only those shapes
+    mode, links, refusal = _refused_shapes()[shape]
+    x, y = [link.start for link in links], [link.end for link in links]
+    with pytest.raises(PreconditionError, match=re.escape(refusal)):
+        LinkBundle(links, x, y, 0.0, mode=mode)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def test_no_source_imports_scipy():
 def test_no_source_imports_the_tools():
     # tools/ drives the package from outside; importing it would add work at
     # import time
-    tools = {"tools", "cli_sweep"}
+    tools = {"tools", "cli_sweep", "mutants"}
     assert [path.name for path in SOURCES if tools & _imported_packages(path)] == []
 
 

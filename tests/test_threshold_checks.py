@@ -235,7 +235,8 @@ def _term_case(term: str, s: float):
     # only ||B1|| ||B2|| ||[Ha, Hb]|| is nonzero, with weight 1/4
     half = 0.5 * np.eye(n, dtype=np.complex128)
     ga, gb = Geo(half, 2.0 * s * h0), Geo(half, 2.0 * h1)
-    bundle = LinkBundle([MatrixPath([ga]), MatrixPath([gb])], [half, half], [ga.end, gb.end], 0.0)
+    links = [MatrixPath([ga]), MatrixPath([gb])]
+    bundle = LinkBundle(links, [half, half], [ga.end, gb.end], 0.0, mode="unitary")
     return bundle, "commutation", commutator(ga.h, gb.h), 0.25, tols.commutation
 
 

@@ -6,9 +6,10 @@ OUTDIR must not exist yet. Every command runs in-process through
 ``torlinks.cli.main`` with OUTDIR as the working directory, so each path in
 its argv is relative. In a fixed order, the sweep generates every bundle,
 writes a few hand-made inputs (relation files, an assignment, a malformed
-file, and bundles edited to write Y out in full or to misstate delta), then
-runs every subcommand on every generator kind, mode and perturbation, on the
-Y = X bundles in both forms, and on the refused cases that exit 2.
+file, a normal-mode links file holding a geodesic, and bundles edited to
+write Y out in full or to misstate delta), then runs every subcommand on
+every generator kind, mode and perturbation, on the Y = X bundles in both
+forms, and on the refused cases that exit 2.
 ``OUTDIR/manifest.jsonl`` gets one JSON line per command: its argv, exit
 code, stdout, stderr and the SHA-256 of each file it was asked to write
 (null if it wrote none).
@@ -183,6 +184,9 @@ def _commands() -> list:
         ["lift", "--input", n3, "--epsilon", "nan", "--links-output", "refused-nan.links.json",
          "--report-output", "refused-nan.report.json"],
         ["relcheck", "--input", "cs-n8.json", "--rel-file", "cut.rel"],
+        # a links file of a shape no constructor writes
+        ["certify", "--input", "geo-normal.links.json"],
+        ["project", "--input", "geo-normal.links.json"],
     ]
     for j, argv in enumerate(refused):
         cmds.append([*argv, "--output", f"refused-{j:02d}.out"])
@@ -200,6 +204,10 @@ def _prepare_inputs() -> None:
     Path("assign.json").write_text(
         cli.json_text({"type": "assignment", "matrices": {"u": eye}}), encoding="utf-8"
     )
+    geo = {"kind": "geo", "base": 0, "h": 0}
+    links = {"type": "links", "mode": "normal", "epsilon_reported": 1.0, "x": [0], "y": [0],
+             "links": [{"segments": [geo]}], "matrices": [eye]}
+    Path("geo-normal.links.json").write_text(cli.json_text(links), encoding="utf-8")
 
 
 def _derive_inputs() -> None:

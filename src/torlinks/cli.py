@@ -52,7 +52,7 @@ from .matcore import (
     exp_i_herm,
     op_norm,
 )
-from .ncrel import ParseError, membership, parse as parse_relations, preset
+from .ncrel import membership, parse as parse_relations, preset
 from .softtorus import bott_index, clock_shift, soft_pair
 
 __all__ = [
@@ -587,7 +587,7 @@ def _cmd_lift(args) -> int:
     loaded = decode_bundle(_load_json(args.input), args.input)
     meta = loaded["metadata"]
     _require_commuting(meta, args.input)
-    lift, bundle, report = lifted_links(
+    _, bundle, report = lifted_links(
         loaded["x"], loaded["y"], seed=int(meta["seed"]), grid_points=args.grid
     )
     cert = _certify(bundle, args)
@@ -630,9 +630,10 @@ def _relations_for(args):
         return preset(args.preset, args.delta)
     if args.delta is not None:
         raise PreconditionError("--delta is a --preset parameter; --rel-file states its own bounds")
+    text = _read_text(args.rel_file)
     try:
-        parsed = parse_relations(_read_text(args.rel_file))
-    except ParseError as e:
+        parsed = parse_relations(text)
+    except PreconditionError as e:  # a ParseError, or a polynomial or bound refused
         raise DecodeError(f"{args.rel_file}: {e}") from None
     if not hasattr(parsed, "relations"):
         raise PreconditionError(f"{args.rel_file}: file holds an expression, not relations")

@@ -134,6 +134,9 @@ class Conj(_Curved):
     def _speed(self) -> float:
         return op_norm(commutator(self.h, self.base))
 
+    def _acceleration(self) -> np.ndarray:
+        return commutator(self.h, commutator(self.h, self.base))
+
     def value(self, s: float) -> np.ndarray:
         u = (self._q * np.exp(-1j * s * self._w)) @ adjoint(self._q)
         return u @ self.base @ adjoint(u)
@@ -153,6 +156,9 @@ class Geo(_Curved):
 
     def _speed(self) -> float:
         return op_norm(self.base @ self.h)
+
+    def _acceleration(self) -> np.ndarray:
+        return self.base @ self.h @ self.h
 
     def value(self, s: float) -> np.ndarray:
         return self.base @ (self._q * np.exp(1j * s * self._w)) @ adjoint(self._q)
@@ -219,33 +225,23 @@ class MatrixPath:
         return float(len(self.segments) * max(s.length for s in self.segments))
 
 
-#: stencil width of path_curvature's central differences
-_CURVATURE_STEP = 1e-3
-
-
 def path_curvature(path: MatrixPath, t: float) -> float:
-    """Curvature ||d/dt (gamma'/||gamma'||)|| / ||gamma'|| by central differences.
+    """Curvature ||d/dt (gamma'/||gamma'||)|| / ||gamma'|| at clock time t.
 
-    The five-point stencil of width h = _CURVATURE_STEP must stay inside one
-    segment; near joints (or with t closer than 2h to 0 or 1) the quantity is
-    not defined and an error is raised. Returns 0 for stationary points
-    (speed below 1e-12).
+    A segment moves at the constant speed ||gamma'|| = seg.length, so its
+    curvature is the constant ||gamma''|| / ||gamma'||^2, in which the clock
+    factor cancels: 0 along Flat, ||[H, [H, B]]|| / ||[H, B]||^2 along
+    Conj(H, B) and ||B H^2|| / ||B H||^2 along Geo(B, H). It is defined at
+    every t in [0, 1] but the interior joints. Returns 0 for stationary
+    segments (speed below 1e-12).
     """
-    h = _CURVATURE_STEP
-    i_lo, _ = path.locate(max(t - 2 * h, 0.0))
-    i_hi, _ = path.locate(min(t + 2 * h, 1.0))
-    if t - 2 * h < 0 or t + 2 * h > 1 or i_lo != i_hi:
+    i, _ = path.locate(t)
+    if t in path.joints()[1:-1]:
         raise PreconditionError("curvature is undefined at segment joints")
-    g = [path.value(t + k * h) for k in (-2, -1, 0, 1, 2)]
-    v_m = (g[2] - g[0]) / (2 * h)
-    v_0 = (g[3] - g[1]) / (2 * h)
-    v_p = (g[4] - g[2]) / (2 * h)
-    speed = op_norm(v_0)
-    if speed <= 1e-12:
+    seg = path.segments[i]
+    if isinstance(seg, Flat) or seg.length <= 1e-12:
         return 0.0
-    t_m = v_m / op_norm(v_m)
-    t_p = v_p / op_norm(v_p)
-    return op_norm((t_p - t_m) / (2 * h)) / speed
+    return op_norm(seg._acceleration()) / seg.length**2
 
 
 # --------------------------------------------------------------------------
@@ -279,6 +275,8 @@ class LinkBundle:
     _distance_samples: dict | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.mode not in _MODE_KINDS:
+            raise PreconditionError(f"unknown mode {self.mode!r}")
         counts = (len(self.links), len(self.x_mats), len(self.y_mats))
         if counts[0] == 0 or len(set(counts)) > 1:
             raise PreconditionError(
@@ -293,7 +291,7 @@ class LinkBundle:
         segment_counts = [len(link.segments) for link in self.links]
         if len(set(segment_counts)) > 1:
             raise PreconditionError(f"links have different segment counts {segment_counts}")
-        kinds = _MODE_KINDS.get(self.mode, ())
+        kinds = _MODE_KINDS[self.mode]
         for i, segs in enumerate(zip(*(link.segments for link in self.links))):
             for j, seg in enumerate(segs):
                 at = f"links[{j}].segments[{i}]: a {type(seg).__name__} segment"
@@ -795,22 +793,12 @@ def project_solid_torus(path: MatrixPath, samples: int = 101) -> np.ndarray:
     """
     matcore._check_count("samples", samples, 2)
     n = path.n
-    rows = np.empty((samples * n, 6))
     ts = np.linspace(0.0, 1.0, samples)
-    for i, t in enumerate(ts):
-        d = np.diag(path.value(t))
-        if np.max(np.abs(d)) > 1.0 + 1e-9:
-            raise PreconditionError(
-                "diagonal flow leaves the closed unit disk; input path is "
-                "not a contraction path"
-            )
-        for k in range(n):
-            rows[i * n + k] = (
-                t,
-                float(k),
-                d[k].real,
-                d[k].imag,
-                np.cos(2 * np.pi * t),
-                np.sin(2 * np.pi * t),
-            )
-    return rows
+    d = np.array([np.diag(path.value(t)) for t in ts]).ravel()
+    if np.max(np.abs(d)) > 1.0 + 1e-9:
+        raise PreconditionError(
+            "diagonal flow leaves the closed unit disk; input path is not a contraction path"
+        )
+    t = np.repeat(ts, n)
+    k = np.tile(np.arange(n, dtype=float), samples)
+    return np.column_stack([t, k, d.real, d.imag, np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)])

@@ -82,6 +82,9 @@ class NCPoly:
         for coeff, word in self.terms:
             key = tuple(_check_letter(l) for l in word)
             merged[key] = merged.get(key, 0j) + complex(coeff)
+        for c in merged.values():
+            if not np.isfinite(c):
+                raise PreconditionError(f"coefficient {c} is not finite")
         canon = tuple(
             (merged[w], w)
             for w in sorted((w for w, c in merged.items() if c != 0), key=lambda w: (len(w), w))
@@ -324,12 +327,20 @@ class _Cursor:
         raise ParseError(message + f", found {tok.text!r}", tok.line, tok.column)
 
 
+def _number(text: str, line: int, column: int) -> float:
+    """A number literal as a float; one too large to be finite is refused where it stands."""
+    if not np.isfinite(x := float(text)):
+        raise ParseError(f"number {text!r} is not finite", line, column)
+    return x
+
+
 def _parse_cplx(tok: _Token) -> complex:
     m = _TOKEN_RE.match(tok.text)  # the literal matches as itself, parts and all
-    if m["imonly"] is not None:
-        return complex(0.0, float(m["imonly"]))
-    im = float(m["im"])
-    return complex(float(m["re"]), -im if m["sign"] == "-" else im)
+    part = {g: _number(m[g], *_past(tok.text[: m.start(g)], tok.line, tok.column))
+            for g in ("re", "im", "imonly") if m[g] is not None}
+    if "imonly" in part:
+        return complex(0.0, part["imonly"])
+    return complex(part["re"], -part["im"] if m["sign"] == "-" else part["im"])
 
 
 _FACTOR_START = ("cplx", "number", "ident", "lparen")
@@ -344,7 +355,7 @@ def _parse_primary(cur: _Cursor) -> NCPoly:
         return _as_poly(_parse_cplx(tok))
     if tok.kind == "number":
         cur.advance()
-        return _as_poly(float(tok.text))
+        return _as_poly(_number(tok.text, tok.line, tok.column))
     if tok.kind == "ident":
         if tok.text in _RESERVED:
             raise ParseError(f"{tok.text!r} is reserved", tok.line, tok.column)
@@ -404,11 +415,11 @@ def _parse_relation(cur: _Cursor) -> Relation:
         cur.expect("rparen", "')'")
         cur.expect("le", "'<='")
         btok = cur.expect("number", "a nonnegative bound")
-        return Relation(poly, NORM_LE, float(btok.text))
+        return Relation(poly, NORM_LE, _number(btok.text, btok.line, btok.column))
     poly = _parse_expr(cur)
     cur.expect("eq", "'=' or 'norm(...) <='")
     ztok = cur.expect("number", "0 on the right-hand side")
-    if float(ztok.text) != 0.0:
+    if _number(ztok.text, ztok.line, ztok.column) != 0.0:
         raise ParseError("right-hand side must be 0", ztok.line, ztok.column)
     return Relation(poly, EQ0)
 

@@ -1,4 +1,5 @@
 import cProfile
+import functools
 import json
 import logging
 import pstats
@@ -6,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from helpers import polygonal_length
+from helpers import polygonal_length, stencil_curvature
 
 from torlinks import matcore, spectral_match
 from torlinks.cli import (
@@ -223,18 +224,18 @@ def test_curvature_of_unit_circle_is_one():
 def test_curvature_of_radius_r_circle_is_reciprocal():
     for r in (0.5, 2.0):
         p = MatrixPath([Geo(np.array([[r]]), np.array([[2 * np.pi]]))])
-        assert path_curvature(p, 0.3) == pytest.approx(1.0 / r, rel=1e-3)
+        assert path_curvature(p, 0.3) == pytest.approx(1.0 / r, rel=1e-12)
 
 
 def test_curvature_rejects_segment_joints():
+    # only an interior joint is refused: any other t lies in one segment,
+    # whose curvature is a constant
     a, b, c = np.zeros((2, 2)), np.eye(2), 2 * np.eye(2)
     p = MatrixPath([Flat(a, b), Flat(b, c)])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="curvature is undefined at segment joints"):
         path_curvature(p, 0.5)
-    with pytest.raises(PreconditionError):
-        path_curvature(p, 0.5004)
-    with pytest.raises(PreconditionError):
-        path_curvature(p, 0.001)
+    assert path_curvature(p, 0.5004) == 0.0
+    assert path_curvature(p, 0.001) == 0.0
 
 
 def test_curvature_of_stationary_path_is_zero():
@@ -242,16 +243,57 @@ def test_curvature_of_stationary_path_is_zero():
     assert path_curvature(MatrixPath([Flat(eye, eye)]), 0.5) == 0.0
 
 
-def test_curved_factor_curvature_length_product_logged():
-    # measured (not asserted): kappa * length stays modest for conjugation arcs
+def _random_segment(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = 0.5 * (h + adjoint(h))
+    return Conj(h, b) if kind is Conj else Geo(b, h)
+
+
+@functools.cache
+def _curved_paths():
+    """(path, t) with t inside a curved segment, by name: random Conj and Geo
+    segments for n = 1..6, and the curved factors the link builders make."""
+    cases = {
+        f"{kind.__name__.lower()}-n{n}": (MatrixPath([_random_segment(kind, n, 10 * n)]), 0.3)
+        for kind in (Conj, Geo)
+        for n in range(1, 7)
+    }
     rng = np.random.default_rng(19)
-    t, q, diags = _commuting_pair(5, rng)
+    x, q, diags = _commuting_pair(5, rng)
     h = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    h = 0.3 * (h + adjoint(h))
-    p = MatrixPath([Conj(h, t.mats[0])])
-    kappa = path_curvature(p, 0.5)
-    log.info("curved factor: kappa=%.4f length=%.4f kappa*length=%.4f",
-             kappa, p.exact_length(), kappa * p.exact_length())
+    cases["curved-factor"] = (MatrixPath([Conj(0.3 * (h + adjoint(h)), x.mats[0])]), 0.5)
+    y = _perturb_in_basis(q, diags, 1e-2, rng)
+    cases["toral"] = (toral_links(x, y).links[1], 0.25)
+    cases["lifted"] = (lifted_links(x, y)[1].links[0], 0.25)
+    u, uq, udiags = _commuting_pair(4, rng, unitary=True)
+    uy = _perturb_in_basis(uq, udiags, 1e-2, rng, unitary=True)
+    cases["toral-unitary-geo"] = (toral_links(u, uy, mode="unitary").links[0], 0.75)
+    cases["contraction"] = (unitary_contraction_path(_haar_unitary(5, rng)), 0.6)
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_curved_paths()))
+def test_curvature_agrees_with_the_stencil(name):
+    # the exact ||gamma''|| / ||gamma'||^2 of the segment against central
+    # differences of five path values 1e-3 apart (error O(1e-6) relative)
+    path, t = _curved_paths()[name]
+    exact = path_curvature(path, t)
+    assert abs(exact - stencil_curvature(path, t)) <= 1e-4 * exact
+    log.info("%s: kappa=%.4f kappa*length=%.4f", name, exact, exact * path.exact_length())
+
+
+def test_curvature_reads_the_segment(monkeypatch):
+    # one op_norm of gamma'' on a curved segment, none on a flat one, and no
+    # path value on either
+    curved = MatrixPath([_random_segment(Geo, 4, 1)])
+    flat = MatrixPath([Flat(np.zeros((4, 4)), np.eye(4))])
+    for kind in (Geo, Flat):
+        monkeypatch.setattr(kind, "value", lambda *_: pytest.fail("a path value was evaluated"))
+    for path, norms in ((curved, 1), (flat, 0)):
+        _, calls = _matcore_calls(path_curvature, path, 0.5)
+        assert calls["op_norm"] == norms
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +668,13 @@ def _refused_shapes():
     }
 
 
+def test_bundle_names_an_unknown_mode():
+    # the mode is refused before any segment is read
+    link = MatrixPath([Flat(np.eye(2), np.eye(2))])
+    with pytest.raises(PreconditionError, match=re.escape("unknown mode 'foo'")):
+        LinkBundle([link], [link.start], [link.end], 0.0, mode="foo")
+
+
 @pytest.mark.parametrize("shape", list(_refused_shapes()))
 def test_bundle_refuses_shapes_no_constructor_builds(shape):
     # toral_links, ujc_links and lifted_links build [Conj, Flat] or [Flat] in
@@ -808,6 +857,23 @@ def test_projection_of_diagonal_path_tracks_eigenvalues():
     assert rows[5][2] == pytest.approx(-0.1)
 
 
+def test_projection_rows_run_over_k_within_each_t():
+    # row i * n + k holds entry k at sample i, as the per-entry loop wrote it
+    path = unitary_contraction_path(_haar_unitary(3, np.random.default_rng(21)))
+    rows = project_solid_torus(path, samples=7)
+    ts = np.linspace(0.0, 1.0, 7)
+    expected = np.array(
+        [
+            [t, k, d.real, d.imag, np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)]
+            for t in ts
+            for k, d in enumerate(np.diag(path.value(t)))
+        ]
+    )
+    assert rows.shape == (21, 6)
+    assert np.array_equal(rows[:, :4], expected[:, :4])
+    assert np.allclose(rows[:, 4:], expected[:, 4:], rtol=0.0, atol=1e-15)
+
+
 def test_projection_of_zero_matrix_sits_at_center():
     z = np.zeros((3, 3))
     rows = project_solid_torus(MatrixPath([Flat(z, z)]), samples=4)
@@ -832,6 +898,7 @@ _STILL_BUNDLE = LinkBundle([_STILL], [_STILL.start], [_STILL.end], epsilon_repor
         (lambda: certify(_STILL_BUNDLE, 1.0, grid_points=2.5),
          "grid_points must be an integer >= 2, got 2.5"),
         (lambda: _STILL.locate(1.5), "path time 1.5 outside [0, 1]"),
+        (lambda: path_curvature(_STILL, 2.0), "path time 2.0 outside [0, 1]"),
         (lambda: project_solid_torus(_STILL, samples=1), "samples must be an integer >= 2, got 1"),
         (lambda: Geo(np.eye(2), np.eye(3)), "geodesic generator and base differ in shape"),
     ],

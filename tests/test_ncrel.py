@@ -196,6 +196,40 @@ def test_parse_error_at_end_of_input_points_past_the_last_token(text, position):
     assert (err.value.line, err.value.column) == position
 
 
+@pytest.mark.parametrize(
+    "text, literal, position",
+    [
+        ("1e400 u", "1e400", (1, 1)),
+        ("norm(u) <= 1e400", "1e400", (1, 12)),
+        ("u = 1e400", "1e400", (1, 5)),
+        ("v + (1e400+2i) u", "1e400", (1, 6)),
+        ("v + (2-1e400i) u", "1e400", (1, 8)),
+        ("v + (\n-1e400i) u", "-1e400", (2, 1)),
+    ],
+)
+def test_parse_refuses_a_number_that_is_not_finite(text, literal, position):
+    # "1e400 u" parsed as a polynomial that printed as "(inf-nani) u", text
+    # that parses again in the variables inf, nani and u
+    with pytest.raises(ParseError, match=re.escape(f"number {literal!r} is not finite")) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == position
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: parse("1e300 1e300 v"),
+        lambda: parse("1e308 u + 1e308 u"),
+        lambda: 1e300 * (1e300 * variable("u")),
+        lambda: NCPoly(((float("nan"), (("u", False),)),)),
+    ],
+)
+def test_polynomial_refuses_a_coefficient_that_is_not_finite(make):
+    # arithmetic on finite literals can still overflow
+    with pytest.raises(PreconditionError, match=r"coefficient \(.*\) is not finite"):
+        make()
+
+
 # --- printing ----------------------------------------------------------------
 
 

@@ -35,6 +35,31 @@ def test_every_parameter_is_read():
     assert unread == [], "parameters accepted and then ignored: " + ", ".join(unread)
 
 
+def _unread_locals(path: Path) -> set:
+    """``file:line function(name)`` for every name a function body assigns and
+    never reads, nested functions included; ``_`` is the name for a value
+    thrown away on purpose."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = [n for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)]
+        read = {n.id for n in names if not isinstance(n.ctx, ast.Store)}
+        found |= {
+            f"{path.name}:{n.lineno} {node.name}({n.id})"
+            for n in names
+            if isinstance(n.ctx, ast.Store) and n.id != "_" and n.id not in read
+        }
+    return found
+
+
+def test_every_local_is_read():
+    # a value computed and then never read is work thrown away
+    assert SOURCES
+    unread = sorted(entry for path in SOURCES for entry in _unread_locals(path))
+    assert unread == [], "locals assigned and never read: " + ", ".join(unread)
+
+
 def _imported_packages(path: Path) -> set:
     """Top-level package of every import in a source file, at any depth."""
     found = set()

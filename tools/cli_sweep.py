@@ -187,6 +187,8 @@ def _commands() -> list:
         # a links file of a shape no constructor writes
         ["certify", "--input", "geo-normal.links.json"],
         ["project", "--input", "geo-normal.links.json"],
+        # a bound too large to be a finite float
+        ["relcheck", "--input", "cs-n8.json", "--rel-file", "inf.rel"],
     ]
     for j, argv in enumerate(refused):
         cmds.append([*argv, "--output", f"refused-{j:02d}.out"])
@@ -199,6 +201,7 @@ def _prepare_inputs() -> None:
     Path("bound.rel").write_text("norm(u v - v u) <= 0.1\n", encoding="utf-8")
     Path("expr.rel").write_text("u*v - v*u\n", encoding="utf-8")
     Path("cut.rel").write_text("u u' - 1 = 0\nnorm(u v - v u) <=\n", encoding="utf-8")
+    Path("inf.rel").write_text("norm(u v - v u) <= 1e400\n", encoding="utf-8")
     Path("malformed.json").write_text('{"type": "bundle", ', encoding="utf-8")
     eye = cli.encode_matrix([[1.0, 0.0], [0.0, 1.0]])
     Path("assign.json").write_text(

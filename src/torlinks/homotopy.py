@@ -595,9 +595,15 @@ def _normality_bound(seg, s, tol: float) -> tuple:
 
 
 def _norm_bound(seg, s) -> tuple:
+    # only the excess over 1 is stored, which _threshold_norm(m, 1.0) gives
     if isinstance(seg, Flat):
-        return _convex_bound(op_norm(seg.a), op_norm(seg.b), s)
-    return _const_bound(op_norm(seg.base), s)
+        ends = [matcore._threshold_norm(m, 1.0) for m in (seg.a, seg.b)]
+        if max(ends) > 1.0:  # a chord through a settled end would tilt: both exact
+            ends = [op_norm(seg.a), op_norm(seg.b)]
+        return _convex_bound(*ends, s)
+    if isinstance(seg, Conj):
+        return _const_bound(matcore._threshold_norm(seg.base, 1.0), s)
+    return _const_bound(op_norm(seg.base), s)  # weighs the Geo commutator terms
 
 
 def _mode_bound(seg, mode: str, s, tol: float) -> tuple:
@@ -669,8 +675,13 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
     exact op_norm otherwise. Such a cheap term cannot decide a verdict by
     itself: each adds at most 0.1% of the tolerance, so a verdict differs
     from the exact-norm one only when an entry sits that close to its
-    tolerance, and then only from pass to fail. Norms compared with eps or
-    with 1, and norms that multiply other terms, stay exact.
+    tolerance, and then only from pass to fail. Norms compared with eps,
+    and the norms of Geo bases, which multiply other terms, stay exact. Of
+    a norm compared with 1 only the excess over 1 is stored, so the norm of
+    a Conj base is matcore._threshold_norm(base, 1.0), which settles a norm
+    at most 1 by the cheap bound or a Cholesky proof, and so are a Flat's
+    two end norms when neither exceeds 1; every entry reads as with exact
+    norms.
 
     Endpoint errors, exact lengths and Lipschitz constants are recorded too.
     """

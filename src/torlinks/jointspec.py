@@ -89,8 +89,9 @@ class JointSpectrum:
     """Unitary Q and the n x N array of joint eigenvalue points.
 
     ``residual`` is at least max_j ||offdiag(Q* x_j Q)|| (up to rounding) and
-    at most the diagonalization target: it is the cheap norm bound, exact
-    only where that bound misses the target.
+    at most the diagonalization target: it is the cheap norm bound, or the
+    target itself where a Cholesky factorization proves the residual within
+    it, and exact only where neither settles the comparison.
     """
 
     q: np.ndarray

@@ -121,7 +121,16 @@ def op_norm(a) -> float:
     peak = float(np.abs(a).max())
     if not _PEAK_MIN <= peak <= _PEAK_MAX:
         return 0.0 if peak == 0.0 else _scaled_norm(op_norm, a)
-    h = _hermitize(adjoint(a) @ a)
+    return _gram_norm(_gram(a))
+
+
+def _gram(a: np.ndarray) -> np.ndarray:
+    """The hermitized Gram matrix of A*A, whose top eigenvalue is ||A||^2."""
+    return _hermitize(adjoint(a) @ a)
+
+
+def _gram_norm(h: np.ndarray) -> float:
+    """The square root of the top eigenvalue of a Gram matrix ``_gram(a)``."""
     diag = h.diagonal()
     # one off-diagonal entry is probed first, so a dense matrix pays one
     # comparison before its eigensolve
@@ -152,16 +161,74 @@ def _norm_upper_bound(a: np.ndarray) -> float:
     return min(float(np.linalg.norm(mod)), schur) * (1.0 + _BOUND_RTOL)
 
 
+# The rounding allowance r = 32 n^2 u (u = 2^-53) of ``_proves_norm_at_most``,
+# the first stated rounding constant. Let G = A*A, F = _gram(a) its computed
+# form, s = t^2 (1 - r) and g = sqrt(2) n gamma_{n+3} with
+# gamma_k = k u / (1 - k u), the complex form of the real constants in
+# Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
+# sections 3.6 and 10.1:
+# * |F - G| <= sqrt(2) gamma_{n+3} |A|*|A| entrywise, so
+#   ||F - G|| <= g ||A||_F^2 / n <= g ||A||^2;
+# * s I - F rounds each diagonal entry once, an error D with
+#   ||D|| <= u (t^2 + ||F||);
+# * a Cholesky factorization of H = s I - F that runs to completion gives
+#   R*R = H + E with |E| <= sqrt(2) gamma_{n+3} |R*||R|, so
+#   ||E|| <= g ||R||_F^2 / n, and ||R||_F^2 = tr(H + E) is at most about
+#   tr(H) <= n t^2 (LAPACK's blocked factorization obeys a bound of the same
+#   form).
+# H + E is positive semidefinite, so ||A||^2 <= s + ||E|| + ||D|| + ||F - G||
+# <= t^2 (1 - r + g + u) + (g + u) ||A||^2, and ||A|| <= t follows once
+# r >= 2 (g + u). While n^2 u is small, g <= 1.42 n (n + 3) u <= 5.7 n^2 u
+# and 2 (g + u) <= 13.4 n^2 u; the factor 32 leaves more than twice that, so
+# a proven norm also reads op_norm(a) <= t through op_norm's own rounding.
+_CHOLESKY_ROUNDING = 32.0 * 2.0**-53
+
+
+def _proves_norm_at_most(a, t: float) -> tuple[bool, np.ndarray | None]:
+    """(proved, gram): proved is True only when ||A|| <= t.
+
+    The proof is that ``np.linalg.cholesky`` runs to completion on
+    s I - gram, gram = ``_gram(a)``, s = t^2 (1 - r) and
+    r = _CHOLESKY_ROUNDING n^2 (derived above). It is not attempted when A's
+    largest entry modulus lies outside [2^-200, 2^200], and then gram is
+    None; nor when a diagonal entry of gram, a squared column norm, already
+    exceeds s, which fails it at O(n) cost: a unitary never attempts it.
+    Otherwise gram is returned, so that a fallback eigensolve reuses it.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    if not _PEAK_MIN <= float(np.abs(a).max()) <= _PEAK_MAX:
+        return False, None
+    n = a.shape[0]
+    gram = _gram(a)
+    s = t * t * (1.0 - _CHOLESKY_ROUNDING * n * n)
+    if gram.diagonal().real.max() > s:
+        return False, gram
+    shifted = -gram
+    shifted.flat[:: n + 1] += s
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False, gram
+    return True, gram
+
+
 def _threshold_norm(a: np.ndarray, tol: float) -> float:
     """A stand-in for op_norm(a) in the test ``> tol``, without an eigensolve
-    when a cheap bound already settles it.
+    when a cheap bound or a proof already settles it.
 
-    When ``_norm_upper_bound(a)`` is at most ``tol``, it is returned and the
-    test fails as it would on the exact norm. Otherwise the exact op_norm is
-    returned, so a rejection reports the exact value. Never store the result.
+    When ``_norm_upper_bound(a)`` is at most ``tol``, it is returned, and
+    when ``_proves_norm_at_most(a, tol)``, tol is. Otherwise the exact
+    op_norm is returned, taken from the Gram matrix the proof formed, so a
+    rejection reports the exact value. Whether the result exceeds tol, and
+    by how much, reads as on the exact norm; never store the result itself.
     """
     bound = _norm_upper_bound(a)
-    return bound if bound <= tol else op_norm(a)
+    if bound <= tol:
+        return bound
+    proved, gram = _proves_norm_at_most(a, tol)
+    if proved:
+        return tol
+    return op_norm(a) if gram is None else _gram_norm(gram)
 
 
 def _check_within(a: np.ndarray, tol: float, what: str) -> None:
@@ -196,12 +263,19 @@ def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (Q, lam) with unitary Q, eigenvalues ascending, and canonical
-    column phases so that identical input gives identical output.
+    column phases so that identical input gives identical output. A is
+    refused when ||A - A*|| > 1e-10 ||A||. The largest entry modulus, shrunk
+    by _BOUND_RTOL for its rounding, is a lower bound on ||A|| that cannot
+    overflow, so a skew part within 1e-10 of it passes with no eigensolve of
+    A. Only when that stricter test fails is the exact op_norm(a) taken, to
+    decide the refusal and print its message.
     """
     a = as_cmatrix(a)
-    scale = op_norm(a)
-    tol = 1e-10 * max(scale, 1e-300)
-    _check_within(a - adjoint(a), tol, "input is not Hermitian within tolerance: ||A - A*|| =")
+    skew = a - adjoint(a)
+    strict_tol = 1e-10 * float(np.abs(a).max()) * (1.0 - _BOUND_RTOL)
+    if _threshold_norm(skew, strict_tol) > strict_tol:
+        tol = 1e-10 * max(op_norm(a), 1e-300)
+        _check_within(skew, tol, "input is not Hermitian within tolerance: ||A - A*|| =")
     w, q = np.linalg.eigh(_hermitize(a))
     return _canonical_column_phases(q), w
 
@@ -288,9 +362,10 @@ def _simdiag_normal(mats, target, seed, cluster_rtol=CLUSTER_RTOL):
     bases from ``_simdiag`` on the Hermitian parts and accepts the first
     whose off-diagonal residual is within ``target``, raising a
     DiagnosticsError with the smallest residual if none is. Each residual is
-    taken by ``_threshold_norm``, so an accepted one is an upper bound, exact
-    only where the cheap bound misses ``target``; a draw is chosen exactly as
-    by exact norms, which never exceed the bound.
+    taken by ``_threshold_norm``, so an accepted one is an upper bound (the
+    cheap bound, or ``target`` where a Cholesky factorization proves it),
+    exact only where neither settles it; a draw is chosen exactly as by
+    exact norms, which never exceed the bound.
 
     Columns are sorted ascending lexicographically by (Re, Im) of the first
     matrix's eigenvalues, ties broken by later matrices, and carry canonical

@@ -21,6 +21,7 @@ compare operator-norm defects against the bounds plus a slack tolerance.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import reduce
@@ -250,8 +251,8 @@ _TOKEN_RE = re.compile(
       (?P<ws>[ \t\r]+)
     | (?P<comment>\#[^\n]*)
     | (?P<newline>\n)
-    | (?P<cplx>\(\s*(?:(?P<re>[+-]?{_FLOAT})\s*(?P<sign>[+-])\s*(?P<im>{_FLOAT})i
-                       |(?P<imonly>[+-]?{_FLOAT})i)\s*\))
+    | (?P<cplx>\([ \t\r]*(?:(?P<re>[+-]?{_FLOAT})[ \t\r]*(?P<sign>[+-])[ \t\r]*(?P<im>{_FLOAT})i
+                             |(?P<imonly>[+-]?{_FLOAT})i)[ \t\r]*\))
     | (?P<number>{_FLOAT})
     | (?P<le><=)
     | (?P<ident>[a-z][a-z0-9]*)
@@ -377,16 +378,21 @@ def _parse_factor(cur: _Cursor) -> NCPoly:
     return p
 
 
+def _finite_at(tok: _Token, combine, p: NCPoly, q: NCPoly) -> NCPoly:
+    """combine(p, q), refused at ``tok`` when a coefficient overflows."""
+    try:
+        return combine(p, q)
+    except PreconditionError as e:  # NCPoly's refusal of a non-finite coefficient
+        raise ParseError(str(e), tok.line, tok.column) from None
+
+
 def _parse_term(cur: _Cursor) -> NCPoly:
     p = _parse_factor(cur)
-    while (tok := cur.peek()) is not None:
+    while (tok := cur.peek()) is not None and tok.kind in ("star", *_FACTOR_START):
         if tok.kind == "star":
             cur.advance()
-            p = p * _parse_factor(cur)
-        elif tok.kind in _FACTOR_START:
-            p = p * _parse_factor(cur)
-        else:
-            break
+            tok = cur.peek()  # the factor's first token; _parse_factor refuses None
+        p = _finite_at(tok, operator.mul, p, _parse_factor(cur))
     return p
 
 
@@ -401,8 +407,9 @@ def _parse_expr(cur: _Cursor) -> NCPoly:
         p = -p
     while (tok := cur.peek()) is not None and tok.kind in ("plus", "minus"):
         cur.advance()
+        start = cur.peek()
         q = _parse_term(cur)
-        p = p + (-q if tok.kind == "minus" else q)
+        p = _finite_at(start, operator.add, p, -q if tok.kind == "minus" else q)
     return p
 
 

@@ -1483,12 +1483,15 @@ def test_refused_commands_exit_2_with_their_reason(tmp_path, capsys, argv, messa
     "text, reason",
     [
         ("norm(u) <= 1e400\n", "line 1, column 12: number '1e400' is not finite"),
-        ("u u' - 1 = 0\n1e300 1e300 u = 0\n", "coefficient (inf+0j) is not finite"),
+        (
+            "u u' - 1 = 0\n1e300 1e300 u = 0\n",
+            "line 2, column 7: coefficient (inf+0j) is not finite",
+        ),
     ],
 )
 def test_rel_file_refusals_name_the_file(tmp_path, capsys, text, reason):
     # every refusal raised while parsing names the file; a literal too large
-    # to be finite also names its line and column
+    # to be finite, or a product that overflows, also names its line and column
     bundle = _gen(tmp_path, kind="clock_shift", n=4)
     rel, out = tmp_path / "r.rel", tmp_path / "out"
     rel.write_text(text, encoding="utf-8")

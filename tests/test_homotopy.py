@@ -17,6 +17,7 @@ from torlinks.cli import (
     encode_links,
     gen_bundle,
     json_text,
+    main as cli_main,
 )
 from torlinks.homotopy import (
     Conj,
@@ -487,17 +488,21 @@ def test_norm_and_decomposition_budget():
     assert lifted["op_norm"] <= 50
 
     # certify solves only for the norms that stay exact: endpoints, norms
-    # against 1, distances, and defect terms too large for the cheap bound.
-    # With exact defect norms it made 45 / 54 / 60 eigvalsh calls, and 45 on
-    # the lifted bundle; unitary mode sampled its Geo pieces at the grid
-    # points (336 op_norm calls) before that. A bundle in memory keeps the
+    # against 1 that no Cholesky factorization proves (a unitary base's, and
+    # every Geo base's), distances, and defect terms too large for the cheap
+    # bound. With exact defect norms it made 45 / 54 / 60 eigvalsh calls, and
+    # 45 on the lifted bundle; unitary mode sampled its Geo pieces at the
+    # grid points (336 op_norm calls) before that. A bundle in memory keeps the
     # distance samples behind its epsilon_reported, so certify reads them
     # instead of evaluating them again (21 / 21 / 24 eigvalsh calls, as the
     # decoded bundle still makes); toral_links made 24 / 24 / 36 before its
     # joint diagonalization accepted draws on the cheap residual bound. A
     # flat factor that ends on y_j takes its distances from its length
-    # (17 / 15 / 21 in normal and hermitian mode, and 15 on the lift before)
-    budgets = {"normal": (14, 12, 18), "hermitian": (14, 12, 18), "unitary": (26, 12, 24)}
+    # (17 / 15 / 21 in normal and hermitian mode, and 15 on the lift before).
+    # Proving the other norms against 1 took certify from 12 / 12 / 12 to
+    # 3 / 3 / 12, the decoded bundle's from 18 / 18 / 24 to 9 / 9 / 24, the
+    # lift's from 12 to 3, and toral_links from 14 / 14 / 26 to 13 / 13 / 22
+    budgets = {"normal": (13, 3, 9), "hermitian": (13, 3, 9), "unitary": (22, 12, 24)}
     for mode, (link_budget, cert_budget, decoded_budget) in budgets.items():
         art = gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0, mode=mode)
         loaded = decode_bundle(art, "mem")
@@ -514,7 +519,7 @@ def test_norm_and_decomposition_budget():
         assert json_text(encode_certificate(recert)) == json_text(encode_certificate(cert))
     cert, checked = _matcore_calls(certify, lifted_bundle, lifted_bundle.epsilon_reported)
     assert cert.passed
-    assert checked["eigvalsh"] <= 12
+    assert checked["eigvalsh"] <= 3
 
 
 def test_matching_and_diagonalization_budget():
@@ -559,18 +564,18 @@ def test_path_refuses_segments_of_different_sizes():
         MatrixPath([Flat(np.zeros((3, 3)), np.eye(3)), Flat(np.eye(2), np.zeros((2, 2)))])
 
 
-def test_input_checks_solve_only_where_a_bound_fails():
+def test_input_checks_solve_only_where_a_bound_fails(tmp_path):
     # a clock/shift pair is monomial and unitary: its normality and
     # contraction checks pass on Schur's bound, and nothing is solved
     cs = clock_shift(64)
     _, calls = _matcore_calls(NormalTuple, [cs.omega, cs.sigma], commutation_tol=np.inf)
     assert calls["eigvalsh"] == 0
-    # a dense commuting tuple has Frobenius and Schur bounds above 1, so only
-    # its N contraction checks fall back to the exact norm
+    # a dense commuting tuple has Frobenius and Schur bounds above 1, so its
+    # N contraction checks are proven by Cholesky (3 eigensolves before)
     art = gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0)
     mats = [np.array(m) for m in decode_bundle(art, "mem")["x"].mats]
     _, calls = _matcore_calls(NormalTuple, mats)
-    assert calls["eigvalsh"] <= 3
+    assert calls["eigvalsh"] == 0
     # bott_index solves only for the spectrum of e(u, v): the scale ||Sigma||
     # of normal_eig(v) and the stored defect ||[u, v]|| have diagonal Gram
     # matrices, and its unitarity and normality checks pass on the cheap
@@ -584,9 +589,10 @@ def test_input_checks_solve_only_where_a_bound_fails():
         _, calls = _matcore_calls(membership, assignment, rset)
         assert calls["op_norm"] == 5
         assert calls["eigvalsh"] == 0
-    # a dense bundle's norms all go to the eigensolver, as they did before
-    # the diagonal Gram shortcut
-    counts = {"within": (14, 12), "generic": (26, 12)}
+    # a dense bundle's stored norms go to the eigensolver; its shared H is
+    # Hermitian, so herm_eig takes no scale (14 / 26 before), and the norms
+    # certify compares with 1 are proven (12 before)
+    counts = {"within": (13, 3), "generic": (25, 3)}
     for perturb, (link_solves, cert_solves) in counts.items():
         art = gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0, perturb=perturb)
         loaded = decode_bundle(art, "mem")
@@ -594,6 +600,31 @@ def test_input_checks_solve_only_where_a_bound_fails():
         assert built["eigvalsh"] == built["op_norm"] == link_solves
         _, checked = _matcore_calls(certify, bundle, bundle.epsilon_reported)
         assert checked["eigvalsh"] == cert_solves
+    # n = 64, N = 3 `within`, call by call, and a whole gen -> link -> certify
+    # through the CLI (63 eigensolves before; 9, 14, 12, 7 and 18 by call)
+    art = json.loads(json_text(gen_bundle("commuting_pair", 64, N=3, delta=1e-2, seed=0)))
+    loaded, calls = _matcore_calls(decode_bundle, art, "mem")
+    assert calls["eigvalsh"] == 3  # the displacements ||x_j - y_j||, which are stored
+    bundle, calls = _matcore_calls(toral_links, loaded["x"], loaded["y"], seed=0)
+    assert calls["eigvalsh"] == 13
+    cert, calls = _matcore_calls(certify, bundle, bundle.epsilon_reported)
+    assert calls["eigvalsh"] == 3
+    decoded, calls = _matcore_calls(decode_links, json.loads(json_text(encode_links(bundle))), "m")
+    assert calls["eigvalsh"] == 6
+    recert, calls = _matcore_calls(certify, decoded, bundle.epsilon_reported)
+    assert calls["eigvalsh"] == 9
+    assert json_text(encode_certificate(recert)) == json_text(encode_certificate(cert))
+    b, c, links, rc = (str(tmp_path / f) for f in ("b.json", "c.json", "l.json", "rc.json"))
+    codes, calls = _matcore_calls(
+        lambda: [
+            cli_main(["gen", "--n", "64", "--N", "3", "--delta", "1e-2", "--perturb", "within",
+                      "--seed", "5", "--output", b]),
+            cli_main(["link", "--input", b, "--output", c, "--links-output", links]),
+            cli_main(["certify", "--input", links, "--output", rc]),
+        ]
+    )
+    assert codes == [0, 0, 0]
+    assert calls["eigvalsh"] == 37
 
 
 def test_path_keeps_the_callers_segments():

@@ -204,7 +204,7 @@ def test_parse_error_at_end_of_input_points_past_the_last_token(text, position):
         ("u = 1e400", "1e400", (1, 5)),
         ("v + (1e400+2i) u", "1e400", (1, 6)),
         ("v + (2-1e400i) u", "1e400", (1, 8)),
-        ("v + (\n-1e400i) u", "-1e400", (2, 1)),
+        ("v + (\n-1e400i) u", "1e400", (2, 2)),  # no literal spans lines: '(' stands alone
     ],
 )
 def test_parse_refuses_a_number_that_is_not_finite(text, literal, position):
@@ -228,6 +228,33 @@ def test_polynomial_refuses_a_coefficient_that_is_not_finite(make):
     # arithmetic on finite literals can still overflow
     with pytest.raises(PreconditionError, match=r"coefficient \(.*\) is not finite"):
         make()
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("1e300 1e300 v", (1, 7)),
+        ("u u' - 1 = 0\n1e300 1e300 u = 0", (2, 7)),
+        ("u * 1e300 * 1e300", (1, 13)),
+        ("1e308 u + 1e308 u", (1, 11)),
+        ("v = 0\n1e308 u - (-1e308) u = 0", (2, 11)),
+    ],
+)
+def test_parse_refuses_an_overflowing_coefficient_at_its_factor(text, position):
+    # the product or sum that overflows is refused at the factor or term it adds
+    with pytest.raises(ParseError, match=r"coefficient \(.*\) is not finite") as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == position
+
+
+def test_complex_literal_stays_on_its_line():
+    # a newline inside the parentheses ends the relation, so the literal is
+    # refused where its line ends instead of joining the next line
+    with pytest.raises(ParseError, match="expected '\\)', found end of input") as err:
+        parse("u + (1\n+2i) = 0\nv = 0")
+    assert (err.value.line, err.value.column) == (1, 7)
+    rset = parse("u + ( 1\t+ 2i\r) = 0\nv = 0")
+    assert [to_text(r) for r in rset.relations] == ["(1.0+2.0i) + u = 0", "v = 0"]
 
 
 # --- printing ----------------------------------------------------------------

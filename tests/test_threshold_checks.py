@@ -12,10 +12,16 @@ commutator or mode-defect term takes the cheap bound only while the bound,
 times the term's weight, is at most 1e-3 of its tolerance. Hand-built
 bundles put that weighted bound just below and just above the cut, and an
 exact defect at the tolerance itself.
+
+Where the cheap bound misses, ``matcore._proves_norm_at_most`` may still
+prove ||A|| <= t by a Cholesky factorization. A property test puts ||A|| at
+t (1 +- 1e-13) with clustered top singular values and at extreme scales;
+hand-built bundles check that certify's norms against 1 read as exact.
 """
 
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -25,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torlinks import homotopy, matcore
+from torlinks.cli import encode_certificate, json_text
 from torlinks.homotopy import (
     JOIN_TOL,
     CertTolerances,
@@ -269,3 +276,90 @@ def test_certificate_verdict_at_the_tolerance_follows_the_exact_norm(term, side)
     bundle, _, m, weight, tol = _term_case(term, tol * (1.0 + side * 1e-6) / (weight * op_norm(m1)))
     assert (weight * op_norm(m) <= tol) == (side < 0)
     assert certify(bundle, 1.0).passed == (side < 0)
+
+
+# --- norms proven by a Cholesky factorization ---------------------------------
+
+
+def _with_singular_values(top: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """U diag(s) V* for Haar U, V, with s the values ``top`` followed by
+    values uniform below min(top)."""
+    s = np.concatenate([top, min(top) * rng.random(n - len(top))])
+    return (haar_unitary(n, rng) * s) @ adjoint(haar_unitary(n, rng))
+
+
+proofs = st.tuples(
+    st.integers(1, 128),  # n
+    st.sampled_from(["near", "clustered", "margin", "unitary"]),
+    st.sampled_from([-1, 1]),  # ||A|| just below or just above t
+    st.sampled_from([1e-10, 1e-3, 1.0, 1.0 + CONTRACTION_SLACK, 7.5]),  # t
+    st.sampled_from([0, 190, -190, 210, -210]),  # A and t scaled by 2^e, exactly
+    st.integers(0, 2**16),  # seed
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(proofs)
+def test_a_cholesky_proof_bounds_the_norm(case):
+    n, kind, side, t, e, seed = case
+    rng = np.random.default_rng(seed)
+    r = matcore._CHOLESKY_ROUNDING * n * n
+    if kind == "unitary":
+        a = t * haar_unitary(n, rng)
+    elif kind == "margin":  # well inside the allowance r
+        a = _with_singular_values(np.array([t * (1.0 - 8.0 * r)]), n, rng)
+    else:  # one top value, or up to n equal to within 1e-15
+        k = 1 if kind == "near" else int(rng.integers(1, n + 1))
+        top = t * (1.0 + side * 1e-13) * (1.0 - 1e-15 * np.arange(k))
+        a = _with_singular_values(top, n, rng)
+    a, t = matcore._ldexp(a, e), math.ldexp(t, e)
+    with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as factor:
+        proved, gram = matcore._proves_norm_at_most(a, t)
+    if proved:
+        assert op_norm(a) <= t
+    if not 2.0**-200 <= np.abs(a).max() <= 2.0**200:  # outside, op_norm rescales
+        assert not proved and gram is None
+    elif kind == "margin":
+        assert proved
+    if kind == "unitary":  # every column norm is t up to rounding
+        assert factor.call_count == 0
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_the_proof_keeps_its_rounding_allowance(n):
+    # (s / n) J, J the all-ones matrix, has norm s exactly and columns of
+    # norm s / sqrt(n), so the proof is attempted: it must fail within r / 4
+    # of t and succeed 4 r below it
+    r = matcore._CHOLESKY_ROUNDING * n * n
+    for s, proved in ((1.0 - r / 4.0, False), (1.0 - 4.0 * r, True)):
+        a = np.full((n, n), s / n, dtype=np.complex128)
+        assert matcore._proves_norm_at_most(a, 1.0)[0] == proved, s
+
+
+@pytest.mark.parametrize(
+    "norms",
+    [(0.5, 0.9), (0.5, 1.5), (1.5, 0.5), (1.2, 1.5), (1.0, 0.5)],
+    ids=["both-below", "below-then-above", "above-then-below", "both-above", "unitary-start"],
+)
+def test_certify_norms_against_one_read_as_exact(norms, monkeypatch):
+    # a Flat from norm c0 to c1, then a Conj around its end: a norm settled
+    # at most 1 by the cheap bound or a proof enters as that bound, and a
+    # chord through one settled end and one end above 1 would tilt, so every
+    # certificate matches the exact-norm one
+    rng = np.random.default_rng(11)
+    n = 6
+    a, b = (
+        haar_unitary(n, rng) if c == 1.0 else _with_singular_values(np.array([c]), n, rng)
+        for c in norms
+    )
+    h = _hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    flat = Flat(a, b)
+    link = MatrixPath([flat, Conj(h / op_norm(h), flat.end)])
+    bundle = LinkBundle([link], [a], [link.end], 1.0)
+    cert = certify(bundle, 1.0)
+    exact = (1.0 - cert.grid[:51] * 2.0) * norms[0] + cert.grid[:51] * 2.0 * norms[1]
+    assert np.allclose(cert.contraction_excess[0, :51], np.maximum(exact - 1.0, 0.0))
+    with monkeypatch.context() as m:
+        m.setattr(matcore, "_threshold_norm", lambda a, tol: op_norm(a))
+        exact_norms = certify(bundle, 1.0)
+    assert json_text(encode_certificate(cert)) == json_text(encode_certificate(exact_norms))

@@ -79,6 +79,16 @@ MUTANTS = (
         "eps = float(max([exact] + [tree.upper for tree in trees]) + _ROUNDOFF)",
         "eps = float(max([exact] + [tree.upper for tree in trees]))",
     ),
+    (
+        "Cholesky norm proof drops its rounding allowance r",
+        "s = t * t * (1.0 - _CHOLESKY_ROUNDING * n * n)",
+        "s = t * t",
+    ),
+    (
+        "flat norm chord through a single settled end",
+        "if max(ends) > 1.0:  # a chord through a settled end would tilt: both exact",
+        "if False:",
+    ),
 )
 
 

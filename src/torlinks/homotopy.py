@@ -90,7 +90,9 @@ class Flat:
 class _Curved:
     """What Conj and Geo share: ``base`` moved by the unitary group
     exp(i s H), s in [0, 1]. H is decomposed once, and the kind's constant
-    ``_speed`` is the exact arc length."""
+    ``_speed`` is the exact arc length. At s = 0 the segment is ``base``
+    itself, the same object; its end is computed once, on first use, and
+    kept, so a factor built from ``end`` meets this one bit for bit."""
 
     _what: str  # the kind, as the shape error names it
 
@@ -105,6 +107,7 @@ class _Curved:
             raise PreconditionError(f"{self._what} generator and base differ in shape")
         self.n = self.h.shape[0]
         self.length = self._speed()
+        self._end = None  # a copy with another base must not keep the old end
 
     def _same_generator(self, base) -> _Curved:
         """The same kind around this one's H that reuses its eigendecomposition."""
@@ -113,13 +116,22 @@ class _Curved:
         seg._measure()
         return seg
 
+    def value(self, s: float) -> np.ndarray:
+        if s == 0.0:
+            return self.base
+        if s == 1.0:
+            return self.end
+        return self._at(s)
+
     @property
     def start(self) -> np.ndarray:
         return self.value(0.0)
 
     @property
     def end(self) -> np.ndarray:
-        return self.value(1.0)
+        if self._end is None:
+            self._end = self._at(1.0)
+        return self._end
 
 
 @dataclass
@@ -137,7 +149,7 @@ class Conj(_Curved):
     def _acceleration(self) -> np.ndarray:
         return commutator(self.h, commutator(self.h, self.base))
 
-    def value(self, s: float) -> np.ndarray:
+    def _at(self, s: float) -> np.ndarray:
         u = (self._q * np.exp(-1j * s * self._w)) @ adjoint(self._q)
         return u @ self.base @ adjoint(u)
 
@@ -160,7 +172,7 @@ class Geo(_Curved):
     def _acceleration(self) -> np.ndarray:
         return self.base @ self.h @ self.h
 
-    def value(self, s: float) -> np.ndarray:
+    def _at(self, s: float) -> np.ndarray:
         return self.base @ (self._q * np.exp(1j * s * self._w)) @ adjoint(self._q)
 
 
@@ -360,8 +372,10 @@ class _DistanceTree:
     its local coordinate), so on a leaf [a, b] it stays below
     (f(a) + f(b))/2 + L (b - a)/2. Leaves are bisected at their midpoints,
     worst bound first, so the tree depends only on the segment, y and when
-    the caller stops splitting. ``known`` holds values f(s) computed before,
-    which are read instead of evaluated again.
+    the caller stops splitting. ``known`` holds values f(s) computed before
+    (an earlier tree's samples, or a joint's distance, read once for the two
+    segments that meet there; see _joint_distances), which are read instead
+    of evaluated again.
     """
 
     def __init__(self, seg, y: np.ndarray, known: dict | None = None):
@@ -417,12 +431,43 @@ class _DistanceTree:
         return out
 
 
-def _flat_distances(seg: Flat, y: np.ndarray) -> tuple:
-    """||seg.a - y|| and ||seg.b - y||. A flat factor that ends on y has them
-    from its length, ||b - a|| = ||a - b||, with no eigensolve."""
+def _flat_end_distances(seg: Flat, y: np.ndarray) -> dict:
+    """{0: ||a - y||, 1: 0} for a Flat that ends on y, from its length with no
+    eigensolve (||a - y|| = ||-(b - a)|| bit for bit); else nothing."""
     if seg.b is y or np.array_equal(seg.b, y):
-        return seg.length, 0.0
-    return op_norm(seg.a - y), op_norm(seg.b - y)
+        return {0.0: seg.length, 1.0: 0.0}
+    return {}
+
+
+def _joint_distances(link: MatrixPath, y: np.ndarray, samples: dict | None = None) -> list:
+    """For each segment of ``link``, the distances f(s) = ||seg.value(s) - y||
+    known before any tree is split, as {s: f(s)}: the samples ``samples``
+    holds for it (LinkBundle._distance_samples), those of a Flat that ends on
+    y, and one value for each joint where the next segment starts on the
+    previous one's end bit for bit, read from either side or else computed
+    once. A joint that misses by any amount gets a value from each side."""
+    samples = samples or {}
+    known = []
+    for seg in link.segments:
+        kseg, ky, f = samples.get(id(seg), (None, None, None))
+        if kseg is seg and ky is y:
+            known.append(dict(f))
+        else:
+            known.append(_flat_end_distances(seg, y) if isinstance(seg, Flat) else {})
+    for i, (a, b) in enumerate(zip(link.segments, link.segments[1:])):
+        end, start = a.end, b.start
+        if end is start or np.array_equal(end, start):
+            f = known[i].get(1.0, known[i + 1].get(0.0))
+            if f is None:
+                f = op_norm(end - y)
+            known[i][1.0] = known[i + 1][0.0] = f
+    return known
+
+
+def _flat_distances(seg: Flat, y: np.ndarray, known: dict) -> tuple:
+    """||seg.a - y|| and ||seg.b - y||, each read from ``known`` when there."""
+    f0, f1 = known.get(0.0), known.get(1.0)
+    return (op_norm(seg.a - y) if f0 is None else f0, op_norm(seg.b - y) if f1 is None else f1)
 
 
 def _sup_distance(links, y_mats) -> tuple[float, dict]:
@@ -433,6 +478,7 @@ def _sup_distance(links, y_mats) -> tuple[float, dict]:
     of the whole bundle is split until the largest bound is within a factor
     1 + 1e-3 of the largest sampled distance or reaches the depth cap. The
     result includes the _ROUNDOFF allowance, so no computed sample exceeds it.
+    Each exact joint's distance is computed once (_joint_distances).
     certify(bundle, epsilon_reported) repeats a subset of the same bisections,
     so it always passes its distance check. Also returns each tree's samples
     in the form of LinkBundle._distance_samples.
@@ -440,11 +486,11 @@ def _sup_distance(links, y_mats) -> tuple[float, dict]:
     exact = 0.0
     trees = []
     for link, y in zip(links, y_mats):
-        for seg in link.segments:
+        for seg, known in zip(link.segments, _joint_distances(link, y)):
             if isinstance(seg, Flat):
-                exact = max(exact, *_flat_distances(seg, y))
+                exact = max(exact, *_flat_distances(seg, y, known))
             else:
-                trees.append(_DistanceTree(seg, y))
+                trees.append(_DistanceTree(seg, y, known))
     while trees:
         worst = max(trees, key=lambda tree: tree.upper)
         lower = max([exact] + [tree.lower for tree in trees])
@@ -454,21 +500,26 @@ def _sup_distance(links, y_mats) -> tuple[float, dict]:
     return eps, {id(tree._seg): (tree._seg, tree._y, tree._f) for tree in trees}
 
 
-def _link_bundle(curved_parts, starts, y_mats, mode) -> LinkBundle:
+def _link_bundle(curved_parts, y_mats, mode) -> LinkBundle:
     """Links x_j -> y_j: curved factor j, which starts at x_j = its base, then
-    a flat factor from starts[j] to y_j (in unitary mode the unitary geodesic
-    instead, so the path stays unitary), and the measured bundle.
+    a flat factor from that curved factor's end to y_j (in unitary mode the
+    unitary geodesic instead, so the path stays unitary), and the measured
+    bundle. The two factors meet bit for bit, since the flat one starts on
+    the very matrix the curved one ends on.
 
     Degenerate curved factors are dropped only all-or-none, so every link has
-    the one shape that LinkBundle requires.
+    the one shape that LinkBundle requires; when they are dropped, each flat
+    factor starts on the base x_j itself.
     """
+    dropped = all(c.length == 0.0 for c in curved_parts)
+    starts = [c.base if dropped else c.end for c in curved_parts]
     if mode == "unitary":
         flat_parts = [
             Geo(a, principal_log_unitary(adjoint(a) @ b)) for a, b in zip(starts, y_mats)
         ]
     else:
         flat_parts = [Flat(a, b) for a, b in zip(starts, y_mats)]
-    if all(c.length == 0.0 for c in curved_parts):
+    if dropped:
         links = [MatrixPath([f]) for f in flat_parts]
     else:
         links = [MatrixPath([c, f]) for c, f in zip(curved_parts, flat_parts)]
@@ -511,18 +562,20 @@ def toral_links(
 
     The curved factor rotates every x_j by the same one-parameter unitary
     group generated by the branch logarithm of the matching conjugator V, so
-    pairwise commutation is exactly preserved; it ends on the isospectral
-    approximant psi_j = V* x_j V, which already commutes with Y. The flat
-    factor interpolates affinely to y_j (in unitary mode, along the unitary
-    geodesic instead, so the path stays unitary). Zero-length curved factors
-    are dropped, and each link reports its exact length.
+    pairwise commutation is exactly preserved; it starts on x_j itself and
+    ends, up to rounding, on the isospectral approximant psi_j = V* x_j V,
+    which already commutes with Y. The flat factor starts on that computed
+    end, so the factors meet bit for bit, and interpolates affinely to y_j
+    (in unitary mode, along the unitary geodesic instead, so the path stays
+    unitary). Zero-length curved factors are dropped, and then the flat
+    factor starts on x_j; each link reports its exact length.
     """
     matcore._check_tolerance("tol", tol)
     _validate_mode(x, mode, tol, "x")
     _validate_mode(y, mode, tol, "y")
     approx = isospectral_approximant(x, y, seed=seed)
     curved_parts = _conj_family(gap_branch_log(approx.v), x.mats)
-    return _link_bundle(curved_parts, approx.psi, y.mats, mode)
+    return _link_bundle(curved_parts, y.mats, mode)
 
 
 def _const_bound(c: float, s: np.ndarray) -> tuple:
@@ -613,11 +666,10 @@ def _mode_bound(seg, mode: str, s, tol: float) -> tuple:
     return _const_bound(_mode_defect(seg.base, mode, tol), s)
 
 
-def _distance_bound(seg, y: np.ndarray, eps: float, s, samples: dict) -> tuple:
+def _distance_bound(seg, y: np.ndarray, eps: float, s, known: dict) -> tuple:
     if isinstance(seg, Flat):
-        return _convex_bound(*_flat_distances(seg, y), s)
-    known_seg, known_y, known = samples.get(id(seg), (None, None, None))
-    tree = _DistanceTree(seg, y, known if known_seg is seg and known_y is y else None)
+        return _convex_bound(*_flat_distances(seg, y, known), s)
+    tree = _DistanceTree(seg, y, known)
     tree.prove(eps)
     return tree.at(s), tree.upper
 
@@ -668,6 +720,11 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
       tree gave the bundle's epsilon_reported starts from that tree's
       samples, so a bundle in memory and the same bundle decoded get the
       same certificate.
+    * Joints: where a segment starts on the previous one's end bit for bit,
+      the distance there is computed once for both (a Flat that ends on y
+      has it from its length); a joint off by any amount is evaluated on
+      each side (_joint_distances). A curved segment is its base at s = 0,
+      so a constructor's link has endpoint error exactly 0 at t = 0.
 
     Each matrix norm inside a normality, commutator or mode-defect bound
     (_term) is matcore._norm_upper_bound while that bound, times the weight
@@ -711,7 +768,10 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
         sups[key] = max(sups[key], float(top))
         return top
 
-    samples = bundle._distance_samples or {}
+    known = [
+        _joint_distances(link, y, bundle._distance_samples)
+        for link, y in zip(links, bundle.y_mats)
+    ]
     joints = links[0].joints()
     segment_of = np.searchsorted(joints[1:], grid, side="left")
     for i, (t0, t1) in enumerate(zip(joints, joints[1:])):
@@ -722,7 +782,8 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
         for j, seg in enumerate(segs):
             record("normality", j, idx, _normality_bound(seg, s, tols.normality))
             norm_tops.append(record("norm", j, idx, _norm_bound(seg, s)))
-            record("distance", j, idx, _distance_bound(seg, bundle.y_mats[j], eps, s, samples))
+            distance = _distance_bound(seg, bundle.y_mats[j], eps, s, known[j][i])
+            record("distance", j, idx, distance)
             if use_mode:
                 record("mode", j, idx, _mode_bound(seg, bundle.mode, s, tols.mode_defect))
         for p, (j, k) in enumerate(pair_index):
@@ -792,8 +853,7 @@ def ujc_links(x: NormalTuple, y: NormalTuple, w, w_hat) -> LinkBundle:
     else:
         h = principal_log_unitary(adjoint(w_hat) @ w)
 
-    curved = _conj_family(h, x.mats)
-    return _link_bundle(curved, [c.end for c in curved], y.mats, "normal")
+    return _link_bundle(_conj_family(h, x.mats), y.mats, "normal")
 
 
 def project_solid_torus(path: MatrixPath, samples: int = 101) -> np.ndarray:

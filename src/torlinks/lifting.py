@@ -5,7 +5,8 @@ Ad[What_s](x' ⊕ x') for x' = V* x V conjugated by the Hermitian unitary
 What_s = [[0, V], [V*, 0]]. Building the blocks directly keeps the upper-left
 compression of the lift literally equal to x (no floating error), while the
 conjugation form drives the curved factors of the lifted links: the orbit of
-Phi(x_j) under e^{-isH}, with e^{iH} = What_s, ends on iota2(V* x_j V).
+Phi(x_j) under e^{-isH}, with e^{iH} = What_s, ends on iota2(V* x_j V) up to
+rounding.
 """
 
 from __future__ import annotations
@@ -121,9 +122,10 @@ def lifted_links(
 
     The curved factor conjugates Phi(x_j) by e^{-itH} with
     H = (pi/2)(What_s - 1), which is e^{i(1-t)H} iota2(V* x_j V) e^{-i(1-t)H}
-    since e^{iH} = What_s: it starts at Phi(x_j) (t=0, conjugator What_s)
-    and ends at iota2(V* x_j V) (t=1, conjugator 1). A flat factor then
-    lands on iota2(y_j).
+    since e^{iH} = What_s: it starts at Phi(x_j) itself (t=0, conjugator
+    What_s) and ends at iota2(V* x_j V) up to rounding (t=1, conjugator 1).
+    A flat factor then runs from that computed end, bit for bit, to
+    iota2(y_j).
 
     Every report entry is a computed norm or a closed-form bound, never a
     sample: exact compression, the Hermitian-unitary structure of What_s,
@@ -138,8 +140,7 @@ def lifted_links(
     lift = LiftedHom(approx.v)
     x_mats = [lift.apply(xj) for xj in x.mats]
     curved_parts = _conj_family(lift.generator(), x_mats)
-    starts = [iota2(pj) for pj in approx.psi]
-    bundle = _link_bundle(curved_parts, starts, [iota2(yj) for yj in y.mats], "normal")
+    bundle = _link_bundle(curved_parts, [iota2(yj) for yj in y.mats], "normal")
 
     q, w = curved_parts[0]._q, curved_parts[0]._w  # the shared decomposition of H
     v2, eye = lift._v2, np.eye(lift.n)

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from helpers import polygonal_length, stencil_curvature
 
-from torlinks import matcore, spectral_match
+from torlinks import homotopy, matcore, spectral_match
 from torlinks.cli import (
     decode_bundle,
     decode_links,
     encode_certificate,
     encode_links,
+    encode_matrix,
     gen_bundle,
     json_text,
     main as cli_main,
@@ -24,7 +25,9 @@ from torlinks.homotopy import (
     Flat,
     Geo,
     LinkBundle,
+    MODES,
     MatrixPath,
+    _conj_family,
     certify,
     path_curvature,
     project_solid_torus,
@@ -486,6 +489,9 @@ def test_norm_and_decomposition_budget():
     (_, lifted_bundle, _), lifted = _matcore_calls(lifted_links, x, y, seed=0)
     assert lifted["herm_eig"] == 1
     assert lifted["op_norm"] <= 50
+    # its flat factors start on the curved factors' ends, whose distances to
+    # y_j are their lengths (24 eigensolves when they started on iota2(psi_j))
+    assert lifted["eigvalsh"] == 21
 
     # certify solves only for the norms that stay exact: endpoints, norms
     # against 1 that no Cholesky factorization proves (a unitary base's, and
@@ -501,8 +507,12 @@ def test_norm_and_decomposition_budget():
     # (17 / 15 / 21 in normal and hermitian mode, and 15 on the lift before).
     # Proving the other norms against 1 took certify from 12 / 12 / 12 to
     # 3 / 3 / 12, the decoded bundle's from 18 / 18 / 24 to 9 / 9 / 24, the
-    # lift's from 12 to 3, and toral_links from 14 / 14 / 26 to 13 / 13 / 22
-    budgets = {"normal": (13, 3, 9), "hermitian": (13, 3, 9), "unitary": (22, 12, 24)}
+    # lift's from 12 to 3, and toral_links from 14 / 14 / 26 to 13 / 13 / 22.
+    # Exact joints took toral_links to 10 / 10 / 19 (each joint distance is
+    # read once: a flat factor's length, or one norm shared by a Conj and the
+    # Geo after it), certify to 0 / 0 / 9 (a link starts on x_j itself) and
+    # the decoded bundle's to 3 / 3 / 18
+    budgets = {"normal": (10, 0, 3), "hermitian": (10, 0, 3), "unitary": (19, 9, 18)}
     for mode, (link_budget, cert_budget, decoded_budget) in budgets.items():
         art = gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0, mode=mode)
         loaded = decode_bundle(art, "mem")
@@ -519,7 +529,7 @@ def test_norm_and_decomposition_budget():
         assert json_text(encode_certificate(recert)) == json_text(encode_certificate(cert))
     cert, checked = _matcore_calls(certify, lifted_bundle, lifted_bundle.epsilon_reported)
     assert cert.passed
-    assert checked["eigvalsh"] <= 3
+    assert checked["eigvalsh"] == 0  # 3 before exact joints
 
 
 def test_matching_and_diagonalization_budget():
@@ -591,8 +601,9 @@ def test_input_checks_solve_only_where_a_bound_fails(tmp_path):
         assert calls["eigvalsh"] == 0
     # a dense bundle's stored norms go to the eigensolver; its shared H is
     # Hermitian, so herm_eig takes no scale (14 / 26 before), and the norms
-    # certify compares with 1 are proven (12 before)
-    counts = {"within": (13, 3), "generic": (25, 3)}
+    # certify compares with 1 are proven (12 before); exact joints read each
+    # joint distance once and start every link on x_j (13 / 25 and 3 before)
+    counts = {"within": (10, 0), "generic": (22, 0)}
     for perturb, (link_solves, cert_solves) in counts.items():
         art = gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0, perturb=perturb)
         loaded = decode_bundle(art, "mem")
@@ -601,18 +612,19 @@ def test_input_checks_solve_only_where_a_bound_fails(tmp_path):
         _, checked = _matcore_calls(certify, bundle, bundle.epsilon_reported)
         assert checked["eigvalsh"] == cert_solves
     # n = 64, N = 3 `within`, call by call, and a whole gen -> link -> certify
-    # through the CLI (63 eigensolves before; 9, 14, 12, 7 and 18 by call)
+    # through the CLI (63 eigensolves before the Cholesky proofs, with 9, 14,
+    # 12, 7 and 18 by call; 37 before exact joints, with 3, 13, 3, 6 and 9)
     art = json.loads(json_text(gen_bundle("commuting_pair", 64, N=3, delta=1e-2, seed=0)))
     loaded, calls = _matcore_calls(decode_bundle, art, "mem")
     assert calls["eigvalsh"] == 3  # the displacements ||x_j - y_j||, which are stored
     bundle, calls = _matcore_calls(toral_links, loaded["x"], loaded["y"], seed=0)
-    assert calls["eigvalsh"] == 13
+    assert calls["eigvalsh"] == 10
     cert, calls = _matcore_calls(certify, bundle, bundle.epsilon_reported)
-    assert calls["eigvalsh"] == 3
+    assert calls["eigvalsh"] == 0
     decoded, calls = _matcore_calls(decode_links, json.loads(json_text(encode_links(bundle))), "m")
-    assert calls["eigvalsh"] == 6
+    assert calls["eigvalsh"] == 6  # the lengths ||[H, x_j]|| and ||y_j - end_j||
     recert, calls = _matcore_calls(certify, decoded, bundle.epsilon_reported)
-    assert calls["eigvalsh"] == 9
+    assert calls["eigvalsh"] == 3  # the distances ||x_j - y_j||
     assert json_text(encode_certificate(recert)) == json_text(encode_certificate(cert))
     b, c, links, rc = (str(tmp_path / f) for f in ("b.json", "c.json", "l.json", "rc.json"))
     codes, calls = _matcore_calls(
@@ -624,7 +636,19 @@ def test_input_checks_solve_only_where_a_bound_fails(tmp_path):
         ]
     )
     assert codes == [0, 0, 0]
-    assert calls["eigvalsh"] == 37
+    assert calls["eigvalsh"] == 25
+    # gen -> lift at n = 32, N = 2 (24 eigensolves before exact joints)
+    r, lc, ll, lr = (str(tmp_path / f) for f in ("r.json", "lc.json", "ll.json", "lr.json"))
+    codes, calls = _matcore_calls(
+        lambda: [
+            cli_main(["gen", "--n", "32", "--N", "2", "--delta", "1e-2", "--seed", "5",
+                      "--output", r]),
+            cli_main(["lift", "--input", r, "--output", lc, "--links-output", ll,
+                      "--report-output", lr]),
+        ]
+    )
+    assert codes == [0, 0]
+    assert calls["eigvalsh"] == 20
 
 
 def test_path_keeps_the_callers_segments():
@@ -836,25 +860,109 @@ def test_ujc_rejects_antipodal_conjugators():
 
 
 def test_every_builder_starts_its_shared_conjugation_at_x():
-    # toral, lifted and ujc links all run Conj(H, x_j) and then a flat
-    # factor, one H for the whole bundle, so each link starts at its x_j
+    # toral (in every mode), lifted and ujc links all run Conj(H, x_j) and then
+    # a second factor, one H for the whole bundle, so each link starts on x_j
+    # itself, and the second factor starts on the very matrix the conjugation
+    # ends on: certify reads both ends as exact
+    bundles = {}
+    for mode in MODES:
+        loaded = decode_bundle(gen_bundle("commuting_pair", 4, N=2, delta=1e-2, seed=11,
+                                          mode=mode), "mem")
+        bundles[f"toral-{mode}"] = toral_links(loaded["x"], loaded["y"], mode=mode)
     rng = np.random.default_rng(17)
     x, q, diags = _commuting_pair(4, rng)
     y = _perturb_in_basis(q, diags, 1e-2, rng)
     w = _haar_unitary(4, rng)
     k = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     w_hat = w @ _rot((k + adjoint(k)) / op_norm(k + adjoint(k)), 0.05)
-    bundles = {
-        "toral": toral_links(x, y),
-        "lifted": lifted_links(x, y)[1],
-        "ujc": ujc_links(x, y, w, w_hat),
-    }
+    bundles["lifted"] = lifted_links(x, y)[1]
+    bundles["ujc"] = ujc_links(x, y, w, w_hat)
     for name, bundle in bundles.items():
         first = [link.segments[0] for link in bundle.links]
         assert all(isinstance(c, Conj) for c in first), name
         assert all(c.base is xj for c, xj in zip(first, bundle.x_mats)), name
+        assert all(c.value(0.0) is xj for c, xj in zip(first, bundle.x_mats)), name
         assert all(c.h is first[0].h for c in first), name
         assert first[0].length > 0.0, name
+        assert all(link.segments[1].start is c.end for link, c in zip(bundle.links, first)), name
+        cert = certify(bundle, bundle.epsilon_reported)
+        assert (cert.endpoint_errors[:, 0] == 0.0).all(), name
+
+
+def test_each_conj_family_member_caches_its_own_end():
+    rng = np.random.default_rng(19)
+    h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    h = (h + adjoint(h)) / 2
+    bases = [np.diag(rng.standard_normal(3) / 4).astype(complex) for _ in range(3)]
+    family = _conj_family(h, bases)
+    for seg, base in zip(family, bases):
+        assert seg.end is seg.end  # computed once
+        assert np.array_equal(seg.end, Conj(h, base).end)
+        assert seg.value(1.0) is seg.end
+        assert seg.value(0.0) is seg.base
+    # a copy taken after the first end was cached computes its own
+    late = family[0]._same_generator(bases[1])
+    assert np.array_equal(late.end, family[1].end)
+    assert not np.array_equal(late.end, family[0].end)
+
+
+def test_dropped_curved_factors_start_on_x():
+    # at n = 1 and on a diagonal pair whose conjugator is diagonal, every
+    # curved factor has length 0.0: each link is then its flat factor from x_j
+    # itself, never from the curved end (which rounds), and the numbers are
+    # those of the factor from psi_j, which equals x_j bit for bit here
+    pairs = []
+    for mode in ("normal", "hermitian", "unitary"):
+        loaded = decode_bundle(gen_bundle("commuting_pair", 1, N=2, delta=0.3, seed=2,
+                                          mode=mode), "mem")
+        pairs.append((loaded["x"], loaded["y"], mode))
+    x = NormalTuple([np.diag([0.5, -0.25j, 0.1 + 0.2j]), np.diag([0.3, 0.3j, -0.4])])
+    y = NormalTuple([np.diag([0.52, -0.2j, 0.1 + 0.25j]), np.diag([0.31, 0.28j, -0.41])])
+    pairs.append((x, y, "normal"))
+    for x, y, mode in pairs:
+        psi = spectral_match.isospectral_approximant(x, y).psi
+        assert all(np.array_equal(p, xj) for p, xj in zip(psi, x.mats))
+        bundles = [toral_links(x, y, mode=mode), lifted_links(x, y)[1]]
+        for bundle in bundles:
+            assert all(len(link.segments) == 1 for link in bundle.links)
+            assert all(link.start is xj for link, xj in zip(bundle.links, bundle.x_mats))
+            cert = certify(bundle, bundle.epsilon_reported)
+            assert (cert.endpoint_errors[:, 0] == 0.0).all()
+            if bundle.mode != "unitary":  # flat factors, which land on y_j
+                assert (cert.endpoint_errors == 0.0).all()
+                lengths = [op_norm(yj - xj) for xj, yj in zip(bundle.x_mats, bundle.y_mats)]
+                assert bundle.lengths == lengths
+                assert bundle.epsilon_reported == max(lengths) + 1e-12
+    # the diagonal pair, as the parent construction read it
+    for bundle in (toral_links(x, y), lifted_links(x, y)[1]):
+        assert bundle.lengths == [0.04999999999999999, 0.019999999999999962]
+        assert bundle.epsilon_reported == 0.05000000000099999
+
+
+def test_a_joint_off_by_less_than_join_tol_is_read_on_both_sides(monkeypatch):
+    # a hand-edited links file whose second factor starts 1e-10 off the curved
+    # end: the joint is not exact, so its distance is taken on each side, and
+    # the certificate is the one computed with no distance shared at all
+    for mode in ("normal", "unitary"):
+        loaded = decode_bundle(gen_bundle("commuting_pair", 4, N=2, delta=1e-2, seed=12,
+                                          mode=mode), "mem")
+        bundle = toral_links(loaded["x"], loaded["y"], mode=mode)
+        obj = json.loads(json_text(encode_links(bundle)))
+        key = "base" if mode == "unitary" else "a"
+        for link, entry in zip(bundle.links, obj["links"]):
+            obj["matrices"].append(encode_matrix(link.segments[0].end + 1e-10 * np.eye(4)))
+            entry["segments"][1][key] = len(obj["matrices"]) - 1
+        off = decode_links(obj, "off")
+        for link in off.links:
+            gap = op_norm(link.segments[1].start - link.segments[0].end)
+            assert 0.0 < gap < homotopy.JOIN_TOL
+        cert = certify(off, off.epsilon_reported)
+        with monkeypatch.context() as m:
+            m.setattr(homotopy, "_joint_distances", lambda link, y, samples=None: [
+                {} for _ in link.segments
+            ])
+            fresh = certify(off, off.epsilon_reported)
+        assert json_text(encode_certificate(cert)) == json_text(encode_certificate(fresh)), mode
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,20 @@ def test_op_norm_commutes_with_powers_of_two(kind, n, seed, k):
         assert norm == _gram_reference(a)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(NORM_SHAPES),
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((-210, -1, 0, 1, 210)),
+)
+def test_op_norm_of_the_negation_is_bit_for_bit(kind, n, seed, k):
+    # every product in (-A)*(-A) equals that in A*A, so a Flat that ends on y
+    # has ||a - y|| = ||-(b - a)|| from its length; 2^+-210 takes the scaled path
+    a = matcore._ldexp(_norm_shape(kind, n, np.random.default_rng(seed)), k)
+    assert op_norm(-a) == op_norm(a)
+
+
 def test_op_norm_at_extreme_scales():
     # A*A overflows from about 1e154 and underflows below about 1e-162, so
     # each of these norms needs the power-of-two scaling

@@ -6,10 +6,12 @@ OUTDIR must not exist yet. Every command runs in-process through
 ``torlinks.cli.main`` with OUTDIR as the working directory, so each path in
 its argv is relative. In a fixed order, the sweep generates every bundle,
 writes a few hand-made inputs (relation files, an assignment, a malformed
-file, a normal-mode links file holding a geodesic, and bundles edited to
-write Y out in full or to misstate delta), then runs every subcommand on
-every generator kind, mode and perturbation, on the Y = X bundles in both
-forms, and on the refused cases that exit 2.
+file, a normal-mode links file holding a geodesic, a links file whose flat
+factor starts 1e-10 off its conjugation's end, and bundles edited to write Y
+out in full or to misstate delta), then runs every subcommand on every
+generator kind, mode and perturbation, on the Y = X bundles in both forms,
+and on the refused cases that exit 2, and last certifies and projects the
+off-joint links file.
 ``OUTDIR/manifest.jsonl`` gets one JSON line per command: its argv, exit
 code, stdout, stderr and the SHA-256 of each file it was asked to write
 (null if it wrote none).
@@ -31,7 +33,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np  # noqa: E402
+
 from torlinks import cli  # noqa: E402
+from torlinks.homotopy import Conj, Flat, LinkBundle, MatrixPath  # noqa: E402
 
 #: flags whose value is a file the command writes
 OUTPUT_FLAGS = ("--output", "--links-output", "--report-output")
@@ -192,6 +197,9 @@ def _commands() -> list:
     ]
     for j, argv in enumerate(refused):
         cmds.append([*argv, "--output", f"refused-{j:02d}.out"])
+    # a joint that is not exact: its distance is read on both sides
+    cmds.append(["certify", "--input", "off-joint.links.json", "--output", "off-joint.cert.json"])
+    cmds.append(["project", "--input", "off-joint.links.json", "--output", "off-joint.flow.csv"])
     return cmds
 
 
@@ -211,6 +219,14 @@ def _prepare_inputs() -> None:
     links = {"type": "links", "mode": "normal", "epsilon_reported": 1.0, "x": [0], "y": [0],
              "links": [{"segments": [geo]}], "matrices": [eye]}
     Path("geo-normal.links.json").write_text(cli.json_text(links), encoding="utf-8")
+    # a conjugation, then a flat factor that starts 1e-10 (inside JOIN_TOL)
+    # off its end and lands on y
+    x = np.array([[0.4, 0.1], [0.1, -0.2]])
+    y = np.array([[0.45, 0.1j], [-0.1j, -0.25]])
+    conj = Conj(np.array([[0.0, 0.3], [0.3, 0.0]]), x)
+    link = MatrixPath([conj, Flat(conj.end + 1e-10 * np.eye(2), y)])
+    off = LinkBundle([link], [x], [y], epsilon_reported=0.5)
+    Path("off-joint.links.json").write_text(cli.json_text(cli.encode_links(off)), encoding="utf-8")
 
 
 def _derive_inputs() -> None:

@@ -65,6 +65,16 @@ MUTANTS = (
         "if True:",
     ),
     (
+        "joint distance reused without an exact join",
+        "if end is start or np.array_equal(end, start):",
+        "if True:",
+    ),
+    (
+        "Conj.value(0) drops the base shortcut",
+        "if s == 0.0:",
+        "if False:",
+    ),
+    (
         "quadratic bound drops its interior peak",
         "top = max(top, c0 - (c01 - 2.0 * c0) ** 2 / (4.0 * curv))",
         "top = top",

@@ -62,7 +62,7 @@ JOIN_TOL = 1e-9
 
 @dataclass
 class Flat:
-    """Affine segment from ``a`` to ``b``."""
+    """Affine segment from ``a`` to ``b``, which are its values at s = 0 and 1."""
 
     a: np.ndarray
     b: np.ndarray
@@ -76,6 +76,10 @@ class Flat:
         self.length = op_norm(self.b - self.a)
 
     def value(self, s: float) -> np.ndarray:
+        if s == 0.0:
+            return self.a
+        if s == 1.0:
+            return self.b
         return (1.0 - s) * self.a + s * self.b
 
     @property
@@ -217,12 +221,14 @@ class MatrixPath:
         return np.concatenate([[0.0], self._bounds])
 
     def locate(self, t: float) -> tuple[int, float]:
-        """Segment index and local coordinate for clock time t."""
+        """Segment index and local coordinate for clock time t; 1 at a segment's end."""
         if not (-1e-12 <= t <= 1.0 + 1e-12):
             raise PreconditionError(f"path time {t!r} outside [0, 1]")
         t = min(max(t, 0.0), 1.0)
         k = len(self.segments)
         i = int(np.searchsorted(self._bounds, t, side="left"))  # _bounds[-1] is 1.0, so i < k
+        if t == self._bounds[i]:
+            return i, 1.0  # below, (t - i/k) k can miss 1 for k >= 5
         return i, (t - i / k) * k
 
     def value(self, t: float) -> np.ndarray:
@@ -368,14 +374,15 @@ _ROUNDOFF = 1e-12
 class _DistanceTree:
     """Upper bounds on f(s) = ||seg.value(s) - y|| over s in [0, 1].
 
-    f is Lipschitz with constant L = seg.length (the segment's exact speed in
-    its local coordinate), so on a leaf [a, b] it stays below
-    (f(a) + f(b))/2 + L (b - a)/2. Leaves are bisected at their midpoints,
-    worst bound first, so the tree depends only on the segment, y and when
-    the caller stops splitting. ``known`` holds values f(s) computed before
-    (an earlier tree's samples, or a joint's distance, read once for the two
-    segments that meet there; see _joint_distances), which are read instead
-    of evaluated again.
+    Along a Flat f is convex, so its one leaf [0, 1] has the exact bound
+    max(f(0), f(1)) = ``lower`` and is never split. Along a curved segment f
+    is Lipschitz with constant L = seg.length (its exact speed in s), so on a
+    leaf [a, b] it stays below (f(a) + f(b))/2 + L (b - a)/2. Leaves are
+    bisected at their midpoints, worst bound first, so the tree depends only
+    on the segment, y and when the caller stops splitting. ``known`` holds
+    values f(s) computed before (an earlier tree's samples, or a joint's
+    distance, read once for the two segments that meet there; see
+    _joint_distances), which are read instead of evaluated again.
     """
 
     def __init__(self, seg, y: np.ndarray, known: dict | None = None):
@@ -394,7 +401,9 @@ class _DistanceTree:
 
     def _leaf(self, a: float, b: float, depth: int) -> tuple:
         fa, fb = self._value(a), self._value(b)
-        bound = max((fa + fb) / 2.0 + self._seg.length * (b - a) / 2.0, fa, fb)
+        bound = max(fa, fb)
+        if not isinstance(self._seg, Flat):
+            bound = max((fa + fb) / 2.0 + self._seg.length * (b - a) / 2.0, bound)
         return (-bound, a, b, depth)
 
     @property
@@ -420,7 +429,10 @@ class _DistanceTree:
                 break
 
     def at(self, s: np.ndarray) -> np.ndarray:
-        """Bound at each s from its leaf: min(f(a) + L(s - a), f(b) + L(b - s))."""
+        """Bound at each s: along a Flat the chord of f(0) and f(1), else from
+        its leaf, min(f(a) + L(s - a), f(b) + L(b - s))."""
+        if isinstance(self._seg, Flat):
+            return _convex_bound(self._f[0.0], self._f[1.0], s)[0]
         leaves = sorted((a, b) for _, a, b, _ in self._heap)
         starts = [a for a, _ in leaves]
         lip = self._seg.length
@@ -464,39 +476,31 @@ def _joint_distances(link: MatrixPath, y: np.ndarray, samples: dict | None = Non
     return known
 
 
-def _flat_distances(seg: Flat, y: np.ndarray, known: dict) -> tuple:
-    """||seg.a - y|| and ||seg.b - y||, each read from ``known`` when there."""
-    f0, f1 = known.get(0.0), known.get(1.0)
-    return (op_norm(seg.a - y) if f0 is None else f0, op_norm(seg.b - y) if f1 is None else f1)
+def _distance_trees(link: MatrixPath, y: np.ndarray, samples: dict | None = None) -> list:
+    """One _DistanceTree per segment of ``link``, seeded by _joint_distances."""
+    known = _joint_distances(link, y, samples)
+    return [_DistanceTree(seg, y, f) for seg, f in zip(link.segments, known)]
 
 
 def _sup_distance(links, y_mats) -> tuple[float, dict]:
     """Upper bound on max_j sup_t ||link_j(t) - y_j||, tight to about 0.1%.
 
-    Along a Flat segment the distance is convex, so its endpoints give the
-    exact maximum. Every other segment gets a _DistanceTree; the worst leaf
-    of the whole bundle is split until the largest bound is within a factor
-    1 + 1e-3 of the largest sampled distance or reaches the depth cap. The
-    result includes the _ROUNDOFF allowance, so no computed sample exceeds it.
-    Each exact joint's distance is computed once (_joint_distances).
-    certify(bundle, epsilon_reported) repeats a subset of the same bisections,
-    so it always passes its distance check. Also returns each tree's samples
-    in the form of LinkBundle._distance_samples.
+    Every segment gets a _DistanceTree (a Flat's is exact from the start);
+    the worst leaf of the whole bundle is split until the largest bound is
+    within a factor 1 + 1e-3 of the largest sampled distance or reaches the
+    depth cap. The result includes the _ROUNDOFF allowance, so no computed
+    sample exceeds it. Each exact joint's distance is computed once
+    (_joint_distances). certify(bundle, epsilon_reported) repeats a subset
+    of the same bisections, so it always passes its distance check. Also
+    returns each tree's samples in the form of LinkBundle._distance_samples.
     """
-    exact = 0.0
-    trees = []
-    for link, y in zip(links, y_mats):
-        for seg, known in zip(link.segments, _joint_distances(link, y)):
-            if isinstance(seg, Flat):
-                exact = max(exact, *_flat_distances(seg, y, known))
-            else:
-                trees.append(_DistanceTree(seg, y, known))
-    while trees:
+    trees = [tree for link, y in zip(links, y_mats) for tree in _distance_trees(link, y)]
+    while True:
         worst = max(trees, key=lambda tree: tree.upper)
-        lower = max([exact] + [tree.lower for tree in trees])
+        lower = max(tree.lower for tree in trees)
         if worst.upper <= (1.0 + _EPS_RTOL) * lower + _ROUNDOFF or not worst.split():
             break
-    eps = float(max([exact] + [tree.upper for tree in trees]) + _ROUNDOFF)
+    eps = float(max(tree.upper for tree in trees) + _ROUNDOFF)
     return eps, {id(tree._seg): (tree._seg, tree._y, tree._f) for tree in trees}
 
 
@@ -666,14 +670,6 @@ def _mode_bound(seg, mode: str, s, tol: float) -> tuple:
     return _const_bound(_mode_defect(seg.base, mode, tol), s)
 
 
-def _distance_bound(seg, y: np.ndarray, eps: float, s, known: dict) -> tuple:
-    if isinstance(seg, Flat):
-        return _convex_bound(*_flat_distances(seg, y, known), s)
-    tree = _DistanceTree(seg, y, known)
-    tree.prove(eps)
-    return tree.at(s), tree.upper
-
-
 def _commutator_bound(sa, sb, s, norm_a: float, norm_b: float, tol: float) -> tuple:
     """Commutator bound of two segments of one kind whose norms are at most norm_a, norm_b."""
     if isinstance(sa, Conj):  # one generator, so the commutator only rotates
@@ -706,25 +702,26 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
     * Conj: normality, norm and mode defect are those of the base (unitary
       invariance); the links share the generator, so a pair keeps the
       commutator norm of their bases.
-    * Flat: distance, norm and hermiticity defect are convex in s, so they
-      peak at an endpoint; normality and commutators are
+    * Flat: norm and hermiticity defect are convex in s, so they peak at
+      an endpoint; normality and commutators are
       (1-s)^2 C0 + s(1-s) C01 + s^2 C1 and bounded by the same form in the
       norms of the C's.
     * Geo B e^{i s H}: norm and unitarity defect are those of B; normality
       and commutators of two Geo segments follow from
       ||[e^{i s H}, M]|| <= s ||[H, M]|| with s <= 1.
-    * Distance along Conj and Geo: Lipschitz bisection (_DistanceTree) until
-      every leaf is within eps; a leaf left above eps at the depth cap
-      fails the check. The largest leaf bound is the segment's supremum,
+    * Distance: one _DistanceTree per segment. A Flat's is exact, the
+      distance being convex in s; along Conj and Geo it bisects by Lipschitz
+      until every leaf is within eps, and a leaf left above eps at the depth
+      cap fails the check. The largest leaf bound is the segment's supremum,
       refined only until it settles the comparison with eps. A segment whose
-      tree gave the bundle's epsilon_reported starts from that tree's
-      samples, so a bundle in memory and the same bundle decoded get the
-      same certificate.
+      tree was sampled for epsilon_reported starts from its samples, so a
+      bundle in memory and the same bundle decoded get the same certificate.
     * Joints: where a segment starts on the previous one's end bit for bit,
       the distance there is computed once for both (a Flat that ends on y
       has it from its length); a joint off by any amount is evaluated on
       each side (_joint_distances). A curved segment is its base at s = 0,
-      so a constructor's link has endpoint error exactly 0 at t = 0.
+      so a constructor's link has endpoint error exactly 0 at t = 0. The
+      endpoint error at t = 1 is the last segment's f(1), read off its tree.
 
     Each matrix norm inside a normality, commutator or mode-defect bound
     (_term) is matcore._norm_upper_bound while that bound, times the weight
@@ -750,12 +747,6 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
     count = len(links)
     grid = np.linspace(0.0, 1.0, m)
 
-    endpoint_errors = np.array(
-        [
-            [op_norm(link.value(0.0) - x0), op_norm(link.value(1.0) - y1)]
-            for link, x0, y1 in zip(links, bundle.x_mats, bundle.y_mats)
-        ]
-    )
     use_mode = bundle.mode in ("hermitian", "unitary")
     pair_index = [(j, k) for j in range(count) for k in range(j + 1, count)]
     tables = {key: np.empty((count, m)) for key in ("normality", "norm", "distance", "mode")}
@@ -768,10 +759,10 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
         sups[key] = max(sups[key], float(top))
         return top
 
-    known = [
-        _joint_distances(link, y, bundle._distance_samples)
-        for link, y in zip(links, bundle.y_mats)
-    ]
+    samples = bundle._distance_samples
+    trees = [_distance_trees(link, y, samples) for link, y in zip(links, bundle.y_mats)]
+    starts = [op_norm(link.start - x) for link, x in zip(links, bundle.x_mats)]
+    endpoint_errors = np.column_stack([starts, [link_trees[-1]._f[1.0] for link_trees in trees]])
     joints = links[0].joints()
     segment_of = np.searchsorted(joints[1:], grid, side="left")
     for i, (t0, t1) in enumerate(zip(joints, joints[1:])):
@@ -782,8 +773,9 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
         for j, seg in enumerate(segs):
             record("normality", j, idx, _normality_bound(seg, s, tols.normality))
             norm_tops.append(record("norm", j, idx, _norm_bound(seg, s)))
-            distance = _distance_bound(seg, bundle.y_mats[j], eps, s, known[j][i])
-            record("distance", j, idx, distance)
+            tree = trees[j][i]
+            tree.prove(eps)
+            record("distance", j, idx, (tree.at(s), tree.upper))
             if use_mode:
                 record("mode", j, idx, _mode_bound(seg, bundle.mode, s, tols.mode_defect))
         for p, (j, k) in enumerate(pair_index):

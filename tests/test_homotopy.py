@@ -511,8 +511,10 @@ def test_norm_and_decomposition_budget():
     # Exact joints took toral_links to 10 / 10 / 19 (each joint distance is
     # read once: a flat factor's length, or one norm shared by a Conj and the
     # Geo after it), certify to 0 / 0 / 9 (a link starts on x_j itself) and
-    # the decoded bundle's to 3 / 3 / 18
-    budgets = {"normal": (10, 0, 3), "hermitian": (10, 0, 3), "unitary": (19, 9, 18)}
+    # the decoded bundle's to 3 / 3 / 18. Reading the endpoint error at t = 1
+    # from the last segment's distance tree took unitary certify from 9 to 6
+    # and the decoded bundle's from 18 to 15
+    budgets = {"normal": (10, 0, 3), "hermitian": (10, 0, 3), "unitary": (19, 6, 15)}
     for mode, (link_budget, cert_budget, decoded_budget) in budgets.items():
         art = gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0, mode=mode)
         loaded = decode_bundle(art, "mem")
@@ -660,6 +662,34 @@ def test_path_keeps_the_callers_segments():
     # each of the k = 2 segments runs for 1/2 of the clock
     assert path.locate(0.75) == (1, 0.5)
     assert path.max_speed() == 2 * max(seg.length for seg in segs)
+
+
+def test_locate_is_exact_at_every_segment_end():
+    # (t - i/k) k rounds off 1 at some joints once k >= 5 (k = 5, t = 1 gave
+    # s = 0.9999999999999998), so value(t) evaluated a curved piece next to
+    # its cached end
+    h = np.array([[0.3, 0.1j], [-0.1j, -0.2]])
+    for k in range(1, 13):
+        segs = [Conj(h, np.array([[0.4, 0.1], [0.1, -0.2]]))]
+        while len(segs) < k:
+            segs.append(segs[-1]._same_generator(segs[-1].end))
+        path = MatrixPath(segs)
+        for i, t in enumerate(path.joints()[1:]):
+            assert path.locate(t) == (i, 1.0), (k, i)
+            assert path.value(t) is path.segments[i].end, (k, i)
+
+
+def test_five_flats_ending_on_y_have_endpoint_error_zero():
+    # the endpoint error at t = 1 is the last Flat's distance at s = 1, and
+    # that Flat ends on y; read off value(1.0) at s = 1 - 2^-52, it was 1.5e-16
+    rng = np.random.default_rng(23)
+    points = [rng.uniform(-0.25, 0.25, (3, 3)) + 1j * rng.uniform(-0.25, 0.25, (3, 3))
+              for _ in range(6)]
+    link = MatrixPath([Flat(a, b) for a, b in zip(points, points[1:])])
+    assert link.value(1.0) is link.segments[-1].b
+    bundle = LinkBundle([link], [points[0]], [points[-1]], epsilon_reported=1.0)
+    cert = certify(bundle, 1.0)
+    assert (cert.endpoint_errors == 0.0).all()
 
 
 def test_bundle_refuses_links_with_different_segment_counts():

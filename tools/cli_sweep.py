@@ -7,11 +7,11 @@ OUTDIR must not exist yet. Every command runs in-process through
 its argv is relative. In a fixed order, the sweep generates every bundle,
 writes a few hand-made inputs (relation files, an assignment, a malformed
 file, a normal-mode links file holding a geodesic, a links file whose flat
-factor starts 1e-10 off its conjugation's end, and bundles edited to write Y
-out in full or to misstate delta), then runs every subcommand on every
-generator kind, mode and perturbation, on the Y = X bundles in both forms,
-and on the refused cases that exit 2, and last certifies and projects the
-off-joint links file.
+factor starts 1e-10 off its conjugation's end, a five-segment links file,
+and bundles edited to write Y out in full or to misstate delta), then runs
+every subcommand on every generator kind, mode and perturbation, on the
+Y = X bundles in both forms, and on the refused cases that exit 2, and last
+certifies and projects the off-joint and the five-segment links files.
 ``OUTDIR/manifest.jsonl`` gets one JSON line per command: its argv, exit
 code, stdout, stderr and the SHA-256 of each file it was asked to write
 (null if it wrote none).
@@ -200,6 +200,9 @@ def _commands() -> list:
     # a joint that is not exact: its distance is read on both sides
     cmds.append(["certify", "--input", "off-joint.links.json", "--output", "off-joint.cert.json"])
     cmds.append(["project", "--input", "off-joint.links.json", "--output", "off-joint.flow.csv"])
+    # five segments, so the clock's joints sit at multiples of 1/5
+    cmds.append(["certify", "--input", "chain.links.json", "--output", "chain.cert.json"])
+    cmds.append(["project", "--input", "chain.links.json", "--output", "chain.flow.csv"])
     return cmds
 
 
@@ -227,6 +230,14 @@ def _prepare_inputs() -> None:
     link = MatrixPath([conj, Flat(conj.end + 1e-10 * np.eye(2), y)])
     off = LinkBundle([link], [x], [y], epsilon_reported=0.5)
     Path("off-joint.links.json").write_text(cli.json_text(cli.encode_links(off)), encoding="utf-8")
+    # four conjugations, each starting on the previous one's end, then a flat
+    # factor to y
+    segs = [conj]
+    while len(segs) < 4:
+        segs.append(Conj(segs[-1].h, segs[-1].end))
+    segs.append(Flat(segs[-1].end, y))
+    chain = LinkBundle([MatrixPath(segs)], [x], [y], epsilon_reported=1.0)
+    Path("chain.links.json").write_text(cli.json_text(cli.encode_links(chain)), encoding="utf-8")
 
 
 def _derive_inputs() -> None:

@@ -51,8 +51,13 @@ MUTANTS = (
     ),
     (
         "distance leaf halves its Lipschitz slack",
-        "bound = max((fa + fb) / 2.0 + self._seg.length * (b - a) / 2.0, fa, fb)",
-        "bound = max((fa + fb) / 2.0 + self._seg.length * (b - a) / 4.0, fa, fb)",
+        "bound = max((fa + fb) / 2.0 + self._seg.length * (b - a) / 2.0, bound)",
+        "bound = max((fa + fb) / 2.0 + self._seg.length * (b - a) / 4.0, bound)",
+    ),
+    (
+        "flat distance leaf takes the smaller end",
+        "bound = max(fa, fb)",
+        "bound = min(fa, fb)",
     ),
     (
         "distance at() halves its slope",
@@ -71,8 +76,8 @@ MUTANTS = (
     ),
     (
         "Conj.value(0) drops the base shortcut",
-        "if s == 0.0:",
-        "if False:",
+        "return self.base",
+        "return self._at(0.0)",
     ),
     (
         "quadratic bound drops its interior peak",
@@ -86,8 +91,8 @@ MUTANTS = (
     ),
     (
         "epsilon_reported drops its rounding allowance",
-        "eps = float(max([exact] + [tree.upper for tree in trees]) + _ROUNDOFF)",
-        "eps = float(max([exact] + [tree.upper for tree in trees]))",
+        "eps = float(max(tree.upper for tree in trees) + _ROUNDOFF)",
+        "eps = float(max(tree.upper for tree in trees))",
     ),
     (
         "Cholesky norm proof drops its rounding allowance r",

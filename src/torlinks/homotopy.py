@@ -511,11 +511,11 @@ def _link_bundle(curved_parts, y_mats, mode) -> LinkBundle:
     bundle. The two factors meet bit for bit, since the flat one starts on
     the very matrix the curved one ends on.
 
-    Degenerate curved factors are dropped only all-or-none, so every link has
-    the one shape that LinkBundle requires; when they are dropped, each flat
-    factor starts on the base x_j itself.
+    Curved factors of length at most JOIN_TOL are dropped, all or none, so
+    every link has the one shape that LinkBundle requires; each flat factor
+    then starts on x_j, within a joint's gap JOIN_TOL of the curved end.
     """
-    dropped = all(c.length == 0.0 for c in curved_parts)
+    dropped = all(c.length <= JOIN_TOL for c in curved_parts)
     starts = [c.base if dropped else c.end for c in curved_parts]
     if mode == "unitary":
         flat_parts = [
@@ -571,8 +571,8 @@ def toral_links(
     which already commutes with Y. The flat factor starts on that computed
     end, so the factors meet bit for bit, and interpolates affinely to y_j
     (in unitary mode, along the unitary geodesic instead, so the path stays
-    unitary). Zero-length curved factors are dropped, and then the flat
-    factor starts on x_j; each link reports its exact length.
+    unitary). Curved factors of length at most JOIN_TOL are dropped, and then
+    the flat factor starts on x_j; each link reports its exact length.
     """
     matcore._check_tolerance("tol", tol)
     _validate_mode(x, mode, tol, "x")
@@ -829,9 +829,9 @@ def ujc_links(x: NormalTuple, y: NormalTuple, w, w_hat) -> LinkBundle:
 
     The curved factor conjugates all of X by exp(-i t H) with H = log Z
     (principal branch, well defined since ||1 - Z|| < 1), which preserves
-    commutation exactly; a flat factor then lands on Y. When W equals What,
-    Z is exactly 1 and H exactly 0, so the curved factors have length 0.0
-    and only the flat factors remain.
+    commutation exactly; a flat factor then lands on Y. Curved factors of
+    length at most JOIN_TOL are dropped and only the flat factors remain, as
+    when W equals What: Z is then exactly 1 and H exactly 0.
     """
     w = as_cmatrix(w)
     w_hat = as_cmatrix(w_hat)

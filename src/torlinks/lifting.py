@@ -125,7 +125,8 @@ def lifted_links(
     since e^{iH} = What_s: it starts at Phi(x_j) itself (t=0, conjugator
     What_s) and ends at iota2(V* x_j V) up to rounding (t=1, conjugator 1).
     A flat factor then runs from that computed end, bit for bit, to
-    iota2(y_j).
+    iota2(y_j). Curved factors of length at most JOIN_TOL are dropped; the
+    flat factors then start on Phi(x_j).
 
     Every report entry is a computed norm or a closed-form bound, never a
     sample: exact compression, the Hermitian-unitary structure of What_s,

@@ -12,6 +12,7 @@ warm start), whose duals let it re-solve only what a step changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,11 +39,16 @@ class Matching:
 
 @dataclass
 class Approximant:
-    """Unitary V with psi_j = V* x_j V, and the matching it realizes."""
+    """Unitary V with psi_j = V* x_j V, and the matching it realizes; the
+    psi_j are formed on first use and kept."""
 
     v: np.ndarray
-    psi: list[np.ndarray]
+    x_mats: list[np.ndarray]
     matching: Matching
+
+    @cached_property
+    def psi(self) -> list[np.ndarray]:
+        return [adjoint(self.v) @ m @ self.v for m in self.x_mats]
 
 
 def spectral_cost_matrix(points_x: np.ndarray, points_y: np.ndarray) -> np.ndarray:
@@ -271,5 +277,4 @@ def isospectral_approximant(
     p = np.zeros((n, n), dtype=np.complex128)
     p[np.arange(n), matching.tau] = 1.0
     v = jx.q @ p @ adjoint(jy.q)
-    psi = [adjoint(v) @ m @ v for m in x.mats]
-    return Approximant(v=v, psi=psi, matching=matching)
+    return Approximant(v=v, x_mats=x.mats, matching=matching)

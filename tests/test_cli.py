@@ -538,7 +538,7 @@ _MALFORMED_LINKS = {
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED_LINKS))
 def test_malformed_links_artifact_exits_2(tmp_path, capsys, case):
-    bundle = _gen(tmp_path, n=3, N=2, delta=1e-3, seed=4)
+    bundle = _gen(tmp_path, n=3, N=2, delta=1e-3, seed=4, perturb="generic")
     links = tmp_path / "links.json"
     cert = tmp_path / "cert.json"
     argv = ["link", "--input", bundle, "--output", str(cert), "--links-output", str(links)]
@@ -673,7 +673,7 @@ def test_certificate_keys_are_its_fields():
 
 
 def test_links_and_certificate_decode_encode_identity(tmp_path):
-    bundle = _gen(tmp_path, n=4, N=2, delta=1e-3, seed=9, mode="hermitian")
+    bundle = _gen(tmp_path, n=4, N=2, delta=1e-3, seed=9, mode="hermitian", perturb="generic")
     links = tmp_path / "links.json"
     cert = tmp_path / "cert.json"
     main(["link", "--input", bundle, "--output", str(cert), "--links-output", str(links)])
@@ -688,7 +688,8 @@ def test_links_and_certificate_decode_encode_identity(tmp_path):
     # n = 16, N = 3, normal mode: x, y, the shared H and the approximants
     # psi_j are the 3N + 1 distinct matrices; the conjugation bases are the x_j
     # and the flat ends the y_j (19 matrix objects when each slot held one)
-    loaded = decode_bundle(gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0), "mem")
+    art = gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0, perturb="generic")
+    loaded = decode_bundle(art, "mem")
     links_text = json_text(encode_links(toral_links(loaded["x"], loaded["y"], seed=0)))
     obj = json.loads(links_text)
     assert len(obj["matrices"]) == 10
@@ -1021,7 +1022,7 @@ def _payload_mutations(text: str):
 
 
 def test_mutated_artifacts_never_raise(tmp_path, capsys):
-    bundle = _gen(tmp_path, n=3, N=2, delta=1e-3, seed=0)
+    bundle = _gen(tmp_path, n=3, N=2, delta=1e-3, seed=0, perturb="generic")
     links = tmp_path / "links.json"
     out = str(tmp_path / "out")
     assert main(["link", "--input", bundle, "--output", out, "--links-output", str(links)]) == 0
@@ -1086,7 +1087,14 @@ def test_links_with_entries_near_1e200_exit_with_their_code(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["link", "--input", bundle, "--output", out, "--links-output", str(links)]) == 0
     obj = json.loads(_read(links))
-    seg = next(seg for link in obj["links"] for seg in link["segments"] if seg["kind"] == "conj")
+    assert [len(link["segments"]) for link in obj["links"]] == [1, 1]  # flat from x_j
+    # in front of each flat, a conjugation of x_j around one shared H; the flat
+    # starts on a copy of x_j, as on the conjugation's end when H is 0
+    h = _append_matrix(obj, encode_matrix(np.zeros((3, 3))))
+    for link, x in zip(obj["links"], obj["x"]):
+        link["segments"][0]["a"] = _append_matrix(obj, obj["matrices"][x])
+        link["segments"].insert(0, {"kind": "conj", "h": h, "base": x})
+    seg = _segment(obj, 0, 0)
     cases = [
         ("h", 1e200 * np.eye(3), 0),  # a scalar generator conjugates trivially
         ("h", 1e200 * np.diag([1.0, -1.0, 0.5]), 2),  # the conjugated end misses the next piece

@@ -42,6 +42,7 @@ from torlinks.matcore import (
     adjoint,
     commutator,
     op_norm,
+    principal_log_unitary,
 )
 from torlinks.ncrel import membership, preset
 from torlinks.softtorus import bott_index, clock_shift
@@ -480,7 +481,15 @@ def test_norm_and_decomposition_budget():
     # masked solve that followed it (2 solves before) re-routes nothing
     assert built["solve"] == 1
 
+    # this `within` bundle's curved factors move less than JOIN_TOL and are
+    # dropped, so its links file holds no H; a `generic` one holds one H,
+    # decomposed once on decode
     artifact = json.loads(json_text(encode_links(bundle)))
+    _, decoded = _matcore_calls(decode_links, artifact, "mem")
+    assert decoded["herm_eig"] == 0
+    art = gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0, perturb="generic")
+    loaded = decode_bundle(art, "mem")
+    artifact = json.loads(json_text(encode_links(toral_links(loaded["x"], loaded["y"], seed=0))))
     _, decoded = _matcore_calls(decode_links, artifact, "mem")
     assert decoded["herm_eig"] == 1
     # one decomposition serves the curved factors, e^{iH} = What_s and the
@@ -490,8 +499,9 @@ def test_norm_and_decomposition_budget():
     assert lifted["herm_eig"] == 1
     assert lifted["op_norm"] <= 50
     # its flat factors start on the curved factors' ends, whose distances to
-    # y_j are their lengths (24 eigensolves when they started on iota2(psi_j))
-    assert lifted["eigvalsh"] == 21
+    # y_j are their lengths (24 eigensolves when they started on iota2(psi_j));
+    # 21 before curved factors within JOIN_TOL were dropped
+    assert lifted["eigvalsh"] == 18
 
     # certify solves only for the norms that stay exact: endpoints, norms
     # against 1 that no Cholesky factorization proves (a unitary base's, and
@@ -513,8 +523,10 @@ def test_norm_and_decomposition_budget():
     # Geo after it), certify to 0 / 0 / 9 (a link starts on x_j itself) and
     # the decoded bundle's to 3 / 3 / 18. Reading the endpoint error at t = 1
     # from the last segment's distance tree took unitary certify from 9 to 6
-    # and the decoded bundle's from 18 to 15
-    budgets = {"normal": (10, 0, 3), "hermitian": (10, 0, 3), "unitary": (19, 6, 15)}
+    # and the decoded bundle's from 18 to 15. Dropping the curved factors
+    # within JOIN_TOL, which `within` bundles have, took toral_links to
+    # 7 / 7 / 16, unitary certify to 3 and the decoded bundles' to 0 / 0 / 9
+    budgets = {"normal": (7, 0, 0), "hermitian": (7, 0, 0), "unitary": (16, 3, 9)}
     for mode, (link_budget, cert_budget, decoded_budget) in budgets.items():
         art = gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0, mode=mode)
         loaded = decode_bundle(art, "mem")
@@ -604,8 +616,9 @@ def test_input_checks_solve_only_where_a_bound_fails(tmp_path):
     # a dense bundle's stored norms go to the eigensolver; its shared H is
     # Hermitian, so herm_eig takes no scale (14 / 26 before), and the norms
     # certify compares with 1 are proven (12 before); exact joints read each
-    # joint distance once and start every link on x_j (13 / 25 and 3 before)
-    counts = {"within": (10, 0), "generic": (22, 0)}
+    # joint distance once and start every link on x_j (13 / 25 and 3 before);
+    # `within` links are one flat piece each (10 before)
+    counts = {"within": (7, 0), "generic": (22, 0)}
     for perturb, (link_solves, cert_solves) in counts.items():
         art = gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0, perturb=perturb)
         loaded = decode_bundle(art, "mem")
@@ -613,33 +626,40 @@ def test_input_checks_solve_only_where_a_bound_fails(tmp_path):
         assert built["eigvalsh"] == built["op_norm"] == link_solves
         _, checked = _matcore_calls(certify, bundle, bundle.epsilon_reported)
         assert checked["eigvalsh"] == cert_solves
-    # n = 64, N = 3 `within`, call by call, and a whole gen -> link -> certify
-    # through the CLI (63 eigensolves before the Cholesky proofs, with 9, 14,
-    # 12, 7 and 18 by call; 37 before exact joints, with 3, 13, 3, 6 and 9)
-    art = json.loads(json_text(gen_bundle("commuting_pair", 64, N=3, delta=1e-2, seed=0)))
-    loaded, calls = _matcore_calls(decode_bundle, art, "mem")
-    assert calls["eigvalsh"] == 3  # the displacements ||x_j - y_j||, which are stored
-    bundle, calls = _matcore_calls(toral_links, loaded["x"], loaded["y"], seed=0)
-    assert calls["eigvalsh"] == 10
-    cert, calls = _matcore_calls(certify, bundle, bundle.epsilon_reported)
-    assert calls["eigvalsh"] == 0
-    decoded, calls = _matcore_calls(decode_links, json.loads(json_text(encode_links(bundle))), "m")
-    assert calls["eigvalsh"] == 6  # the lengths ||[H, x_j]|| and ||y_j - end_j||
-    recert, calls = _matcore_calls(certify, decoded, bundle.epsilon_reported)
-    assert calls["eigvalsh"] == 3  # the distances ||x_j - y_j||
-    assert json_text(encode_certificate(recert)) == json_text(encode_certificate(cert))
-    b, c, links, rc = (str(tmp_path / f) for f in ("b.json", "c.json", "l.json", "rc.json"))
-    codes, calls = _matcore_calls(
-        lambda: [
-            cli_main(["gen", "--n", "64", "--N", "3", "--delta", "1e-2", "--perturb", "within",
-                      "--seed", "5", "--output", b]),
-            cli_main(["link", "--input", b, "--output", c, "--links-output", links]),
-            cli_main(["certify", "--input", links, "--output", rc]),
-        ]
-    )
-    assert codes == [0, 0, 0]
-    assert calls["eigvalsh"] == 25
-    # gen -> lift at n = 32, N = 2 (24 eigensolves before exact joints)
+    # n = 64, N = 3, call by call, and a whole gen -> link -> certify through
+    # the CLI. `within` made 63 eigensolves before the Cholesky proofs, with
+    # 9, 14, 12, 7 and 18 by call; 37 before exact joints, with 3, 13, 3, 6
+    # and 9; 25 before its curved factors, within JOIN_TOL, were dropped, with
+    # 3, 10, 0, 6 and 3. `generic` keeps [Conj, Flat] links
+    counts = {"within": ((3, 7, 0, 3, 0), 16), "generic": ((3, 24, 0, 6, 17), 56)}
+    for perturb, (by_call, chain) in counts.items():
+        art = gen_bundle("commuting_pair", 64, N=3, delta=1e-2, seed=0, perturb=perturb)
+        # decode_bundle: the displacements ||x_j - y_j||, which are stored
+        loaded, decode_calls = _matcore_calls(decode_bundle, json.loads(json_text(art)), "mem")
+        bundle, link_calls = _matcore_calls(toral_links, loaded["x"], loaded["y"], seed=0)
+        cert, cert_calls = _matcore_calls(certify, bundle, bundle.epsilon_reported)
+        # decode_links: the lengths ||[H, x_j]|| of the Conj pieces, and
+        # ||y_j - a_j|| of the flat ones
+        artifact = json.loads(json_text(encode_links(bundle)))
+        decoded, links_calls = _matcore_calls(decode_links, artifact, "m")
+        # the distances ||x_j - y_j|| at the start of each Conj piece
+        recert, recert_calls = _matcore_calls(certify, decoded, bundle.epsilon_reported)
+        calls = (decode_calls, link_calls, cert_calls, links_calls, recert_calls)
+        assert tuple(c["eigvalsh"] for c in calls) == by_call, perturb
+        assert json_text(encode_certificate(recert)) == json_text(encode_certificate(cert))
+        b, c, links, rc = (str(tmp_path / f"{perturb}-{f}") for f in ("b", "c", "l", "rc"))
+        codes, calls = _matcore_calls(
+            lambda: [
+                cli_main(["gen", "--n", "64", "--N", "3", "--delta", "1e-2", "--perturb", perturb,
+                          "--seed", "5", "--output", b]),
+                cli_main(["link", "--input", b, "--output", c, "--links-output", links]),
+                cli_main(["certify", "--input", links, "--output", rc]),
+            ]
+        )
+        assert codes == [0, 0, 0]
+        assert calls["eigvalsh"] == chain, perturb
+    # gen -> lift at n = 32, N = 2 (24 eigensolves before exact joints, 20
+    # before the curved factors within JOIN_TOL were dropped)
     r, lc, ll, lr = (str(tmp_path / f) for f in ("r.json", "lc.json", "ll.json", "lr.json"))
     codes, calls = _matcore_calls(
         lambda: [
@@ -650,7 +670,7 @@ def test_input_checks_solve_only_where_a_bound_fails(tmp_path):
         ]
     )
     assert codes == [0, 0]
-    assert calls["eigvalsh"] == 20
+    assert calls["eigvalsh"] == 18
 
 
 def test_path_keeps_the_callers_segments():
@@ -897,7 +917,7 @@ def test_every_builder_starts_its_shared_conjugation_at_x():
     bundles = {}
     for mode in MODES:
         loaded = decode_bundle(gen_bundle("commuting_pair", 4, N=2, delta=1e-2, seed=11,
-                                          mode=mode), "mem")
+                                          mode=mode, perturb="generic"), "mem")
         bundles[f"toral-{mode}"] = toral_links(loaded["x"], loaded["y"], mode=mode)
     rng = np.random.default_rng(17)
     x, q, diags = _commuting_pair(4, rng)
@@ -969,13 +989,79 @@ def test_dropped_curved_factors_start_on_x():
         assert bundle.epsilon_reported == 0.05000000000099999
 
 
+def _small_conjugation(mats, scale, rng):
+    """W and What = W e^{i eps K}, K Hermitian, with eps such that the longest
+    curved factor around H = log(What* W) = -eps K, max_j ||[H, m_j]||, is
+    about ``scale``; and that H."""
+    n = mats[0].shape[0]
+    k = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    k = (k + adjoint(k)) / 2
+    eps = scale / max(op_norm(commutator(k, m)) for m in mats)
+    w = _haar_unitary(n, rng)
+    w_hat = w @ _rot(k, eps)
+    return w, w_hat, principal_log_unitary(adjoint(w_hat) @ w)
+
+
+def test_curved_factors_within_join_tol_are_dropped():
+    # a curved factor no longer than JOIN_TOL ends within JOIN_TOL of x_j, the
+    # gap a path accepts at a joint, so each link is its second factor alone,
+    # from x_j itself; a curved factor just longer keeps [Conj, second factor]
+    rng = np.random.default_rng(23)
+    x, q, diags = _commuting_pair(5, rng)
+    y = _perturb_in_basis(q, diags, 1e-2, rng, rotate=False)
+    u, uq, udiags = _commuting_pair(5, rng, unitary=True)
+    uy = _perturb_in_basis(uq, udiags, 1e-2, rng, rotate=False, unitary=True)
+    for scale, kept in ((0.5 * homotopy.JOIN_TOL, False), (2.0 * homotopy.JOIN_TOL, True)):
+        w, w_hat, h = _small_conjugation(x.mats, scale, rng)
+        _, _, uh = _small_conjugation(u.mats, scale, rng)
+        unitary = homotopy._link_bundle(_conj_family(uh, u.mats), uy.mats, "unitary")
+        bundles = {"normal": (ujc_links(x, y, w, w_hat), h, Flat), "unitary": (unitary, uh, Geo)}
+        for mode, (bundle, gen, second) in bundles.items():
+            longest = max(c.length for c in _conj_family(gen, bundle.x_mats))
+            assert scale / 2 < longest < 2 * scale, (mode, longest)
+            shapes = [[type(seg) for seg in link.segments] for link in bundle.links]
+            if kept:
+                assert shapes == [[Conj, second]] * len(bundle.links), mode
+                for link in bundle.links:
+                    assert link.segments[1].start is link.segments[0].end, mode
+            else:
+                assert shapes == [[second]] * len(bundle.links), mode
+                assert all(link.start is xj for link, xj in zip(bundle.links, bundle.x_mats))
+                if mode == "normal":
+                    lengths = [op_norm(yj - xj) for xj, yj in zip(bundle.x_mats, bundle.y_mats)]
+                    assert bundle.lengths == lengths
+            cert = certify(bundle, bundle.epsilon_reported)
+            assert cert.passed, (mode, scale)
+            assert (cert.endpoint_errors[:, 0] == 0.0).all(), mode
+
+
+def test_lifted_within_links_are_one_flat_piece():
+    # on a `within` bundle whose matching keeps every eigenvalue in place, V
+    # is block diagonal in X's eigenbasis, so the lift's conjugation moves
+    # Phi(x_j) by rounding only: each lifted link is the flat piece from
+    # Phi(x_j) to iota2(y_j)
+    loaded = decode_bundle(gen_bundle("commuting_pair", 8, N=3, delta=1e-2, seed=3), "mem")
+    x, y = loaded["x"], loaded["y"]
+    lift, bundle, report = lifted_links(x, y)
+    curved = _conj_family(lift.generator(), bundle.x_mats)
+    assert 0.0 < max(c.length for c in curved) <= homotopy.JOIN_TOL
+    assert all(
+        [type(seg) for seg in link.segments] == [Flat] and link.start is xj
+        for link, xj in zip(bundle.links, bundle.x_mats)
+    )
+    lengths = [op_norm(yj - xj) for xj, yj in zip(bundle.x_mats, bundle.y_mats)]
+    assert bundle.lengths == lengths
+    assert certify(bundle, bundle.epsilon_reported).passed
+    assert report["kappa_identity_error"] == 0.0
+
+
 def test_a_joint_off_by_less_than_join_tol_is_read_on_both_sides(monkeypatch):
     # a hand-edited links file whose second factor starts 1e-10 off the curved
     # end: the joint is not exact, so its distance is taken on each side, and
     # the certificate is the one computed with no distance shared at all
     for mode in ("normal", "unitary"):
         loaded = decode_bundle(gen_bundle("commuting_pair", 4, N=2, delta=1e-2, seed=12,
-                                          mode=mode), "mem")
+                                          mode=mode, perturb="generic"), "mem")
         bundle = toral_links(loaded["x"], loaded["y"], mode=mode)
         obj = json.loads(json_text(encode_links(bundle)))
         key = "base" if mode == "unitary" else "a"

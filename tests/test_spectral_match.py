@@ -10,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from torlinks import spectral_match
+from torlinks.cli import decode_bundle, gen_bundle
+from torlinks.homotopy import MODES, toral_links
 from torlinks.jointspec import NormalTuple, joint_spectrum
 from torlinks.matcore import PreconditionError, adjoint, commutator, op_norm
 from torlinks.spectral_match import (
@@ -294,6 +297,31 @@ def test_approximant_invariants_random():
             for yk in y.mats:
                 assert op_norm(commutator(pj, yk)) < 1e-8
         assert _psi_distance(a, y) <= a.matching.bottleneck + 1e-9
+
+
+def test_approximants_are_formed_once_on_first_read():
+    rng = np.random.default_rng(35)
+    x, y = _close_tuples(6, 3, 1e-3, rng)
+    a = isospectral_approximant(x, y)
+    assert "psi" not in vars(a)
+    psi = a.psi
+    assert a.psi is psi
+    assert all(np.array_equal(pj, adjoint(a.v) @ xj @ a.v) for pj, xj in zip(psi, x.mats))
+
+
+def test_toral_links_never_form_the_approximants(monkeypatch):
+    # the curved factors start on x_j and are moved by the branch log of V;
+    # no psi_j = V* x_j V is read (2N products each time it was formed)
+    def refuse(self):
+        raise AssertionError("psi formed")
+
+    monkeypatch.setattr(spectral_match.Approximant, "psi", property(refuse))
+    for mode in MODES:
+        for perturb in ("within", "generic"):
+            art = gen_bundle("commuting_pair", 6, N=3, delta=1e-2, seed=1, mode=mode,
+                             perturb=perturb)
+            loaded = decode_bundle(art, "mem")
+            toral_links(loaded["x"], loaded["y"], mode=mode)
 
 
 def test_bottleneck_assign_against_sum_assignment():

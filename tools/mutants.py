@@ -9,12 +9,14 @@ create``, so tracked changes not yet committed are included) into a
 temporary directory; each mutant is applied there on its own and TESTS run
 with ``python -m pytest -x``. A mutant is killed when a test fails and
 survived when all pass. One line per mutant is printed; the exit code is 1
-if any survived.
+if any survived. A run stopped by SIGTERM removes the temporary directory
+too, and exits with 128 + 15.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -100,6 +102,16 @@ MUTANTS = (
         "s = t * t",
     ),
     (
+        "only exactly stationary curved factors are dropped",
+        "dropped = all(c.length <= JOIN_TOL for c in curved_parts)",
+        "dropped = all(c.length == 0.0 for c in curved_parts)",
+    ),
+    (
+        "curved factors shorter than 1 are dropped",
+        "dropped = all(c.length <= JOIN_TOL for c in curved_parts)",
+        "dropped = all(c.length <= 1.0 for c in curved_parts)",
+    ),
+    (
         "flat norm chord through a single settled end",
         "if max(ends) > 1.0:  # a chord through a settled end would tilt: both exact",
         "if False:",
@@ -145,7 +157,12 @@ def _survives(tree: Path, old: str, new: str) -> bool:
     return run.returncode == 0
 
 
+def _stop(signum, frame):
+    raise SystemExit(128 + signum)  # unwinds through the TemporaryDirectory, which removes it
+
+
 def main() -> int:
+    signal.signal(signal.SIGTERM, _stop)
     survivors = 0
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"

@@ -22,12 +22,13 @@ from __future__ import annotations
 import bisect
 import copy
 import heapq
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import matcore
-from .jointspec import NormalTuple
+from .jointspec import CONTRACTION_SLACK, NormalTuple
 from .matcore import (
     PreconditionError,
     adjoint,
@@ -504,7 +505,7 @@ def _sup_distance(links, y_mats) -> tuple[float, dict]:
     return eps, {id(tree._seg): (tree._seg, tree._y, tree._f) for tree in trees}
 
 
-def _link_bundle(curved_parts, y_mats, mode) -> LinkBundle:
+def _link_bundle(x_mats, y_mats, mode, curved_parts=()) -> LinkBundle:
     """Links x_j -> y_j: curved factor j, which starts at x_j = its base, then
     a flat factor from that curved factor's end to y_j (in unitary mode the
     unitary geodesic instead, so the path stays unitary), and the measured
@@ -514,9 +515,11 @@ def _link_bundle(curved_parts, y_mats, mode) -> LinkBundle:
     Curved factors of length at most JOIN_TOL are dropped, all or none, so
     every link has the one shape that LinkBundle requires; each flat factor
     then starts on x_j, within a joint's gap JOIN_TOL of the curved end.
+    With no ``curved_parts`` the caller has proven them that short before
+    building any (toral_links), and each link is its flat factor from x_j.
     """
     dropped = all(c.length <= JOIN_TOL for c in curved_parts)
-    starts = [c.base if dropped else c.end for c in curved_parts]
+    starts = list(x_mats) if dropped else [c.end for c in curved_parts]
     if mode == "unitary":
         flat_parts = [
             Geo(a, principal_log_unitary(adjoint(a) @ b)) for a, b in zip(starts, y_mats)
@@ -530,7 +533,7 @@ def _link_bundle(curved_parts, y_mats, mode) -> LinkBundle:
     eps, samples = _sup_distance(links, y_mats)
     bundle = LinkBundle(
         links=links,
-        x_mats=[c.base for c in curved_parts],
+        x_mats=list(x_mats),
         y_mats=list(y_mats),
         epsilon_reported=eps,
         mode=mode,
@@ -539,11 +542,12 @@ def _link_bundle(curved_parts, y_mats, mode) -> LinkBundle:
     return bundle
 
 
-def _mode_residual(a: np.ndarray, mode: str) -> np.ndarray:
-    """The matrix whose norm is the mode defect of ``a`` (hermitian or unitary)."""
+def _mode_residual(a: np.ndarray, mode: str, ata: np.ndarray | None = None) -> np.ndarray:
+    """The matrix whose norm is the mode defect of ``a`` (hermitian or
+    unitary); ``ata`` is matcore._ata(a) where the caller has formed it."""
     if mode == "hermitian":
         return a - adjoint(a)
-    return adjoint(a) @ a - np.eye(a.shape[0])
+    return (matcore._ata(a) if ata is None else ata) - np.eye(a.shape[0])
 
 
 def _validate_mode(t: NormalTuple, mode: str, tol: float, who: str) -> None:
@@ -553,6 +557,27 @@ def _validate_mode(t: NormalTuple, mode: str, tol: float, who: str) -> None:
         return
     for j, m in enumerate(t.mats):
         matcore._check_within(_mode_residual(m, mode), tol, f"{who}[{j}] has {mode} defect")
+
+
+def _conj_speed_bound(v: np.ndarray) -> float:
+    """An upper bound, from ||V - 1|| and with no eigensolve, on the speed
+    ||[H, x]|| of the conjugation exp(-i s H) x exp(i s H) around
+    H = gap_branch_log(V), V unitary, of every x of norm at most
+    1 + CONTRACTION_SLACK; inf when ||V - 1|| may exceed sqrt(2).
+
+    r = matcore._norm_upper_bound(V - 1) is at least ||V - 1||, and an
+    eigenvalue e^{i phi} of V has |e^{i phi} - 1| = 2 |sin(phi / 2)| <= r.
+    When r <= sqrt(2), every angle lies within theta = 2 arcsin(r / 2) <=
+    pi / 2 of 0, so the largest circular gap of the spectrum holds -1. The
+    cut of gap_branch_log goes there, H is the principal logarithm and
+    ||H|| <= theta, hence ||[H, x]|| <= 2 ||H|| ||x|| <= 2 theta (1 +
+    CONTRACTION_SLACK).
+    """
+    r = matcore._norm_upper_bound(v - np.eye(v.shape[0]))
+    if r > math.sqrt(2.0):
+        return math.inf
+    theta = 2.0 * math.asin(r / 2.0)
+    return 2.0 * theta * (1.0 + CONTRACTION_SLACK)
 
 
 def toral_links(
@@ -565,21 +590,32 @@ def toral_links(
     """Links x_j -> y_j: a shared conjugation factor then a flat factor.
 
     The curved factor rotates every x_j by the same one-parameter unitary
-    group generated by the branch logarithm of the matching conjugator V, so
-    pairwise commutation is exactly preserved; it starts on x_j itself and
-    ends, up to rounding, on the isospectral approximant psi_j = V* x_j V,
-    which already commutes with Y. The flat factor starts on that computed
-    end, so the factors meet bit for bit, and interpolates affinely to y_j
-    (in unitary mode, along the unitary geodesic instead, so the path stays
-    unitary). Curved factors of length at most JOIN_TOL are dropped, and then
-    the flat factor starts on x_j; each link reports its exact length.
+    group generated by the branch logarithm H of the matching conjugator V,
+    so pairwise commutation is exactly preserved; it starts on x_j itself
+    and ends, up to rounding, on the isospectral approximant
+    psi_j = V* x_j V, which already commutes with Y. The flat factor starts
+    on that computed end, so the factors meet bit for bit, and interpolates
+    affinely to y_j (in unitary mode, along the unitary geodesic instead, so
+    the path stays unitary). Curved factors of length at most JOIN_TOL are
+    dropped, and then the flat factor starts on x_j; each link reports its
+    exact length.
+
+    The drop is first decided from ||V - 1|| alone (_conj_speed_bound):
+    when that bound on every speed ||[H, x_j]|| is at most JOIN_TOL / 2, H,
+    its eigendecomposition and the speeds are never formed. The margin 2
+    dwarfs the rounding of a speed computed from H (about 1e-15, chiefly
+    from reducing each angle mod 2 pi), so every bundle dropped this way is
+    one the exact-length rule drops too, with the same links; any other V
+    builds the conjugation and applies that rule.
     """
     matcore._check_tolerance("tol", tol)
     _validate_mode(x, mode, tol, "x")
     _validate_mode(y, mode, tol, "y")
     approx = isospectral_approximant(x, y, seed=seed)
-    curved_parts = _conj_family(gap_branch_log(approx.v), x.mats)
-    return _link_bundle(curved_parts, y.mats, mode)
+    if _conj_speed_bound(approx.v) <= JOIN_TOL / 2.0:
+        matcore._check_unitary(approx.v, 1e-10)  # the refusal gap_branch_log makes first
+        return _link_bundle(x.mats, y.mats, mode)
+    return _link_bundle(x.mats, y.mats, mode, _conj_family(gap_branch_log(approx.v), x.mats))
 
 
 def _const_bound(c: float, s: np.ndarray) -> tuple:
@@ -619,55 +655,68 @@ def _term(m: np.ndarray, tol: float, weight: float = 1.0) -> float:
     return weight * (bound if weight * bound <= _CHEAP_SHARE * tol else op_norm(m))
 
 
-def _flat_form_bound(form, sa: Flat, sb: Flat, s, tol: float) -> tuple:
-    """Bound of F(a(s), b(s)) along two flat segments, for F real-bilinear:
-    F(a(s), b(s)) is
-    (1-s)^2 F(a0, b0) + s(1-s) (F(a0, b1) + F(a1, b0)) + s^2 F(a1, b1)."""
-    terms = (form(sa.a, sb.a), form(sa.a, sb.b) + form(sa.b, sb.a), form(sa.b, sb.b))
-    return _quadratic_bound(*(_term(m, tol) for m in terms), s)
+def _flat_form_terms(form, sa: Flat, sb: Flat, ends: tuple | None = None) -> tuple:
+    """(C0, C01, C1) with F(a(s), b(s)) = (1-s)^2 C0 + s(1-s) C01 + s^2 C1
+    along two flat segments, for F real-bilinear: C0 = F(a0, b0) and
+    C1 = F(a1, b1), or ``ends`` where the caller has formed them, and
+    C01 = F(a0, b1) + F(a1, b0), formed as F(a0 + a1, b0 + b1) - C0 - C1,
+    so that the three take three forms rather than four."""
+    c0, c1 = (form(sa.a, sb.a), form(sa.b, sb.b)) if ends is None else ends
+    c01 = form(sa.a + sa.b, sb.a + sb.b) - c0 - c1
+    return c0, c01, c1
+
+
+def _flat_form_bound(form, sa: Flat, sb: Flat, s, tol: float, ends=None) -> tuple:
+    """Bound of F(a(s), b(s)) along two flat segments (_flat_form_terms)."""
+    return _quadratic_bound(*(_term(m, tol) for m in _flat_form_terms(form, sa, sb, ends)), s)
 
 
 def _normality_form(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return commutator(adjoint(u), v)
 
 
-def _normality(a: np.ndarray, tol: float) -> float:
-    return _term(_normality_form(a, a), tol)
+def _ends(seg) -> tuple:
+    """The matrices that bound a segment's normality, norm and mode defect:
+    a Flat's two ends, a curved segment's base."""
+    return (seg.a, seg.b) if isinstance(seg, Flat) else (seg.base,)
 
 
-def _mode_defect(a: np.ndarray, mode: str, tol: float) -> float:
-    return _term(_mode_residual(a, mode), tol)
+# The bounds below take ``grams``, the products matcore._ata(m) of the
+# matrices m of _ends(seg), which certify forms once per segment.
 
 
-def _normality_bound(seg, s, tol: float) -> tuple:
-    if isinstance(seg, Conj):
-        return _const_bound(_normality(seg.base, tol), s)
+def _normality_bound(seg, grams: list, s, tol: float) -> tuple:
+    defects = [g - m @ adjoint(m) for m, g in zip(_ends(seg), grams)]  # [m*, m]
     if isinstance(seg, Flat):
-        return _flat_form_bound(_normality_form, seg, seg, s, tol)
+        return _flat_form_bound(_normality_form, seg, seg, s, tol, defects)
+    if isinstance(seg, Conj):
+        return _const_bound(_term(defects[0], tol), s)
     # Geo: [a*, a] = e^{-i s H} (B*B) e^{i s H} - BB*, and
     # ||[e^{i s H}, M]|| <= s ||[H, M]|| with s <= 1
-    gram = adjoint(seg.base) @ seg.base
+    (gram,) = grams
     drift = _term(commutator(seg.h, gram), tol)
-    return _const_bound(_normality(seg.base, tol) + drift, s)
+    return _const_bound(_term(defects[0], tol) + drift, s)
 
 
-def _norm_bound(seg, s) -> tuple:
+def _norm_bound(seg, grams: list, s) -> tuple:
     # only the excess over 1 is stored, which _threshold_norm(m, 1.0) gives
     if isinstance(seg, Flat):
-        ends = [matcore._threshold_norm(m, 1.0) for m in (seg.a, seg.b)]
+        ends = [matcore._threshold_norm(m, 1.0, g) for m, g in zip(_ends(seg), grams)]
         if max(ends) > 1.0:  # a chord through a settled end would tilt: both exact
-            ends = [op_norm(seg.a), op_norm(seg.b)]
+            ends = [matcore._op_norm(m, g) for m, g in zip(_ends(seg), grams)]
         return _convex_bound(*ends, s)
     if isinstance(seg, Conj):
-        return _const_bound(matcore._threshold_norm(seg.base, 1.0), s)
-    return _const_bound(op_norm(seg.base), s)  # weighs the Geo commutator terms
+        return _const_bound(matcore._threshold_norm(seg.base, 1.0, grams[0]), s)
+    # exact, since it weighs the Geo commutator terms
+    return _const_bound(matcore._op_norm(seg.base, grams[0]), s)
 
 
-def _mode_bound(seg, mode: str, s, tol: float) -> tuple:
+def _mode_bound(seg, grams: list, mode: str, s, tol: float) -> tuple:
     # a Flat is in hermitian mode; Conj and Geo move the base by unitaries
+    defects = [_term(_mode_residual(m, mode, g), tol) for m, g in zip(_ends(seg), grams)]
     if isinstance(seg, Flat):
-        return _convex_bound(_mode_defect(seg.a, mode, tol), _mode_defect(seg.b, mode, tol), s)
-    return _const_bound(_mode_defect(seg.base, mode, tol), s)
+        return _convex_bound(*defects, s)
+    return _const_bound(defects[0], s)
 
 
 def _commutator_bound(sa, sb, s, norm_a: float, norm_b: float, tol: float) -> tuple:
@@ -705,7 +754,9 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
     * Flat: norm and hermiticity defect are convex in s, so they peak at
       an endpoint; normality and commutators are
       (1-s)^2 C0 + s(1-s) C01 + s^2 C1 and bounded by the same form in the
-      norms of the C's.
+      norms of the C's. C0 and C1 are the form F at the two ends, and the
+      middle term C01 = F(a0, b1) + F(a1, b0) is formed as
+      F(a0 + a1, b0 + b1) - C0 - C1, three forms in all rather than four.
     * Geo B e^{i s H}: norm and unitarity defect are those of B; normality
       and commutators of two Geo segments follow from
       ||[e^{i s H}, M]|| <= s ||[H, M]|| with s <= 1.
@@ -735,7 +786,9 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
     a Conj base is matcore._threshold_norm(base, 1.0), which settles a norm
     at most 1 by the cheap bound or a Cholesky proof, and so are a Flat's
     two end norms when neither exceeds 1; every entry reads as with exact
-    norms.
+    norms. Each Flat end and curved base B has its product B*B formed once
+    (matcore._ata), for its normality term [B*, B], its norm's proof or
+    exact value, a Geo's drift ||[H, B*B]|| and the unitarity defect.
 
     Endpoint errors, exact lengths and Lipschitz constants are recorded too.
     """
@@ -771,13 +824,15 @@ def certify(bundle: LinkBundle, eps: float, grid_points: int = 101) -> Certifica
         segs = [link.segments[i] for link in links]
         norm_tops = []
         for j, seg in enumerate(segs):
-            record("normality", j, idx, _normality_bound(seg, s, tols.normality))
-            norm_tops.append(record("norm", j, idx, _norm_bound(seg, s)))
+            grams = [matcore._ata(m) for m in _ends(seg)]
+            record("normality", j, idx, _normality_bound(seg, grams, s, tols.normality))
+            norm_tops.append(record("norm", j, idx, _norm_bound(seg, grams, s)))
+            if use_mode:
+                record("mode", j, idx, _mode_bound(seg, grams, bundle.mode, s, tols.mode_defect))
+            del grams  # not held through the distance samples
             tree = trees[j][i]
             tree.prove(eps)
             record("distance", j, idx, (tree.at(s), tree.upper))
-            if use_mode:
-                record("mode", j, idx, _mode_bound(seg, bundle.mode, s, tols.mode_defect))
         for p, (j, k) in enumerate(pair_index):
             bound = _commutator_bound(
                 segs[j], segs[k], s, norm_tops[j], norm_tops[k], tols.commutation
@@ -845,7 +900,7 @@ def ujc_links(x: NormalTuple, y: NormalTuple, w, w_hat) -> LinkBundle:
     else:
         h = principal_log_unitary(adjoint(w_hat) @ w)
 
-    return _link_bundle(_conj_family(h, x.mats), y.mats, "normal")
+    return _link_bundle(x.mats, y.mats, "normal", _conj_family(h, x.mats))
 
 
 def project_solid_torus(path: MatrixPath, samples: int = 101) -> np.ndarray:

@@ -56,16 +56,18 @@ class NormalTuple:
         for j, m in enumerate(mats):
             if m.shape[0] != n:
                 raise PreconditionError("all matrices must share one dimension")
+            ata = matcore._ata(m)  # one product for [m*, m] and for the norm's proof
             matcore._check_within(
-                adjoint(m) @ m - m @ adjoint(m),
+                ata - m @ adjoint(m),
                 self.normality_tol,
                 f"matrix {j} has normality defect",
             )
-            nrm = matcore._threshold_norm(m, 1.0 + CONTRACTION_SLACK)
+            nrm = matcore._threshold_norm(m, 1.0 + CONTRACTION_SLACK, ata)
             if nrm > 1.0 + CONTRACTION_SLACK:
                 raise PreconditionError(
                     f"matrix {j} has norm {nrm!r} > 1 + {CONTRACTION_SLACK}"
                 )
+        del ata  # not held through the commutator checks
         for j in range(len(mats) if self.commutation_tol < np.inf else 0):  # no norm exceeds inf
             for k in range(j + 1, len(mats)):
                 matcore._check_within(

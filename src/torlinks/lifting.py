@@ -141,7 +141,7 @@ def lifted_links(
     lift = LiftedHom(approx.v)
     x_mats = [lift.apply(xj) for xj in x.mats]
     curved_parts = _conj_family(lift.generator(), x_mats)
-    bundle = _link_bundle(curved_parts, [iota2(yj) for yj in y.mats], "normal")
+    bundle = _link_bundle(x_mats, [iota2(yj) for yj in y.mats], "normal", curved_parts)
 
     q, w = curved_parts[0]._q, curved_parts[0]._w  # the shared decomposition of H
     v2, eye = lift._v2, np.eye(lift.n)

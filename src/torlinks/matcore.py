@@ -117,16 +117,29 @@ def op_norm(a) -> float:
     exponent of its largest real or imaginary part, and its norm scaled back
     by 2^e, so A*A neither overflows nor underflows.
     """
-    a = as_cmatrix(a)
+    return _op_norm(as_cmatrix(a))
+
+
+def _op_norm(a: np.ndarray, ata: np.ndarray | None = None) -> float:
+    """op_norm of a checked matrix ``a``; ``ata`` is its product ``_ata(a)``
+    where the caller has formed it already. Every exact norm is taken here."""
     peak = float(np.abs(a).max())
     if not _PEAK_MIN <= peak <= _PEAK_MAX:
-        return 0.0 if peak == 0.0 else _scaled_norm(op_norm, a)
-    return _gram_norm(_gram(a))
+        return 0.0 if peak == 0.0 else _scaled_norm(_op_norm, a)
+    return _gram_norm(_gram(a, ata))
 
 
-def _gram(a: np.ndarray) -> np.ndarray:
-    """The hermitized Gram matrix of A*A, whose top eigenvalue is ||A||^2."""
-    return _hermitize(adjoint(a) @ a)
+def _ata(a: np.ndarray) -> np.ndarray:
+    """A*A, the product behind both the Gram matrix of A and its normality
+    defect [A*, A] = A*A - AA*. A caller that needs both forms it once and
+    hands it on: the same product of the same operands, so the same bits."""
+    return adjoint(a) @ a
+
+
+def _gram(a: np.ndarray, ata: np.ndarray | None = None) -> np.ndarray:
+    """The hermitized Gram matrix of A*A, whose top eigenvalue is ||A||^2,
+    formed from ``ata`` = ``_ata(a)`` when the caller has it."""
+    return _hermitize(_ata(a) if ata is None else ata)
 
 
 def _gram_norm(h: np.ndarray) -> float:
@@ -184,11 +197,13 @@ def _norm_upper_bound(a: np.ndarray) -> float:
 _CHOLESKY_ROUNDING = 32.0 * 2.0**-53
 
 
-def _proves_norm_at_most(a, t: float) -> tuple[bool, np.ndarray | None]:
+def _proves_norm_at_most(
+    a, t: float, ata: np.ndarray | None = None
+) -> tuple[bool, np.ndarray | None]:
     """(proved, gram): proved is True only when ||A|| <= t.
 
     The proof is that ``np.linalg.cholesky`` runs to completion on
-    s I - gram, gram = ``_gram(a)``, s = t^2 (1 - r) and
+    s I - gram, gram = ``_gram(a, ata)``, s = t^2 (1 - r) and
     r = _CHOLESKY_ROUNDING n^2 (derived above). It is not attempted when A's
     largest entry modulus lies outside [2^-200, 2^200], and then gram is
     None; nor when a diagonal entry of gram, a squared column norm, already
@@ -199,7 +214,7 @@ def _proves_norm_at_most(a, t: float) -> tuple[bool, np.ndarray | None]:
     if not _PEAK_MIN <= float(np.abs(a).max()) <= _PEAK_MAX:
         return False, None
     n = a.shape[0]
-    gram = _gram(a)
+    gram = _gram(a, ata)
     s = t * t * (1.0 - _CHOLESKY_ROUNDING * n * n)
     if gram.diagonal().real.max() > s:
         return False, gram
@@ -212,20 +227,22 @@ def _proves_norm_at_most(a, t: float) -> tuple[bool, np.ndarray | None]:
     return True, gram
 
 
-def _threshold_norm(a: np.ndarray, tol: float) -> float:
+def _threshold_norm(a: np.ndarray, tol: float, ata: np.ndarray | None = None) -> float:
     """A stand-in for op_norm(a) in the test ``> tol``, without an eigensolve
     when a cheap bound or a proof already settles it.
 
     When ``_norm_upper_bound(a)`` is at most ``tol``, it is returned, and
-    when ``_proves_norm_at_most(a, tol)``, tol is. Otherwise the exact
+    when ``_proves_norm_at_most(a, tol, ata)``, tol is. Otherwise the exact
     op_norm is returned, taken from the Gram matrix the proof formed, so a
     rejection reports the exact value. Whether the result exceeds tol, and
     by how much, reads as on the exact norm; never store the result itself.
+    ``ata`` is ``_ata(a)`` where the caller has formed it; it is read only
+    when the cheap bound does not settle the test.
     """
     bound = _norm_upper_bound(a)
     if bound <= tol:
         return bound
-    proved, gram = _proves_norm_at_most(a, tol)
+    proved, gram = _proves_norm_at_most(a, tol, ata)
     if proved:
         return tol
     return op_norm(a) if gram is None else _gram_norm(gram)
@@ -406,11 +423,13 @@ def normal_eig(a, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """
     _check_tolerance("tol", tol)
     a = as_cmatrix(a)
-    scale = op_norm(a)
+    ata = _ata(a)  # one product for the scale and for [A*, A]
+    scale = _op_norm(a, ata)
     limit = tol * max(scale, 1e-300)
     _check_within(
-        commutator(adjoint(a), a), limit, "matrix is not normal within tolerance: ||[A*, A]|| ="
+        ata - a @ adjoint(a), limit, "matrix is not normal within tolerance: ||[A*, A]|| ="
     )
+    del ata  # not held through the decomposition, whose temporaries set the peak memory
     q, points, _ = _simdiag_normal([a], 10.0 * tol * max(scale, 1e-300), 0)
     return q, points[:, 0]
 
@@ -430,7 +449,7 @@ def _check_count(name: str, value, least: int) -> None:
 
 def _check_unitary(u: np.ndarray, tol: float) -> None:
     _check_within(
-        adjoint(u) @ u - np.eye(u.shape[0]),
+        _ata(u) - np.eye(u.shape[0]),
         tol,
         "matrix is not unitary within tolerance: ||U*U - 1|| =",
     )

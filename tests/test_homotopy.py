@@ -2,12 +2,15 @@ import cProfile
 import functools
 import json
 import logging
+import math
 import pstats
 import re
 
 import numpy as np
 import pytest
 from helpers import polygonal_length, stencil_curvature
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torlinks import homotopy, matcore, spectral_match
 from torlinks.cli import (
@@ -41,12 +44,18 @@ from torlinks.matcore import (
     PreconditionError,
     adjoint,
     commutator,
+    exp_i_herm,
+    gap_branch_log,
     op_norm,
     principal_log_unitary,
 )
 from torlinks.ncrel import membership, preset
 from torlinks.softtorus import bott_index, clock_shift
-from torlinks.spectral_match import bottleneck_assign, spectral_cost_matrix
+from torlinks.spectral_match import (
+    bottleneck_assign,
+    isospectral_approximant,
+    spectral_cost_matrix,
+)
 
 log = logging.getLogger(__name__)
 
@@ -440,31 +449,42 @@ def test_certify_respects_eps_budget():
     assert not certify(bundle, eps=0.1).passed
 
 
-_EIGVALSH_FILE = np.linalg.eigvalsh.__wrapped__.__code__.co_filename
+_LINALG_FILE = np.linalg.eigvalsh.__wrapped__.__code__.co_filename
+
+#: what _matcore_calls counts: name -> (file, function)
+_COUNTED = {
+    "op_norm": (matcore.__file__, "_op_norm"),
+    "herm_eig": (matcore.__file__, "herm_eig"),
+    "ata": (matcore.__file__, "_ata"),
+    "gram": (matcore.__file__, "_gram"),
+    "eigvalsh": (_LINALG_FILE, "eigvalsh"),
+    "eigh": (_LINALG_FILE, "eigh"),
+    "cholesky": (_LINALG_FILE, "cholesky"),
+    "solve": (spectral_match.__file__, "_assign"),
+    "augment": (spectral_match.__file__, "_augment"),
+}
 
 
 def _matcore_calls(fn, *args, **kwargs):
-    """Result of fn and its calls to matcore.op_norm / matcore.herm_eig, to
-    numpy.linalg.eigvalsh, to spectral_match._assign ("solve", a full
-    assignment solve) and to spectral_match._augment ("augment", one
-    augmenting path; "lex_augment" counts those that bottleneck_assign's
-    lexicographic pass makes itself) (cProfile); op_norm of a zero matrix
-    solves nothing."""
+    """Result of fn and its calls (cProfile) to matcore._op_norm ("op_norm",
+    every exact norm: op_norm's and those taken from a product the caller
+    formed; op_norm of a zero matrix solves nothing), matcore.herm_eig,
+    matcore._ata ("ata", one product A*A) and matcore._gram, to
+    numpy.linalg.eigvalsh, eigh and cholesky, to spectral_match._assign
+    ("solve", a full assignment solve) and to spectral_match._augment
+    ("augment", one augmenting path; "lex_augment" counts those that
+    bottleneck_assign's lexicographic pass makes itself)."""
     prof = cProfile.Profile()
     result = prof.runcall(fn, *args, **kwargs)
-    names = ("op_norm", "herm_eig", "eigvalsh", "solve", "augment", "lex_augment")
-    counts = dict.fromkeys(names, 0)
+    key_of = {where: key for key, where in _COUNTED.items()}
+    counts = dict.fromkeys([*_COUNTED, "lex_augment"], 0)
     for (path, _, name), stat in pstats.Stats(prof).stats.items():
-        if path == spectral_match.__file__ and name == "_assign":
-            counts["solve"] += stat[1]
-        elif path == spectral_match.__file__ and name == "_augment":
-            counts["augment"] += stat[1]
+        key = key_of.get((path, name))
+        if key is not None:
+            counts[key] += stat[1]
+        if key == "augment":
             by_caller = {caller: calls[1] for (_, _, caller), calls in stat[4].items()}
             counts["lex_augment"] += by_caller.get("bottleneck_assign", 0)
-        elif name in counts and path == (
-            _EIGVALSH_FILE if name == "eigvalsh" else matcore.__file__
-        ):
-            counts[name] += stat[1]
     return result, counts
 
 
@@ -476,7 +496,9 @@ def test_norm_and_decomposition_budget():
     x, y = loaded["x"], loaded["y"]
     bundle, built = _matcore_calls(toral_links, x, y, seed=0)
     assert built["op_norm"] <= 100
-    assert built["herm_eig"] == 1
+    # this `within` bundle's conjugation is proven shorter than JOIN_TOL from
+    # ||V - 1||, so H is never formed nor decomposed (1 decomposition before)
+    assert built["herm_eig"] == 0
     # the min-sum assignment of the costs already has the bottleneck, so the
     # masked solve that followed it (2 solves before) re-routes nothing
     assert built["solve"] == 1
@@ -525,8 +547,10 @@ def test_norm_and_decomposition_budget():
     # from the last segment's distance tree took unitary certify from 9 to 6
     # and the decoded bundle's from 18 to 15. Dropping the curved factors
     # within JOIN_TOL, which `within` bundles have, took toral_links to
-    # 7 / 7 / 16, unitary certify to 3 and the decoded bundles' to 0 / 0 / 9
-    budgets = {"normal": (7, 0, 0), "hermitian": (7, 0, 0), "unitary": (16, 3, 9)}
+    # 7 / 7 / 16, unitary certify to 3 and the decoded bundles' to 0 / 0 / 9.
+    # Proving that drop from ||V - 1|| before H is formed took toral_links to
+    # 3 / 3 / 12 (no scale of V, no speeds ||[H, x_j]||)
+    budgets = {"normal": (3, 0, 0), "hermitian": (3, 0, 0), "unitary": (12, 3, 9)}
     for mode, (link_budget, cert_budget, decoded_budget) in budgets.items():
         art = gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0, mode=mode)
         loaded = decode_bundle(art, "mem")
@@ -590,10 +614,12 @@ def test_path_refuses_segments_of_different_sizes():
 
 def test_input_checks_solve_only_where_a_bound_fails(tmp_path):
     # a clock/shift pair is monomial and unitary: its normality and
-    # contraction checks pass on Schur's bound, and nothing is solved
+    # contraction checks pass on Schur's bound, and nothing is solved; the
+    # one product A*A each normality defect needs is all it forms
     cs = clock_shift(64)
     _, calls = _matcore_calls(NormalTuple, [cs.omega, cs.sigma], commutation_tol=np.inf)
-    assert calls["eigvalsh"] == 0
+    assert calls["eigvalsh"] == calls["gram"] == calls["cholesky"] == 0
+    assert calls["ata"] == 2
     # a dense commuting tuple has Frobenius and Schur bounds above 1, so its
     # N contraction checks are proven by Cholesky (3 eigensolves before)
     art = gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0)
@@ -617,8 +643,9 @@ def test_input_checks_solve_only_where_a_bound_fails(tmp_path):
     # Hermitian, so herm_eig takes no scale (14 / 26 before), and the norms
     # certify compares with 1 are proven (12 before); exact joints read each
     # joint distance once and start every link on x_j (13 / 25 and 3 before);
-    # `within` links are one flat piece each (10 before)
-    counts = {"within": (7, 0), "generic": (22, 0)}
+    # `within` links are one flat piece each (10 before), a drop proven from
+    # ||V - 1|| before any conjugation is built (7 before)
+    counts = {"within": (3, 0), "generic": (22, 0)}
     for perturb, (link_solves, cert_solves) in counts.items():
         art = gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0, perturb=perturb)
         loaded = decode_bundle(art, "mem")
@@ -630,9 +657,16 @@ def test_input_checks_solve_only_where_a_bound_fails(tmp_path):
     # the CLI. `within` made 63 eigensolves before the Cholesky proofs, with
     # 9, 14, 12, 7 and 18 by call; 37 before exact joints, with 3, 13, 3, 6
     # and 9; 25 before its curved factors, within JOIN_TOL, were dropped, with
-    # 3, 10, 0, 6 and 3. `generic` keeps [Conj, Flat] links
-    counts = {"within": ((3, 7, 0, 3, 0), 16), "generic": ((3, 24, 0, 6, 17), 56)}
-    for perturb, (by_call, chain) in counts.items():
+    # 3, 10, 0, 6 and 3; 16 before that drop was proven from ||V - 1||, with
+    # 3, 7, 0, 3 and 0, and 4 eigh calls in the chain. `generic` keeps
+    # [Conj, Flat] links. The decoded certify forms one product A*A per Flat
+    # end and Conj base, read by its normality term and its norm, and one per
+    # exact distance; with each read forming its own, it formed 12 and 35
+    counts = {
+        "within": ((3, 3, 0, 3, 0), 12, 2, 6),
+        "generic": ((3, 24, 0, 6, 17), 56, 6, 26),
+    }
+    for perturb, (by_call, chain, chain_eigh, recert_grams) in counts.items():
         art = gen_bundle("commuting_pair", 64, N=3, delta=1e-2, seed=0, perturb=perturb)
         # decode_bundle: the displacements ||x_j - y_j||, which are stored
         loaded, decode_calls = _matcore_calls(decode_bundle, json.loads(json_text(art)), "mem")
@@ -646,6 +680,7 @@ def test_input_checks_solve_only_where_a_bound_fails(tmp_path):
         recert, recert_calls = _matcore_calls(certify, decoded, bundle.epsilon_reported)
         calls = (decode_calls, link_calls, cert_calls, links_calls, recert_calls)
         assert tuple(c["eigvalsh"] for c in calls) == by_call, perturb
+        assert recert_calls["ata"] == recert_grams, perturb
         assert json_text(encode_certificate(recert)) == json_text(encode_certificate(cert))
         b, c, links, rc = (str(tmp_path / f"{perturb}-{f}") for f in ("b", "c", "l", "rc"))
         codes, calls = _matcore_calls(
@@ -657,7 +692,7 @@ def test_input_checks_solve_only_where_a_bound_fails(tmp_path):
             ]
         )
         assert codes == [0, 0, 0]
-        assert calls["eigvalsh"] == chain, perturb
+        assert (calls["eigvalsh"], calls["eigh"]) == (chain, chain_eigh), perturb
     # gen -> lift at n = 32, N = 2 (24 eigensolves before exact joints, 20
     # before the curved factors within JOIN_TOL were dropped)
     r, lc, ll, lr = (str(tmp_path / f) for f in ("r.json", "lc.json", "ll.json", "lr.json"))
@@ -1014,7 +1049,7 @@ def test_curved_factors_within_join_tol_are_dropped():
     for scale, kept in ((0.5 * homotopy.JOIN_TOL, False), (2.0 * homotopy.JOIN_TOL, True)):
         w, w_hat, h = _small_conjugation(x.mats, scale, rng)
         _, _, uh = _small_conjugation(u.mats, scale, rng)
-        unitary = homotopy._link_bundle(_conj_family(uh, u.mats), uy.mats, "unitary")
+        unitary = homotopy._link_bundle(u.mats, uy.mats, "unitary", _conj_family(uh, u.mats))
         bundles = {"normal": (ujc_links(x, y, w, w_hat), h, Flat), "unitary": (unitary, uh, Geo)}
         for mode, (bundle, gen, second) in bundles.items():
             longest = max(c.length for c in _conj_family(gen, bundle.x_mats))
@@ -1033,6 +1068,135 @@ def test_curved_factors_within_join_tol_are_dropped():
             cert = certify(bundle, bundle.epsilon_reported)
             assert cert.passed, (mode, scale)
             assert (cert.endpoint_errors[:, 0] == 0.0).all(), mode
+
+
+#: gap_branch_log reduces each angle mod 2 pi, which rounds it by up to half
+#: a unit in the last place of 2 pi; a speed ||[H, x]|| read from the
+#: computed H may exceed its exact value by twice that per angle
+_ANGLE_ROUNDING = 2.0 * float(np.spacing(2.0 * np.pi))
+
+
+def _contraction(n, rng):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return a / op_norm(a)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 32),  # n
+    st.floats(-13.0, -8.0),  # log10 eps
+    st.sampled_from(["dense", "rank_one"]),  # K; rank one keeps ||V - 1||_F near ||V - 1||
+    st.integers(0, 2**16),  # seed
+)
+def test_a_proven_drop_bounds_every_conjugation_speed(n, log_eps, kind, seed):
+    # V = e^{i eps K}, ||K|| = 1: wherever the bound from ||V - 1|| proves the
+    # drop, every speed ||[H, x]|| around H = gap_branch_log(V) of a
+    # contraction x is within JOIN_TOL / 2 and, up to the rounding of H's
+    # angles, within the bound; it proves it once eps n <= 1e-11 and never
+    # once eps >= 1e-9, where the speeds can exceed JOIN_TOL / 2
+    rng = np.random.default_rng(seed)
+    k = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "rank_one":
+        k = np.outer(k[:, 0], k[:, 0].conj())
+    k = (k + adjoint(k)) / 2
+    eps = 10.0**log_eps
+    v = exp_i_herm(k / op_norm(k), eps)
+    bound = homotopy._conj_speed_bound(v)
+    h = gap_branch_log(v)
+    speeds = [op_norm(commutator(h, _contraction(n, rng))) for _ in range(3)]
+    if eps * n <= 1e-11:
+        assert bound <= homotopy.JOIN_TOL / 2
+    if eps >= 1e-9:
+        assert bound > homotopy.JOIN_TOL / 2
+    if bound <= homotopy.JOIN_TOL / 2:
+        assert max(speeds) <= homotopy.JOIN_TOL / 2
+        assert max(speeds) <= bound + _ANGLE_ROUNDING
+
+
+@pytest.mark.parametrize("angle", [1e-10, 1e-3, 0.5, 1.0, math.pi / 2 - 1e-3])
+def test_the_drop_bound_is_reached_by_a_commutator_of_twice_the_norms(angle):
+    # H = diag(h, -h) and the swap x give ||[H, x]|| = 2 h = 2 ||H|| ||x||, and
+    # ||V - 1|| = 2 sin(h / 2), so the bound 2 * 2 arcsin(r / 2) is met up to
+    # rounding, with no room to halve its angle
+    h = angle * np.diag([1.0, -1.0]).astype(complex)
+    v = np.diag(np.exp(1j * np.diag(h)))
+    speed = op_norm(commutator(gap_branch_log(v), np.array([[0.0, 1.0], [1.0, 0.0]])))
+    assert abs(speed - 2.0 * angle) <= _ANGLE_ROUNDING
+    bound = homotopy._conj_speed_bound(v)
+    assert speed - _ANGLE_ROUNDING <= bound <= speed * (1.0 + 1e-9) + _ANGLE_ROUNDING
+
+
+def test_a_conjugator_past_a_quarter_turn_falls_back():
+    # ||V - 1|| > sqrt(2): an angle may pass pi / 2, so the bound says nothing
+    # (sqrt(2) itself, at angle pi / 2, is over once widened for rounding)
+    for angle in (math.pi / 2, math.pi / 2 + 1e-3, math.pi):
+        assert homotopy._conj_speed_bound(np.diag([1.0, np.exp(1j * angle)])) == math.inf
+    assert homotopy._conj_speed_bound(np.diag([1.0, np.exp(1.5j)])) < math.inf
+
+
+def test_the_proven_drop_builds_the_links_the_speeds_would(monkeypatch):
+    # with the drop from ||V - 1|| switched off, every bundle builds its
+    # conjugation and drops it on its computed speeds: `within` and `generic`
+    # bundles in every mode, Y = X, n = 1, and a `within` bundle whose
+    # matching permutes eigenvalues and keeps [Conj, Flat] get the same links
+    # and certificates either way
+    cases = [(16, 3, 1e-2, 0, mode, perturb) for mode in MODES for perturb in ("within", "generic")]
+    cases += [(16, 3, 0.0, 1, "normal", "within"), (1, 2, 1e-2, 2, "normal", "generic")]
+    cases += [(8, 2, 0.3, 1, "hermitian", "within")]
+    proven, shapes = [], []
+    for n, N, delta, seed, mode, perturb in cases:
+        art = gen_bundle("commuting_pair", n, N=N, delta=delta, seed=seed, mode=mode, perturb=perturb)
+        loaded = decode_bundle(art, "mem")
+        x, y = loaded["x"], loaded["y"]
+        texts = []
+        for off in (False, True):
+            with monkeypatch.context() as m:
+                if off:
+                    m.setattr(homotopy, "_conj_speed_bound", lambda v: math.inf)
+                bundle = toral_links(x, y, mode=mode)
+            cert = certify(bundle, bundle.epsilon_reported)
+            texts.append((json_text(encode_links(bundle)), json_text(encode_certificate(cert))))
+        assert texts[0] == texts[1], (n, mode, perturb)
+        bound = homotopy._conj_speed_bound(isospectral_approximant(x, y).v)
+        proven.append(bound <= homotopy.JOIN_TOL / 2)
+        shapes.append(len(bundle.links[0].segments))
+    assert proven == [True, False] * 3 + [True, True, False]
+    assert shapes == [1, 2] * 3 + [1, 1, 2]
+
+
+#: |fl(UV) - UV| <= g |U| |V| entrywise for complex n x n products, with
+#: g = sqrt(2) gamma_{n+2} <= 1.42 (n + 2) u (Higham, sections 3.1 and 3.6),
+#: and each sum or difference of matrices rounds once more. Writing
+#: A = ||a0||_F + ||a1||_F and B = ||b0||_F + ||b1||_F, the product of sums
+#: F(a0 + a1, b0 + b1) - C0 - C1 is within (4 g + 18 u) A B of the exact
+#: middle term and F(a0, b1) + F(a1, b0) within (2 g + 6 u) A B, so the two
+#: differ by at most (6 g + 24 u) A B <= 17 (n + 2) u A B in the Frobenius
+#: norm; the test allows twice that
+_MIDDLE_ROUNDING = 34.0 * 2.0**-53
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 24),  # n
+    st.sampled_from(["commutator", "normality"]),
+    st.lists(st.integers(-30, 30), min_size=4, max_size=4),  # binary scales of a0, a1, b0, b1
+    st.integers(0, 2**16),  # seed
+)
+def test_the_flat_middle_term_from_a_product_of_sums(n, form_name, scales, seed):
+    # C01 = F(a0, b1) + F(a1, b0), formed as F(a0 + a1, b0 + b1) - C0 - C1 with
+    # three forms instead of four, stays within the rounding of the direct sum
+    rng = np.random.default_rng(seed)
+    a0, a1, b0, b1 = (
+        math.ldexp(1.0, e) * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        for e in scales
+    )
+    form = commutator if form_name == "commutator" else homotopy._normality_form
+    c0, c01, c1 = homotopy._flat_form_terms(form, Flat(a0, a1), Flat(b0, b1))
+    assert np.array_equal(c0, form(a0, b0)) and np.array_equal(c1, form(a1, b1))
+    direct = form(a0, b1) + form(a1, b0)
+    frob = functools.partial(np.linalg.norm, ord="fro")
+    allowed = _MIDDLE_ROUNDING * (n + 2) * (frob(a0) + frob(a1)) * (frob(b0) + frob(b1))
+    assert frob(c01 - direct) <= allowed
 
 
 def test_lifted_within_links_are_one_flat_piece():

@@ -31,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torlinks import homotopy, matcore
-from torlinks.cli import encode_certificate, json_text
+from torlinks.cli import decode_bundle, encode_certificate, gen_bundle, json_text
 from torlinks.homotopy import (
     JOIN_TOL,
     CertTolerances,
@@ -41,6 +41,7 @@ from torlinks.homotopy import (
     LinkBundle,
     MatrixPath,
     certify,
+    toral_links,
 )
 from torlinks.jointspec import CONTRACTION_SLACK, NormalTuple
 from torlinks.matcore import (
@@ -197,6 +198,70 @@ def test_threshold_norm_matches_op_norm(case, form):
     assert value >= exact * (1.0 - 1e-12)  # an upper bound up to rounding
     if value > tol:
         assert value == exact
+
+
+def _fresh_grams(mp: pytest.MonkeyPatch) -> None:
+    """Every norm read from a product A*A that its caller formed (the
+    ``ata`` argument) forms its own instead."""
+    threshold, exact = matcore._threshold_norm, matcore._op_norm
+    mp.setattr(matcore, "_threshold_norm", lambda a, tol, ata=None: threshold(a, tol))
+    mp.setattr(matcore, "_op_norm", lambda a, ata=None: exact(a))
+
+
+def _outcome(call):
+    """The refusal ``call`` raises, or the bytes of what it returns."""
+    try:
+        out = call()
+    except (PreconditionError, DiagnosticsError) as e:
+        return f"{type(e).__name__}: {e}"
+    return [a.tobytes() for a in out] if isinstance(out, tuple) else None
+
+
+@pytest.mark.parametrize("site", ["contraction", "normality", "normal"])
+@settings(max_examples=40, deadline=None)
+@given(cases)
+def test_a_shared_gram_reads_as_a_fresh_one(site, case):
+    # NormalTuple and normal_eig form A*A once, for [A*, A] and for the norm
+    # (its Cholesky proof, or normal_eig's scale): with every norm forming its
+    # own product, each refusal, its message and normal_eig's output are the
+    # same bytes
+    kind, n, side, tol, seed = case
+    outcomes = []
+    for fresh in (False, True):
+        rng = np.random.default_rng(seed)
+        call, *_ = _site(site, _shape(kind, n, rng), side, tol, rng)
+        with pytest.MonkeyPatch.context() as mp:
+            if fresh:
+                _fresh_grams(mp)
+            outcomes.append(_outcome(call))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_certificates_read_shared_grams_as_fresh_ones():
+    # certify forms A*A once per Flat end and curved base, for its normality
+    # term, its norm (proof or exact), a Geo's drift and a unitary defect:
+    # toral bundles of every mode ([Conj, Flat] and [Conj, Geo]), a Geo of a
+    # non-unitary base and a Flat from a norm above 1 certify to the same text
+    # with every norm forming its own product
+    bundles = []
+    for mode in ("normal", "hermitian", "unitary"):
+        art = gen_bundle("commuting_pair", 8, N=3, delta=1e-2, seed=4, mode=mode, perturb="generic")
+        loaded = decode_bundle(art, "mem")
+        bundles.append(toral_links(loaded["x"], loaded["y"], mode=mode))
+    rng = np.random.default_rng(5)
+    b = np.diag([0.9, 0.5, 0.3, 0.1]).astype(complex)
+    geo = MatrixPath([Geo(b, _hermitize(rng.standard_normal((4, 4)) + 0j))])
+    bundles.append(LinkBundle([geo], [b], [geo.end], 1.0, mode="unitary"))
+    a, c = 1.2 * haar_unitary(4, rng), _with_singular_values(np.array([0.5]), 4, rng)
+    bundles.append(LinkBundle([MatrixPath([Flat(a, c)])], [a], [c], 1.0))
+    for bundle in bundles:
+        texts = []
+        for fresh in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                if fresh:
+                    _fresh_grams(mp)
+                texts.append(json_text(encode_certificate(certify(bundle, 1.0))))
+        assert texts[0] == texts[1]
 
 
 def test_zero_norm_needs_no_eigensolve(monkeypatch):
@@ -360,6 +425,6 @@ def test_certify_norms_against_one_read_as_exact(norms, monkeypatch):
     exact = (1.0 - cert.grid[:51] * 2.0) * norms[0] + cert.grid[:51] * 2.0 * norms[1]
     assert np.allclose(cert.contraction_excess[0, :51], np.maximum(exact - 1.0, 0.0))
     with monkeypatch.context() as m:
-        m.setattr(matcore, "_threshold_norm", lambda a, tol: op_norm(a))
+        m.setattr(matcore, "_threshold_norm", lambda a, tol, ata=None: op_norm(a))
         exact_norms = certify(bundle, 1.0)
     assert json_text(encode_certificate(cert)) == json_text(encode_certificate(exact_norms))

@@ -116,6 +116,21 @@ MUTANTS = (
         "if max(ends) > 1.0:  # a chord through a settled end would tilt: both exact",
         "if False:",
     ),
+    (
+        "proven drop halves its angle bound",
+        "theta = 2.0 * math.asin(r / 2.0)",
+        "theta = math.asin(r / 2.0)",
+    ),
+    (
+        "flat middle term keeps F(a1, b1)",
+        "c01 = form(sa.a + sa.b, sb.a + sb.b) - c0 - c1",
+        "c01 = form(sa.a + sa.b, sb.a + sb.b) - c0",
+    ),
+    (
+        "shared Gram taken from the other flat end",
+        "defects = [g - m @ adjoint(m) for m, g in zip(_ends(seg), grams)]  # [m*, m]",
+        "defects = [g - m @ adjoint(m) for m, g in zip(_ends(seg), grams[::-1])]  # [m*, m]",
+    ),
 )
 
 

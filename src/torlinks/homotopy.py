@@ -604,9 +604,9 @@ def toral_links(
     when that bound on every speed ||[H, x_j]|| is at most JOIN_TOL / 2, H,
     its eigendecomposition and the speeds are never formed. The margin 2
     dwarfs the rounding of a speed computed from H (about 1e-15, chiefly
-    from reducing each angle mod 2 pi), so every bundle dropped this way is
-    one the exact-length rule drops too, with the same links; any other V
-    builds the conjugation and applies that rule.
+    from reading its angles off V's computed eigenvalues), so every bundle
+    dropped this way is one the exact-length rule drops too, with the same
+    links; any other V builds the conjugation and applies that rule.
     """
     matcore._check_tolerance("tol", tol)
     _validate_mode(x, mode, tol, "x")

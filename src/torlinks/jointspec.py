@@ -16,7 +16,6 @@ import numpy as np
 from . import matcore
 from .matcore import (
     PreconditionError,
-    adjoint,
     as_cmatrix,
     commutator,
     op_norm,
@@ -57,11 +56,7 @@ class NormalTuple:
             if m.shape[0] != n:
                 raise PreconditionError("all matrices must share one dimension")
             ata = matcore._ata(m)  # one product for [m*, m] and for the norm's proof
-            matcore._check_within(
-                ata - m @ adjoint(m),
-                self.normality_tol,
-                f"matrix {j} has normality defect",
-            )
+            matcore._check_normal(m, ata, self.normality_tol, f"matrix {j} has normality defect")
             nrm = matcore._threshold_norm(m, 1.0 + CONTRACTION_SLACK, ata)
             if nrm > 1.0 + CONTRACTION_SLACK:
                 raise PreconditionError(

@@ -196,6 +196,11 @@ def _norm_upper_bound(a: np.ndarray) -> float:
 # a proven norm also reads op_norm(a) <= t through op_norm's own rounding.
 _CHOLESKY_ROUNDING = 32.0 * 2.0**-53
 
+# The Gram rounding term g above, ||F - G|| <= g ||A||^2 for F the computed
+# A*A, taken as _GRAM_ROUNDING n^2 >= sqrt(2) n gamma_{n+3}: that holds
+# while (n + 3) u <= 4 n u <= 0.05, far past any n whose A*A fits in memory.
+_GRAM_ROUNDING = 6.0 * 2.0**-53
+
 
 def _proves_norm_at_most(
     a, t: float, ata: np.ndarray | None = None
@@ -253,6 +258,44 @@ def _check_within(a: np.ndarray, tol: float, what: str) -> None:
     norm = _threshold_norm(a, tol)
     if norm > tol:
         raise PreconditionError(f"{what} {norm:.3e} > {tol:.3e}")
+
+
+def _normal_from_ata(ata: np.ndarray, tol: float) -> bool:
+    """True only when ||[A*, A]|| <= tol is proven from ``ata`` = ``_ata(a)``
+    alone, forming no AA* and solving nothing.
+
+    For square A, A*A and AA* both have the eigenvalues sigma_i^2 of A's
+    singular values, so ||AA* - 1|| = ||A*A - 1|| and
+    ||[A*, A]|| <= ||A*A - 1|| + ||AA* - 1|| = 2 ||A*A - 1||. With G = A*A,
+    F = ``ata`` its computed form and g = _GRAM_ROUNDING n^2,
+    ||F - G|| <= g ||A||^2 (the Gram term derived above _CHOLESKY_ROUNDING).
+    Once every diagonal entry of F lies within 1/2 of 1, F - 1 is exact
+    (Sterbenz), so b = _norm_upper_bound(F - 1) >= ||F - 1||; an underflow in
+    F adds about n 2^-1074 to an entry at most, far below g. Then
+    ||A||^2 = ||G|| <= ||F|| + g ||A||^2 gives ||A||^2 <= (1 + b) / (1 - g), and
+
+        ||[A*, A]|| <= 2 (||F - 1|| + ||F - G||) <= 2 (b + g (1 + b) / (1 - g)).
+
+    The test passes when that is at most tol; the few roundings of the sum
+    lie far inside the slack of b's _BOUND_RTOL and of g's constant. It never
+    passes at tol = 0, nor once 2 g > tol. An O(n) screen on the diagonal of
+    F, whose entries F_ii - 1 are bounded by ||F - 1|| <= b, turns away any A
+    with a column norm off 1 by more than tol (or 1/2) before the O(n^2) bound.
+    """
+    if not np.abs(ata.diagonal() - 1.0).max() <= min(tol, 0.5):  # NaN fails too
+        return False
+    n = ata.shape[0]
+    g = _GRAM_ROUNDING * n * n
+    b = _norm_upper_bound(ata - np.eye(n))
+    return 2.0 * (b + g * (1.0 + b) / (1.0 - g)) <= tol
+
+
+def _check_normal(a: np.ndarray, ata: np.ndarray, tol: float, what: str) -> None:
+    """``_check_within([A*, A], tol, what)``, settled from ``ata`` = ``_ata(a)``
+    with no AA* where ``_normal_from_ata`` proves a near-unitary normal;
+    every other input takes that check, with its refusal and message."""
+    if not _normal_from_ata(ata, tol):
+        _check_within(ata - a @ adjoint(a), tol, what)
 
 
 def commutator(a, b) -> np.ndarray:
@@ -422,13 +465,20 @@ def normal_eig(a, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues sorted ascending lexicographically by (Re, Im).
     """
     _check_tolerance("tol", tol)
-    a = as_cmatrix(a)
-    ata = _ata(a)  # one product for the scale and for [A*, A]
+    return _normal_eig(as_cmatrix(a), tol)
+
+
+def _normal_eig(
+    a: np.ndarray, tol: float, ata: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """normal_eig of a checked matrix ``a``. ``ata`` is ``_ata(a)`` where the
+    caller has formed it already (``_check_unitary`` returns it); the caller
+    keeps no reference to it, so that it is freed before the decomposition."""
+    if ata is None:
+        ata = _ata(a)  # one product for the scale and for [A*, A]
     scale = _op_norm(a, ata)
     limit = tol * max(scale, 1e-300)
-    _check_within(
-        ata - a @ adjoint(a), limit, "matrix is not normal within tolerance: ||[A*, A]|| ="
-    )
+    _check_normal(a, ata, limit, "matrix is not normal within tolerance: ||[A*, A]|| =")
     del ata  # not held through the decomposition, whose temporaries set the peak memory
     q, points, _ = _simdiag_normal([a], 10.0 * tol * max(scale, 1e-300), 0)
     return q, points[:, 0]
@@ -447,19 +497,22 @@ def _check_count(name: str, value, least: int) -> None:
         raise PreconditionError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _check_unitary(u: np.ndarray, tol: float) -> None:
+def _check_unitary(u: np.ndarray, tol: float) -> np.ndarray:
+    """Refuse ``u`` when ||U*U - 1|| > tol; returns the product U*U it formed,
+    which ``_normal_eig(u, tol, ata)`` reads instead of forming it again."""
+    ata = _ata(u)
     _check_within(
-        _ata(u) - np.eye(u.shape[0]),
+        ata - np.eye(u.shape[0]),
         tol,
         "matrix is not unitary within tolerance: ||U*U - 1|| =",
     )
+    return ata
 
 
 def _unitary_eig(u) -> tuple[np.ndarray, np.ndarray]:
     """normal_eig of ``u`` after checking that it is unitary within 1e-10."""
     u = as_cmatrix(u)
-    _check_unitary(u, 1e-10)
-    return normal_eig(u)
+    return _normal_eig(u, 1e-10, _check_unitary(u, 1e-10))
 
 
 def gap_branch_log(u) -> np.ndarray:
@@ -472,9 +525,15 @@ def gap_branch_log(u) -> np.ndarray:
     (which leaves exp(iH) unchanged) minimizes ||H||, ties keeping no shift.
     The spectrum of H therefore fits in an interval of length at most
     2*pi - (largest gap) whose image on the circle avoids the cut.
+
+    Each angle of H is np.angle(lam) + 2*pi*m, with m the whole number of
+    turns these choices add, so an angle that needs no turn keeps its
+    relative precision: a small negative angle is not taken through
+    2*pi - phi.
     """
     q, lam = _unitary_eig(u)
-    ang = np.mod(np.angle(lam), TWO_PI)
+    principal = np.angle(lam)
+    ang = np.mod(principal, TWO_PI)
     s = np.sort(ang)
     n = len(s)
     gaps = np.empty(n)
@@ -482,15 +541,17 @@ def gap_branch_log(u) -> np.ndarray:
         gaps[:-1] = np.diff(s)
     gaps[-1] = s[0] + TWO_PI - s[-1]
     cut_start = s[int(np.argmax(gaps))]
-    shifted = np.where(ang > cut_start, ang - TWO_PI, ang)
-    best = shifted
+    past_cut = ang > cut_start
+    shifted = np.where(past_cut, ang - TWO_PI, ang)
+    best_k = 0.0
     best_norm = float(np.max(np.abs(shifted)))
     for k in (1.0, -1.0):
-        cand = shifted + TWO_PI * k
-        cn = float(np.max(np.abs(cand)))
+        cn = float(np.max(np.abs(shifted + TWO_PI * k)))
         if cn < best_norm:
-            best, best_norm = cand, cn
-    return _hermitize((q * best) @ adjoint(q))
+            best_k, best_norm = k, cn
+    # np.mod added a turn to each negative angle
+    turns = (principal < 0.0).astype(float) - past_cut + best_k
+    return _hermitize((q * (principal + TWO_PI * turns)) @ adjoint(q))
 
 
 def principal_log_unitary(u) -> np.ndarray:

@@ -23,11 +23,10 @@ from .matcore import (
     _check_count,
     _check_tolerance,
     _check_unitary,
-    _hermitize,
+    _normal_eig,
     adjoint,
     as_cmatrix,
     commutator,
-    normal_eig,
     op_norm,
 )
 
@@ -209,30 +208,34 @@ def bott_index(u, v, gap_tol: float = 0.05, tol: float = 1e-10) -> BottResult:
     size, and cross-checks with the winding number of u v u* v*. The index
     is only defined when the spectrum of e(u, v) stays gap_tol away from
     1/2; softer pairs raise GapUndefinedError.
+
+    e(u, v) = [[f(v), h(v) u + g(v)], [u* h(v) + g(v), 1 - f(v)]] is taken in
+    v's eigenbasis, v = Q diag(lam) Q*: conjugated by diag(Q, Q) it reads
+    [[F, B], [B*, 1 - F]] with F, G, H the real diagonals f(lam), g(lam),
+    h(lam) and B = H Q* u Q + G. That matrix is unitarily similar to e(u, v),
+    so it has the same spectrum, and it is Hermitian as built.
     """
     _check_tolerance("gap_tol", gap_tol)
     _check_tolerance("tol", tol)
     u = as_cmatrix(u)
     v = as_cmatrix(v)
     _check_unitary(u, tol)
-    _check_unitary(v, tol)
+    grams = [_check_unitary(v, tol)]  # V*V, handed on to normal_eig and not kept
     if u.shape != v.shape:
         raise PreconditionError("pair members differ in dimension")
     n = u.shape[0]
 
-    q, vals = normal_eig(v, tol=max(tol, 1e-12))
+    q, vals = _normal_eig(v, max(tol, 1e-12), grams.pop())
     theta = np.mod(np.angle(vals), TWO_PI) / TWO_PI
     fv, gv, hv = _circle_functions(theta)
-    f_mat = (q * fv) @ adjoint(q)
-    g_mat = (q * gv) @ adjoint(q)
-    h_mat = (q * hv) @ adjoint(q)
+    b = hv[:, None] * (adjoint(q) @ u @ q)
+    b.flat[:: n + 1] += gv
 
     e = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    e[:n, :n] = f_mat
-    e[:n, n:] = h_mat @ u + g_mat
-    e[n:, :n] = adjoint(u) @ h_mat + g_mat
-    e[n:, n:] = np.eye(n) - f_mat
-    e = _hermitize(e)  # rebinding frees the raw 2n x 2n block before the eigensolve
+    e[:n, n:] = b
+    e[n:, :n] = adjoint(b)
+    del b  # not held through the eigensolve
+    e.flat[:: 2 * n + 1] = np.concatenate([fv, 1.0 - fv])
     spectrum = np.linalg.eigvalsh(e)
 
     gap = float(np.min(np.abs(spectrum - 0.5)))
@@ -241,8 +244,10 @@ def bott_index(u, v, gap_tol: float = 0.05, tol: float = 1e-10) -> BottResult:
             f"index undefined at this softness: spectral gap {gap:.4f} < {gap_tol}"
         )
     uv = u @ v
-    defect = op_norm(uv - v @ u)
-    angles = np.angle(np.linalg.eigvals(uv @ adjoint(u) @ adjoint(v)))
+    vu = v @ u
+    defect = op_norm(uv - vu)
+    # u v u* v* = (u v)(v u)*
+    angles = np.angle(np.linalg.eigvals(uv @ adjoint(vu)))
     winding = int(np.rint(np.sum(angles) / TWO_PI))
     index = int(np.sum(spectrum >= 0.5)) - n
     return BottResult(index=index, gap=gap, winding=winding, defect=defect)

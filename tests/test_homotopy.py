@@ -457,6 +457,7 @@ _COUNTED = {
     "herm_eig": (matcore.__file__, "herm_eig"),
     "ata": (matcore.__file__, "_ata"),
     "gram": (matcore.__file__, "_gram"),
+    "check_within": (matcore.__file__, "_check_within"),
     "eigvalsh": (_LINALG_FILE, "eigvalsh"),
     "eigh": (_LINALG_FILE, "eigh"),
     "cholesky": (_LINALG_FILE, "cholesky"),
@@ -469,8 +470,9 @@ def _matcore_calls(fn, *args, **kwargs):
     """Result of fn and its calls (cProfile) to matcore._op_norm ("op_norm",
     every exact norm: op_norm's and those taken from a product the caller
     formed; op_norm of a zero matrix solves nothing), matcore.herm_eig,
-    matcore._ata ("ata", one product A*A) and matcore._gram, to
-    numpy.linalg.eigvalsh, eigh and cholesky, to spectral_match._assign
+    matcore._ata ("ata", one product A*A; "ata_by" maps each calling
+    function's name to its count), matcore._gram and matcore._check_within,
+    to numpy.linalg.eigvalsh, eigh and cholesky, to spectral_match._assign
     ("solve", a full assignment solve) and to spectral_match._augment
     ("augment", one augmenting path; "lex_augment" counts those that
     bottleneck_assign's lexicographic pass makes itself)."""
@@ -478,10 +480,14 @@ def _matcore_calls(fn, *args, **kwargs):
     result = prof.runcall(fn, *args, **kwargs)
     key_of = {where: key for key, where in _COUNTED.items()}
     counts = dict.fromkeys([*_COUNTED, "lex_augment"], 0)
+    counts["ata_by"] = {}
     for (path, _, name), stat in pstats.Stats(prof).stats.items():
         key = key_of.get((path, name))
         if key is not None:
             counts[key] += stat[1]
+        if key == "ata":
+            for (_, _, caller), calls in stat[4].items():
+                counts["ata_by"][caller] = counts["ata_by"].get(caller, 0) + calls[1]
         if key == "augment":
             by_caller = {caller: calls[1] for (_, _, caller), calls in stat[4].items()}
             counts["lex_augment"] += by_caller.get("bottleneck_assign", 0)
@@ -613,13 +619,16 @@ def test_path_refuses_segments_of_different_sizes():
 
 
 def test_input_checks_solve_only_where_a_bound_fails(tmp_path):
-    # a clock/shift pair is monomial and unitary: its normality and
-    # contraction checks pass on Schur's bound, and nothing is solved; the
-    # one product A*A each normality defect needs is all it forms
+    # a clock/shift pair is monomial and unitary: its contraction checks
+    # pass on Schur's bound, and nothing is solved; each normality check is
+    # settled from ||A*A - 1|| and never reaches _check_within, so the one
+    # product A*A per matrix is all it forms (2 products per matrix before:
+    # AA* too)
     cs = clock_shift(64)
     _, calls = _matcore_calls(NormalTuple, [cs.omega, cs.sigma], commutation_tol=np.inf)
     assert calls["eigvalsh"] == calls["gram"] == calls["cholesky"] == 0
     assert calls["ata"] == 2
+    assert calls["check_within"] == 0
     # a dense commuting tuple has Frobenius and Schur bounds above 1, so its
     # N contraction checks are proven by Cholesky (3 eigensolves before)
     art = gen_bundle("commuting_pair", 16, N=3, delta=1e-2, seed=0)
@@ -632,6 +641,11 @@ def test_input_checks_solve_only_where_a_bound_fails(tmp_path):
     # bound (7 eigensolves before those checks, 3 before the diagonal Gram)
     _, calls = _matcore_calls(bott_index, cs.omega, cs.sigma)
     assert calls["eigvalsh"] == 1
+    # at n = 16, U*U and V*V are formed once each by the unitarity checks;
+    # normal_eig(v) reads V*V from its check and forms none of its own (one
+    # before), and the stored defect's Gram is the only other product A*A
+    _, calls = _matcore_calls(bott_index, *clock_shift(16)[:2])
+    assert calls["ata_by"] == {"_check_unitary": 2, "_gram": 1}
     # every soft-torus relation defect of the pair is monomial (3 before)
     for bound in (1.0, 1e-2):
         rset = preset("soft_torus", bound)
@@ -1070,9 +1084,10 @@ def test_curved_factors_within_join_tol_are_dropped():
             assert (cert.endpoint_errors[:, 0] == 0.0).all(), mode
 
 
-#: gap_branch_log reduces each angle mod 2 pi, which rounds it by up to half
-#: a unit in the last place of 2 pi; a speed ||[H, x]|| read from the
-#: computed H may exceed its exact value by twice that per angle
+#: H's angles are read off V's computed eigenvalues, each off by a rounding
+#: error absolute on the unit circle, not relative to the angle; a speed
+#: ||[H, x]|| read from the computed H may exceed its exact value by about
+#: twice that (2 ulp(2 pi) covers it at these sizes)
 _ANGLE_ROUNDING = 2.0 * float(np.spacing(2.0 * np.pi))
 
 
@@ -1117,13 +1132,17 @@ def test_a_proven_drop_bounds_every_conjugation_speed(n, log_eps, kind, seed):
 def test_the_drop_bound_is_reached_by_a_commutator_of_twice_the_norms(angle):
     # H = diag(h, -h) and the swap x give ||[H, x]|| = 2 h = 2 ||H|| ||x||, and
     # ||V - 1|| = 2 sin(h / 2), so the bound 2 * 2 arcsin(r / 2) is met up to
-    # rounding, with no room to halve its angle
+    # rounding, with no room to halve its angle. A diagonal V's angles are
+    # exact, and gap_branch_log keeps a small negative one to its last bits,
+    # so the speed is 2 h within a few ulps (2 ulp(2 pi), 1.8e-15, when the
+    # angle -h went through 2 pi - h)
     h = angle * np.diag([1.0, -1.0]).astype(complex)
     v = np.diag(np.exp(1j * np.diag(h)))
     speed = op_norm(commutator(gap_branch_log(v), np.array([[0.0, 1.0], [1.0, 0.0]])))
-    assert abs(speed - 2.0 * angle) <= _ANGLE_ROUNDING
+    ulps = 4.0 * float(np.spacing(2.0 * angle))
+    assert abs(speed - 2.0 * angle) <= ulps
     bound = homotopy._conj_speed_bound(v)
-    assert speed - _ANGLE_ROUNDING <= bound <= speed * (1.0 + 1e-9) + _ANGLE_ROUNDING
+    assert speed - ulps <= bound <= speed * (1.0 + 1e-9) + ulps
 
 
 def test_a_conjugator_past_a_quarter_turn_falls_back():

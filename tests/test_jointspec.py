@@ -8,6 +8,8 @@ from unittest import mock
 import numpy as np
 import pytest
 from helpers import haar_unitary
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torlinks import matcore
 from torlinks.jointspec import (
@@ -31,6 +33,86 @@ def _commuting_tuple(n: int, count: int, rng: np.random.Generator) -> NormalTupl
 
 
 # ---------------------------------------------------------------- NormalTuple
+
+
+def _extremal(t: float) -> np.ndarray:
+    """[[0, a], [b, 0]] with |a|^2 = 1 + t and |b|^2 = 1 - t: A*A - 1 =
+    diag(-t, t) and [A*, A] = diag(-2t, 2t), so ||[A*, A]|| = 2 ||A*A - 1||,
+    the most the normality rule allows for."""
+    return np.array([[0.0, np.sqrt(1.0 + t)], [np.sqrt(1.0 - t), 0.0]], dtype=complex)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 48),  # n
+    st.sampled_from(["gaussian", "extremal"]),  # perturbation
+    st.floats(-17.0, -8.0),  # log10 of its size
+    st.floats(-12.0, -7.0),  # log10 tol
+    st.integers(0, 2**16),  # seed
+)
+def test_the_normality_rule_accepts_only_normal_matrices(n, kind, log_size, log_tol, seed):
+    # W + E for a Haar W and a perturbation E: a Gaussian one, or the
+    # extremal pair conjugated by W in its leading 2 x 2 block
+    rng = np.random.default_rng(seed)
+    w = haar_unitary(n, rng)
+    size, tol = 10.0**log_size, 10.0**log_tol
+    if kind == "extremal" and n >= 2:
+        m = np.eye(n, dtype=complex)
+        m[:2, :2] = _extremal(size)
+        a = w @ m @ adjoint(w)
+    else:
+        e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = w + size * e / op_norm(e)
+    if matcore._normal_from_ata(matcore._ata(a), tol):
+        assert op_norm(commutator(adjoint(a), a)) <= tol
+    if size <= 1e-16 and tol >= 1e-10:
+        # a unitary up to rounding passes at n = 48 with tol 1e-10
+        assert matcore._normal_from_ata(matcore._ata(a), tol)
+
+
+@pytest.mark.parametrize("t", [1e-3, 1e-6])
+def test_the_normality_rule_refuses_the_extremal_pair_below_twice_its_gram_defect(t):
+    a = _extremal(t)
+    ata = matcore._ata(a)
+    assert op_norm(ata - np.eye(2)) == pytest.approx(t, rel=1e-9)
+    defect = op_norm(commutator(adjoint(a), a))
+    assert defect == pytest.approx(2.0 * t, rel=1e-9)
+    for tol in (1.01 * t, 1.5 * t, 1.99 * t):
+        assert not matcore._normal_from_ata(ata, tol)
+        with pytest.raises(PreconditionError, match="^matrix 0 has normality defect"):
+            NormalTuple([a], normality_tol=tol)
+        with pytest.raises(PreconditionError, match="^matrix is not normal within tolerance"):
+            normal_eig(a, tol=tol)
+    assert matcore._normal_from_ata(ata, 2.01 * t)
+
+
+def test_the_normality_rule_never_fires_at_zero_tolerance_or_past_its_size():
+    assert not matcore._normal_from_ata(np.eye(4, dtype=complex), 0.0)
+    # 2 g = 12 n^2 u exceeds 1e-10 once n >= 274; the rule only needs diag
+    # and norm bounds of A*A, so the identity stands in for a large unitary
+    assert matcore._normal_from_ata(np.eye(273, dtype=complex), 1e-10)
+    assert not matcore._normal_from_ata(np.eye(274, dtype=complex), 1e-10)
+
+
+@pytest.mark.parametrize(
+    "a, tol",
+    [
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-10),  # nilpotent: the screen turns it away
+        (_extremal(1e-3), 1.5e-3),  # a near-unitary the rule cannot settle
+        (_extremal(1e-12), 1.5e-12),  # below the rule's rounding term
+        (np.diag([0.5, 0.25j]) + 1e-6 * np.triu(np.ones((2, 2)), 1), 1e-8),
+    ],
+)
+def test_normality_refusals_keep_their_messages(a, tol):
+    # each refusal reads the exact ||[A*, A]|| as the full check does
+    exact = op_norm(commutator(adjoint(a), a))
+    want = f"matrix 0 has normality defect {exact:.3e} > {tol:.3e}"
+    with pytest.raises(PreconditionError, match=f"^{re.escape(want)}$"):
+        NormalTuple([a], normality_tol=tol)
+    limit = tol * op_norm(a)
+    want = f"matrix is not normal within tolerance: ||[A*, A]|| = {exact:.3e} > {limit:.3e}"
+    with pytest.raises(PreconditionError, match=f"^{re.escape(want)}$"):
+        normal_eig(a, tol=tol)
 
 
 def test_tuple_validation_rejects_noncommuting():

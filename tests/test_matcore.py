@@ -352,6 +352,16 @@ def test_gap_branch_log_round_trip():
         assert w[-1] - w[0] <= 2 * np.pi - 2 * np.pi / n + 1e-9
 
 
+def test_gap_branch_log_keeps_small_negative_angles():
+    # the angle -1e-10 used to be reduced to 2 pi - 1e-10 and shifted back,
+    # which left it off by 8e-18 (-1.00000008e-10); it keeps its last bits
+    for phi in (1e-10, 1e-3):
+        h = gap_branch_log(np.diag(np.exp(1j * np.array([phi, -phi]))))
+        assert h[0, 1] == h[1, 0] == 0.0
+        for got, want in zip(np.diag(h).real, (phi, -phi)):
+            assert abs(got - want) <= 4.0 * np.spacing(phi)
+
+
 def test_gap_branch_log_rejects_nonunitary():
     with pytest.raises(PreconditionError):
         gap_branch_log(np.diag([0.5, 1.0]))

@@ -2,9 +2,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from helpers import haar_unitary
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torlinks import softtorus
-from torlinks.matcore import PreconditionError, adjoint, commutator, op_norm
+from torlinks.matcore import PreconditionError, adjoint, commutator, normal_eig, op_norm
 from torlinks.softtorus import (
     GapUndefinedError,
     SpanNotStabilizedError,
@@ -205,3 +208,58 @@ def test_bott_index_rejects_non_unitaries():
 def test_algebra_dimension_of_no_matrices_is_one():
     # the empty set generates the scalars alone
     assert algebra_dimension([]) == 1
+
+
+def _ambient_bott(u, v):
+    """(index, gap, winding, defect, margin) of the pair from e(u, v) built
+    in the ambient basis: f(v), g(v) and h(v) as Q diag Q*, the off-diagonal
+    block h(v) u + g(v), the whole 2n x 2n matrix hermitized, and the winding
+    of u v u* v* as four factors; margin is the least distance of an
+    eigenvalue angle of u v u* v* from pi. No gap gating."""
+    n = u.shape[0]
+    q, vals = normal_eig(v)
+    theta = np.mod(np.angle(vals), 2 * np.pi) / (2 * np.pi)
+    f, g, h = (q * d @ adjoint(q) for d in softtorus._circle_functions(theta))
+    e = np.block([[f, h @ u + g], [adjoint(u) @ h + g, np.eye(n) - f]])
+    spectrum = np.linalg.eigvalsh((e + adjoint(e)) / 2)
+    angles = np.angle(np.linalg.eigvals(u @ v @ adjoint(u) @ adjoint(v)))
+    return (
+        int(np.sum(spectrum >= 0.5)) - n,
+        float(np.min(np.abs(spectrum - 0.5))),
+        int(np.rint(np.sum(angles) / (2 * np.pi))),
+        op_norm(u @ v - v @ u),
+        float(np.min(np.pi - np.abs(angles))),
+    )
+
+
+#: bott_index's e(u, v), taken in v's eigenbasis, and the ambient oracle's
+#: differ by the rounding of a few n x n products, so their spectra, and the
+#: gaps, agree within _GAP_C n u (u = 2^-53); the largest difference seen
+#: over 600 draws of these three kinds with n <= 64 was 3 n u, at n = 2
+_GAP_C = 8.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["clock_shift", "soft_pair", "conjugated"]),
+    st.integers(2, 40),  # n
+    st.floats(0.0, 2.5),  # delta of soft_pair
+    st.integers(0, 2**16),  # seed
+)
+def test_bott_index_matches_the_ambient_basis_oracle(kind, n, delta, seed):
+    if kind == "clock_shift":
+        u, v = clock_shift(n)[:2]
+    else:
+        u, v = soft_pair(n, delta)[:2]
+    if kind == "conjugated":
+        w = haar_unitary(n, np.random.default_rng(seed))
+        u, v = w @ u @ adjoint(w), w @ v @ adjoint(w)
+    index, gap, winding, defect, margin = _ambient_bott(u, v)
+    r = bott_index(u, v, gap_tol=0.0)
+    allowance = _GAP_C * n * 2.0**-53
+    assert abs(r.gap - gap) <= allowance
+    assert r.defect == defect
+    if gap > allowance:  # no eigenvalue within rounding of 1/2
+        assert r.index == index
+    if margin > 1e-9:  # u v u* v* = -1 (clock/shift at n = 2) reads either turn
+        assert r.winding == winding

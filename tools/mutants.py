@@ -32,6 +32,8 @@ TESTS = (
     "tests/test_acceptance.py",
     "tests/test_lifting.py",
     "tests/test_cli.py",
+    "tests/test_softtorus.py",
+    "tests/test_jointspec.py",
 )
 
 #: (name, old line, new line); each old line occurs exactly once in src/
@@ -130,6 +132,16 @@ MUTANTS = (
         "shared Gram taken from the other flat end",
         "defects = [g - m @ adjoint(m) for m, g in zip(_ends(seg), grams)]  # [m*, m]",
         "defects = [g - m @ adjoint(m) for m, g in zip(_ends(seg), grams[::-1])]  # [m*, m]",
+    ),
+    (
+        "normality read off A*A drops its factor 2",
+        "return 2.0 * (b + g * (1.0 + b) / (1.0 - g)) <= tol",
+        "return (b + g * (1.0 + b) / (1.0 - g)) <= tol",
+    ),
+    (
+        "Bott block B built as U~ h instead of h U~",
+        "b = hv[:, None] * (adjoint(q) @ u @ q)",
+        "b = (adjoint(q) @ u @ q) * hv",
     ),
 )
 
